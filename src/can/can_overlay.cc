@@ -61,8 +61,9 @@ Status CanOverlay::Join(Rng& rng) {
   }
   const NodeId owner = route.destination;
   const NodeId fresh = SplitZone(owner, point);
-  // Split handshake: owner transfers half its zone (and state) to the
-  // newcomer, then both notify the affected neighbours.
+  // Split handshake: owner transfers half its zone (and state, including its
+  // split history and express contacts) to the newcomer, then both notify
+  // the affected neighbours.
   stats_->RecordHop(sim::TrafficClass::kJoin, ClusterMessageBytes());
   const size_t notified =
       nodes_[static_cast<size_t>(owner)].neighbors.size() +
@@ -90,17 +91,32 @@ NodeId CanOverlay::SplitZone(NodeId owner, const Vector& point) {
   const double mid = 0.5 * (old_node.zone.lo[split_dim] + old_node.zone.hi[split_dim]);
   HM_OBS_COUNTER_ADD("can.zone_splits", 1);
 
+  const NodeId fresh_id = static_cast<NodeId>(nodes_.size());
   Node fresh;
   fresh.zone = old_node.zone;
-  if (point[split_dim] < mid) {
-    // Newcomer takes the lower half.
-    fresh.zone.hi[split_dim] = mid;
-    old_node.zone.lo[split_dim] = mid;
-  } else {
+  fresh.splits = old_node.splits;
+  fresh.contacts = old_node.contacts;
+  // A zone its history describes exactly splits the history too, each half
+  // taking the other as the contact across the new split. A takeover-grown
+  // zone is not a split-tree box, so both halves keep the coarser history.
+  // Every zone lies inside its history's box of volume 2^-depth (dyadic, so
+  // the products are exact), hence equal volume means equal boxes.
+  const bool exact = old_node.zone.Volume() ==
+                     std::ldexp(1.0, -static_cast<int>(old_node.splits.size()));
+  const bool fresh_upper = point[split_dim] >= mid;
+  if (fresh_upper) {
     fresh.zone.lo[split_dim] = mid;
     old_node.zone.hi[split_dim] = mid;
+  } else {
+    fresh.zone.hi[split_dim] = mid;
+    old_node.zone.lo[split_dim] = mid;
   }
-  const NodeId fresh_id = static_cast<NodeId>(nodes_.size());
+  if (exact) {
+    fresh.splits.push_back(Split{split_dim, mid, fresh_upper});
+    fresh.contacts.push_back(owner);
+    old_node.splits.push_back(Split{split_dim, mid, !fresh_upper});
+    old_node.contacts.push_back(fresh_id);
+  }
 
   // Re-home stored clusters: each stays with every half its sphere overlaps.
   std::vector<PublishedCluster> kept;
@@ -220,6 +236,15 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
   // dead and the walk backs out along `stack` — bounded depth-first search
   // ordered by greedy preference, degenerating to the classic single-path
   // walk at budget 0.
+  //
+  // Publication and join traffic tries an express step before each greedy
+  // step. `fixed_depth` counts the splits of the target's path the message
+  // has fixed; an express forward must fix a deeper one, so express hops are
+  // bounded by the split depth and greedy steps in between cannot make the
+  // walk cycle.
+  const bool express =
+      cls == sim::TrafficClass::kInsert || cls == sim::TrafficClass::kJoin;
+  size_t fixed_depth = 0;
   std::unordered_set<NodeId> visited;
   std::unordered_set<NodeId> dead;
   std::vector<NodeId> stack;
@@ -230,23 +255,27 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
   const int ttl = 4 * num_nodes() + 16;
   while (!nodes_[static_cast<size_t>(current)].zone.ContainsHalfOpen(target)) {
     if (result.hops > ttl) return InternalError("Route: TTL exceeded (topology bug)");
-    NodeId best = overlay::kInvalidNode;
-    double best_sq = std::numeric_limits<double>::max();
-    bool best_visited = true;
-    for (NodeId n : nodes_[static_cast<size_t>(current)].neighbors) {
-      if (dead.contains(n)) continue;
-      if (nodes_[static_cast<size_t>(n)].zone.ContainsHalfOpen(target)) {
-        best = n;
-        best_visited = false;
-        break;
-      }
-      const double sq = nodes_[static_cast<size_t>(n)].zone.SquaredDistanceTo(target);
-      const bool seen = visited.contains(n);
-      // Unvisited beats visited; within a group, smaller distance wins.
-      if ((seen == best_visited && sq < best_sq) || (!seen && best_visited)) {
-        best_sq = sq;
-        best = n;
-        best_visited = seen;
+    NodeId best = express
+                      ? ExpressHop(nodes_[static_cast<size_t>(current)], target, &fixed_depth)
+                      : overlay::kInvalidNode;
+    bool best_visited = best == overlay::kInvalidNode;
+    if (best == overlay::kInvalidNode) {
+      double best_sq = std::numeric_limits<double>::max();
+      for (NodeId n : nodes_[static_cast<size_t>(current)].neighbors) {
+        if (dead.contains(n)) continue;
+        if (nodes_[static_cast<size_t>(n)].zone.ContainsHalfOpen(target)) {
+          best = n;
+          best_visited = false;
+          break;
+        }
+        const double sq = nodes_[static_cast<size_t>(n)].zone.SquaredDistanceTo(target);
+        const bool seen = visited.contains(n);
+        // Unvisited beats visited; within a group, smaller distance wins.
+        if ((seen == best_visited && sq < best_sq) || (!seen && best_visited)) {
+          best_sq = sq;
+          best = n;
+          best_visited = seen;
+        }
       }
     }
     if (best == overlay::kInvalidNode) {
@@ -325,6 +354,37 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
   HM_OBS_HISTOGRAM("can.route_hops", obs::Buckets::Exponential(1, 2.0, 12),
                    result.hops);
   return result;
+}
+
+NodeId CanOverlay::ExpressHop(const Node& node, const Vector& target,
+                              size_t* fixed_depth) const {
+  for (size_t i = 0; i < node.splits.size(); ++i) {
+    const Split& split = node.splits[i];
+    if ((target[split.dim] >= split.mid) == split.upper) continue;
+    // The target lies in the half split i gave away. Every node known to lie
+    // in that half fixes split i + 1 of the target's path, unless the message
+    // is already past it: the contact, and any neighbour across the split.
+    // The one nearest the target wins (a neighbour keeps the splits below i
+    // that already agree, where the contact lands anywhere in the half).
+    if (i < *fixed_depth) break;
+    NodeId best = node.contacts[i];
+    double best_sq = best == overlay::kInvalidNode
+                         ? std::numeric_limits<double>::max()
+                         : nodes_[static_cast<size_t>(best)].zone.SquaredDistanceTo(target);
+    for (NodeId n : node.neighbors) {
+      const geom::Box& zone = nodes_[static_cast<size_t>(n)].zone;
+      if (!InHalf(node.splits, i, zone)) continue;
+      const double sq = zone.SquaredDistanceTo(target);
+      if (sq < best_sq || (sq == best_sq && zone.ContainsHalfOpen(target))) {
+        best = n;
+        best_sq = sq;
+      }
+    }
+    if (best == overlay::kInvalidNode) break;
+    *fixed_depth = i + 1;
+    return best;
+  }
+  return overlay::kInvalidNode;
 }
 
 Result<InsertReceipt> CanOverlay::Insert(const PublishedCluster& cluster, NodeId origin) {
@@ -608,6 +668,18 @@ int CanOverlay::num_active_nodes() const {
   return count;
 }
 
+int CanOverlay::split_depth(NodeId node) const {
+  HM_CHECK_GE(node, 0);
+  HM_CHECK_LT(node, num_nodes());
+  return static_cast<int>(nodes_[static_cast<size_t>(node)].splits.size());
+}
+
+const std::vector<NodeId>& CanOverlay::contacts(NodeId node) const {
+  HM_CHECK_GE(node, 0);
+  HM_CHECK_LT(node, num_nodes());
+  return nodes_[static_cast<size_t>(node)].contacts;
+}
+
 bool CanOverlay::Mergeable(const geom::Box& a, const geom::Box& b, geom::Box* merged) {
   HM_CHECK_EQ(a.dim(), b.dim());
   // Siblings differ in exactly one dimension, where one's hi equals the
@@ -629,6 +701,53 @@ bool CanOverlay::Mergeable(const geom::Box& a, const geom::Box& b, geom::Box* me
     merged->hi[d] = std::fmax(a.hi[d], b.hi[d]);
   }
   return true;
+}
+
+bool CanOverlay::InHalf(const std::vector<Split>& splits, size_t depth,
+                        const geom::Box& zone) {
+  for (size_t i = 0; i <= depth; ++i) {
+    const Split& split = splits[i];
+    const bool upper = i == depth ? !split.upper : split.upper;
+    if (upper ? zone.lo[split.dim] < split.mid : zone.hi[split.dim] > split.mid) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void CanOverlay::FitSplitsToZone(Node* node) {
+  size_t keep = 0;
+  for (const Split& split : node->splits) {
+    const bool inside = split.upper ? node->zone.lo[split.dim] >= split.mid
+                                    : node->zone.hi[split.dim] <= split.mid;
+    if (!inside) break;
+    ++keep;
+  }
+  node->splits.resize(keep);
+  node->contacts.resize(keep);
+}
+
+int CanOverlay::RepairContacts() {
+  int repaired = 0;
+  for (Node& node : nodes_) {
+    if (!node.active) continue;
+    for (size_t i = 0; i < node.splits.size(); ++i) {
+      NodeId& contact = node.contacts[i];
+      if (contact != overlay::kInvalidNode) {
+        const Node& current = nodes_[static_cast<size_t>(contact)];
+        if (current.active && InHalf(node.splits, i, current.zone)) continue;
+      }
+      contact = overlay::kInvalidNode;
+      for (size_t c = 0; c < nodes_.size(); ++c) {
+        if (nodes_[c].active && InHalf(node.splits, i, nodes_[c].zone)) {
+          contact = static_cast<NodeId>(c);
+          ++repaired;
+          break;
+        }
+      }
+    }
+  }
+  return repaired;
 }
 
 void CanOverlay::RebuildNeighborLists() {
@@ -676,9 +795,13 @@ Status CanOverlay::Leave(NodeId node) {
   const geom::Box departed = leaving.zone;
   std::vector<PublishedCluster> orphaned = std::move(leaving.stored);
   const std::vector<NodeId> old_neighbors = std::move(leaving.neighbors);
+  std::vector<Split> departed_splits = std::move(leaving.splits);
+  std::vector<NodeId> departed_contacts = std::move(leaving.contacts);
   leaving.active = false;
   leaving.stored.clear();
   leaving.neighbors.clear();
+  leaving.splits.clear();
+  leaving.contacts.clear();
 
   // Preferred takeover: a neighbour whose zone merges with the departed one
   // into a single rectangle (the zones are split siblings).
@@ -696,6 +819,7 @@ Status CanOverlay::Leave(NodeId node) {
     Node& a = nodes_[static_cast<size_t>(absorber)];
     a.zone = merged;
     a.stored = MergeStored(std::move(a.stored), orphaned);
+    FitSplitsToZone(&a);
   } else {
     // No direct merge: free one node elsewhere. The partition is always the
     // leaf set of a binary space partition, so a mergeable sibling pair
@@ -720,13 +844,18 @@ Status CanOverlay::Leave(NodeId node) {
     Node& b = nodes_[static_cast<size_t>(second)];
     a.zone = pair_merged;
     a.stored = MergeStored(std::move(a.stored), b.stored);
+    FitSplitsToZone(&a);
     b.zone = departed;
     b.stored = std::move(orphaned);
+    b.splits = std::move(departed_splits);
+    b.contacts = std::move(departed_contacts);
     notified += a.neighbors.size() + b.neighbors.size();
   }
   RebuildNeighborLists();
 
-  // Maintenance traffic: one state handover plus neighbour notifications.
+  // Maintenance traffic: one state handover, neighbour notifications and one
+  // lookup per express contact the departure made stale.
+  notified += static_cast<size_t>(RepairContacts());
   stats_->RecordHop(sim::TrafficClass::kJoin, ClusterMessageBytes());
   for (size_t i = 0; i < notified; ++i) {
     stats_->RecordHop(sim::TrafficClass::kJoin, KeyMessageBytes());

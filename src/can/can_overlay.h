@@ -5,7 +5,11 @@
 // rectangular zone per node. Nodes join by routing to the owner of a random
 // point, which splits its zone in half along its longest side and hands the
 // half containing the join point to the newcomer. Routing is greedy through
-// neighbouring zones toward the target key.
+// neighbouring zones toward the target key, except that publication and join
+// traffic first takes *express contacts*: every node remembers its zone's
+// split history and one node in the half each split gave away, so a message
+// can fix one split of the target's path per hop (O(log n) hops instead of
+// the greedy walk's O(d n^{1/d})).
 //
 // Differences from the original paper'd CAN, both deliberate:
 //  * the key space is *bounded*, not a torus — Hyper-M indexes bounded
@@ -43,7 +47,8 @@ struct RouteResult {
 
   /// Every zone the message occupied, in visit order, starting at the origin.
   /// A backtracked walk re-records the zone it retreats to, so the trail is
-  /// the message's true path, not just the surviving route.
+  /// the message's true path, not just the surviving route. Consecutive
+  /// zones are adjacent except across express-contact forwards.
   std::vector<overlay::NodeId> trail;
 
   /// Detour budget spent: failed forwards retried via an alternate neighbour,
@@ -101,6 +106,13 @@ class CanOverlay : public overlay::Overlay {
   /// `message_bytes` under `cls` per forward (through the transport when one
   /// is set, else straight into NetworkStats).
   ///
+  /// kInsert and kJoin traffic forwards into the half of the first split
+  /// that does not hold the target, via that split's express contact or a
+  /// nearer neighbour inside the half. On a join-only overlay this reaches
+  /// the owner in at most split_depth(owner) hops. A node with no usable
+  /// contact takes one greedy neighbour step instead, so delivery never
+  /// depends on contacts. Query traffic always walks neighbours.
+  ///
   /// With `max_detours` == 0 (the default) a transport-level delivery failure
   /// ends the walk with result.delivered == false (Ok status) — the classic
   /// single-path greedy walk. A positive budget buys k-alternative routing:
@@ -128,8 +140,9 @@ class CanOverlay : public overlay::Overlay {
   /// partition is merged to free one node, which then adopts the departed
   /// zone verbatim — so every remaining node keeps exactly one rectangular
   /// zone and the active zones always tile the cube. Stored clusters are
-  /// re-homed to the new owners. Maintenance traffic is recorded under
-  /// TrafficClass::kJoin.
+  /// re-homed to the new owners, and every express contact the departure
+  /// made stale is repaired. Maintenance traffic (including one message per
+  /// repaired contact) is recorded under TrafficClass::kJoin.
   ///
   /// Returns FailedPrecondition when `node` is already inactive or is the
   /// last active node.
@@ -141,11 +154,30 @@ class CanOverlay : public overlay::Overlay {
   /// Number of active (zone-owning) nodes.
   int num_active_nodes() const;
 
+  /// Length of `node`'s split history: the depth of the smallest split-tree
+  /// box known to hold its zone (the zone's depth on a join-only overlay).
+  int split_depth(overlay::NodeId node) const;
+
+  /// Express contacts of `node`, one per split of its history: entry i is an
+  /// active node whose zone lies in the half split i gave away, or
+  /// kInvalidNode when departures left no zone inside that half.
+  const std::vector<overlay::NodeId>& contacts(overlay::NodeId node) const;
+
  private:
+  /// One halving of a zone's split history: the zone lies in the upper
+  /// ([mid, hi)) or lower half of coordinate `dim`.
+  struct Split {
+    size_t dim;
+    double mid;
+    bool upper;
+  };
+
   struct Node {
     geom::Box zone;
     std::vector<overlay::NodeId> neighbors;
     std::vector<overlay::PublishedCluster> stored;
+    std::vector<Split> splits;               // root-first split history
+    std::vector<overlay::NodeId> contacts;   // contacts[i]: node across splits[i]
     bool active = true;
   };
 
@@ -167,6 +199,28 @@ class CanOverlay : public overlay::Overlay {
   /// Recomputes every active node's neighbour list from scratch (O(N^2);
   /// used after the non-local zone handover of Leave).
   void RebuildNeighborLists();
+
+  /// True iff `zone` lies in the half split `depth` of `splits` gave away
+  /// (and on the history's side of every earlier split).
+  static bool InHalf(const std::vector<Split>& splits, size_t depth,
+                     const geom::Box& zone);
+
+  /// Truncates `node`'s split history (and contacts) to the longest prefix
+  /// whose box still holds its zone — after a takeover grew the zone.
+  static void FitSplitsToZone(Node* node);
+
+  /// Replaces every contact that is inactive or no longer inside its half
+  /// with the lowest-id active node that is (kInvalidNode if none). Returns
+  /// the number of contacts replaced.
+  int RepairContacts();
+
+  /// Express step from `node` toward `target`: into the half of the first
+  /// split that does not hold the target, via its contact or the neighbour
+  /// inside that half nearest the target, if that split is deeper than
+  /// `*fixed_depth` (which it then advances). kInvalidNode when no known
+  /// node makes progress.
+  overlay::NodeId ExpressHop(const Node& node, const Vector& target,
+                             size_t* fixed_depth) const;
 
   /// Assigns `zone` to `node`, re-homing `clusters` into every overlapping
   /// active zone's store.

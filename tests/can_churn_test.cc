@@ -53,6 +53,32 @@ void ExpectConsistentPartition(const CanOverlay& can) {
   }
 }
 
+// Every express contact is live, and publication routes (which take them)
+// still reach the oracle owner.
+void ExpectContactsUsable(CanOverlay& can, Rng& rng) {
+  for (NodeId n = 0; n < can.num_nodes(); ++n) {
+    if (!can.active(n)) continue;
+    ASSERT_EQ(can.contacts(n).size(), static_cast<size_t>(can.split_depth(n)));
+    for (NodeId c : can.contacts(n)) {
+      if (c != overlay::kInvalidNode) {
+        EXPECT_TRUE(can.active(c)) << n << " -> " << c;
+      }
+    }
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    Vector key(can.dim());
+    for (double& x : key) x = rng.NextDouble();
+    NodeId origin = static_cast<NodeId>(rng.NextIndex(static_cast<uint64_t>(can.num_nodes())));
+    while (!can.active(origin)) {
+      origin = static_cast<NodeId>(rng.NextIndex(static_cast<uint64_t>(can.num_nodes())));
+    }
+    Result<RouteResult> route = can.Route(key, origin, sim::TrafficClass::kInsert, 64,
+                                          net::MessageType::kInsert);
+    ASSERT_TRUE(route.ok()) << route.status().ToString();
+    EXPECT_EQ(route->destination, can.OwnerOf(key));
+  }
+}
+
 TEST(CanLeaveTest, RejectsInvalidDepartures) {
   sim::NetworkStats stats;
   auto can = MakeCan(2, 4, &stats);
@@ -222,6 +248,7 @@ TEST(CanJoinTest, InterleavedJoinLeaveChurn) {
   sim::NetworkStats stats;
   auto can = MakeCan(2, 10, &stats, 77);
   Rng rng(14);
+  Rng probe(15);
   for (int round = 0; round < 40; ++round) {
     if (rng.Bernoulli(0.5) && can->num_active_nodes() > 2) {
       NodeId victim =
@@ -234,6 +261,7 @@ TEST(CanJoinTest, InterleavedJoinLeaveChurn) {
     } else {
       ASSERT_TRUE(can->AddNode(rng).ok());
     }
+    ExpectContactsUsable(*can, probe);
     if (round % 8 == 0) ExpectConsistentPartition(*can);
   }
   ExpectConsistentPartition(*can);
@@ -248,11 +276,13 @@ TEST_P(CanChurnSweep, InvariantsHoldUnderRandomChurn) {
   auto can = MakeCan(static_cast<size_t>(dim), 20, &stats,
                      static_cast<uint64_t>(dim) + 100);
   Rng rng(static_cast<uint64_t>(dim) * 31);
+  Rng probe(static_cast<uint64_t>(dim) * 37);
   int departures = 0;
   while (can->num_active_nodes() > 3) {
     NodeId victim = static_cast<NodeId>(rng.NextIndex(20));
     if (!can->active(victim)) continue;
     ASSERT_TRUE(can->Leave(victim).ok());
+    ExpectContactsUsable(*can, probe);
     ++departures;
     if (departures % 4 == 0) ExpectConsistentPartition(*can);
   }

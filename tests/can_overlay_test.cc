@@ -106,6 +106,83 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 8),
                        ::testing::Values(2, 17, 64)));
 
+// Depth of a zone in the split tree: every join halves one zone, so a
+// join-only zone of volume 2^-k sits k splits below the cube.
+int ZoneDepth(const geom::Box& zone) {
+  return static_cast<int>(std::lround(-std::log2(zone.Volume())));
+}
+
+// Publication routing over express contacts fixes one split of the target's
+// path per hop, so on a join-only overlay it reaches the owner within the
+// owner zone's depth (~log2 n), whatever the dimensionality. The greedy
+// neighbour walk needs O(d n^{1/d}) hops and breaks this bound.
+class CanExpressRouting : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(CanExpressRouting, InsertRoutesWithinOwnerZoneDepth) {
+  const auto [dim, nodes] = GetParam();
+  sim::NetworkStats stats;
+  auto can = MakeCan(static_cast<size_t>(dim), nodes, &stats);
+  Rng rng(321);
+  for (int trial = 0; trial < 200; ++trial) {
+    Vector key(static_cast<size_t>(dim));
+    for (double& x : key) x = rng.NextDouble();
+    const NodeId origin = static_cast<NodeId>(rng.NextIndex(
+        static_cast<uint64_t>(can->num_nodes())));
+    Result<RouteResult> route = can->Route(key, origin, sim::TrafficClass::kInsert, 64,
+                                           net::MessageType::kInsert);
+    ASSERT_TRUE(route.ok()) << route.status().ToString();
+    const NodeId owner = can->OwnerOf(key);
+    ASSERT_EQ(route->destination, owner);
+    EXPECT_LE(route->hops, ZoneDepth(can->zone(owner)))
+        << "origin " << origin << " owner " << owner << " trial " << trial;
+  }
+}
+
+TEST_P(CanExpressRouting, SplitHistoryAndContactsDescribeZones) {
+  const auto [dim, nodes] = GetParam();
+  sim::NetworkStats stats;
+  auto can = MakeCan(static_cast<size_t>(dim), nodes, &stats);
+  for (NodeId n = 0; n < can->num_nodes(); ++n) {
+    EXPECT_EQ(can->split_depth(n), ZoneDepth(can->zone(n)));
+    const std::vector<NodeId>& contacts = can->contacts(n);
+    ASSERT_EQ(contacts.size(), static_cast<size_t>(can->split_depth(n)));
+    for (NodeId c : contacts) {
+      ASSERT_NE(c, overlay::kInvalidNode);
+      EXPECT_NE(c, n);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsAndSizes, CanExpressRouting,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(17, 64, 1000)));
+
+// Query traffic keeps the neighbour walk: every step of a kQuery trail (and
+// so of RangeQuery's routing stage) crosses into an adjacent zone.
+TEST(CanQueryRoutingTest, RangeQueryTrailsStepBetweenAdjacentZones) {
+  sim::NetworkStats stats;
+  auto can = MakeCan(1, 64, &stats);
+  Rng rng(17);
+  for (int trial = 0; trial < 100; ++trial) {
+    const Vector center{rng.NextDouble()};
+    const NodeId origin = static_cast<NodeId>(rng.NextIndex(64));
+    Result<RouteResult> route =
+        can->Route(center, origin, sim::TrafficClass::kQuery, 24);
+    ASSERT_TRUE(route.ok());
+    for (size_t i = 1; i < route->trail.size(); ++i) {
+      const auto& near = can->neighbors(route->trail[i - 1]);
+      EXPECT_NE(std::find(near.begin(), near.end(), route->trail[i]), near.end())
+          << "trial " << trial << " step " << i;
+    }
+    Result<overlay::RangeQueryResult> query =
+        can->RangeQuery(geom::Sphere{center, 0.01}, origin);
+    ASSERT_TRUE(query.ok());
+    EXPECT_EQ(query->routing_hops, route->hops);
+    EXPECT_EQ(query->entry_node, route->destination);
+  }
+}
+
 TEST(CanInsertTest, PointStoredAtOwner) {
   sim::NetworkStats stats;
   auto can = MakeCan(2, 16, &stats);

@@ -24,32 +24,35 @@
 namespace hyperm::overlay {
 namespace {
 
+// gtest prints this parameter as raw bytes in the listed test names, so the
+// leading field is a plain value: a pointer there would put a load address
+// into every name and change them from build to build.
 struct Substrate {
-  const char* name;
   size_t dim;  // key dimensionality the substrate is built with
+  const char* name;
   std::function<std::unique_ptr<Overlay>(sim::NetworkStats*, Rng&)> build;
 };
 
 Substrate MakeCanSubstrate() {
-  return {"can", 2, [](sim::NetworkStats* stats, Rng& rng) -> std::unique_ptr<Overlay> {
+  return {2, "can", [](sim::NetworkStats* stats, Rng& rng) -> std::unique_ptr<Overlay> {
             return std::move(can::CanOverlay::Build(2, 20, stats, rng).value());
           }};
 }
 
 Substrate MakeRingSubstrate() {
-  return {"ring", 1, [](sim::NetworkStats* stats, Rng& rng) -> std::unique_ptr<Overlay> {
+  return {1, "ring", [](sim::NetworkStats* stats, Rng& rng) -> std::unique_ptr<Overlay> {
             return std::move(RingOverlay::Build(20, stats, rng).value());
           }};
 }
 
 Substrate MakeTreeSubstrate() {
-  return {"tree", 2, [](sim::NetworkStats* stats, Rng& rng) -> std::unique_ptr<Overlay> {
+  return {2, "tree", [](sim::NetworkStats* stats, Rng& rng) -> std::unique_ptr<Overlay> {
             return std::move(TreeOverlay::Build(2, 20, stats, rng).value());
           }};
 }
 
 Substrate MakeGossipSubstrate() {
-  return {"gossip", 2,
+  return {2, "gossip",
           [](sim::NetworkStats* stats, Rng& rng) -> std::unique_ptr<Overlay> {
             return std::move(
                 GossipOverlay::Build(2, 20, 4, /*ttl=*/-1, stats, rng).value());
