@@ -7,14 +7,13 @@
 //   ./build/examples/custom_experiment ...flags...
 //   --dataset=histogram --nodes=50 --items=4200 --dim=64
 //   --layers=4 --clusters=10 --queries=25 --k=10 --c=1.5
-//   --policy=min --overlay=can --wavelet=haar-avg --seed=606
+//   --policy=min --wavelet=haar-avg --seed=606
 //   --save-data=/tmp/corpus.hmd
 //
 //   --dataset=markov|histogram    synthetic corpus family
 //   --load-data=PATH              read a saved corpus instead of generating
 //   --save-data=PATH              persist the corpus (binary HMD format)
 //   --policy=min|sum|product      score aggregation
-//   --overlay=can|ring|tree       substrate selection
 //   --wavelet=haar-avg|haar-ortho|d4
 
 #include <cstdio>
@@ -47,7 +46,6 @@ struct Flags {
   int k = 10;
   double c = 1.5;
   std::string policy = "min";
-  std::string overlay = "can";
   std::string wavelet = "haar-avg";
   uint64_t seed = 606;
 };
@@ -66,7 +64,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         ParseFlag(argv[i], "load-data", &flags->load_data) ||
         ParseFlag(argv[i], "save-data", &flags->save_data) ||
         ParseFlag(argv[i], "policy", &flags->policy) ||
-        ParseFlag(argv[i], "overlay", &flags->overlay) ||
         ParseFlag(argv[i], "wavelet", &flags->wavelet)) {
       continue;
     }
@@ -169,16 +166,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --policy=%s\n", flags.policy.c_str());
     return 2;
   }
-  if (flags.overlay == "can") {
-    options.overlay_kind = core::OverlayKind::kCan;
-  } else if (flags.overlay == "ring") {
-    options.overlay_kind = core::OverlayKind::kRingAndCan;
-  } else if (flags.overlay == "tree") {
-    options.overlay_kind = core::OverlayKind::kTree;
-  } else {
-    std::fprintf(stderr, "unknown --overlay=%s\n", flags.overlay.c_str());
-    return 2;
-  }
   if (flags.wavelet == "haar-avg") {
     options.wavelet_kind = wavelet::WaveletKind::kHaarAveraging;
   } else if (flags.wavelet == "haar-ortho") {
@@ -197,9 +184,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   core::HyperMNetwork& net = **network;
-  std::printf("deployment: %d peers, %d layers, %d clusters/peer, %s overlay, %s\n",
-              net.num_peers(), net.num_layers(), flags.clusters,
-              flags.overlay.c_str(), flags.wavelet.c_str());
+  std::printf("deployment: %d peers, %d layers, %d clusters/peer, can overlay, %s\n",
+              net.num_peers(), net.num_layers(), flags.clusters, flags.wavelet.c_str());
   std::printf("items: %zu x %zu-d (%s)\n", dataset.size(), dataset.dim(),
               flags.dataset.c_str());
   std::printf("setup traffic: %s\n", net.stats().Summary().c_str());

@@ -59,8 +59,10 @@ struct RouteResult {
   net::DeliveryOutcome outcome = net::DeliveryOutcome::kDelivered;
 };
 
-/// CAN overlay implementation. Construct with Build().
-class CanOverlay : public overlay::Overlay {
+/// CAN overlay implementation. Construct with Build(). Traffic is recorded in
+/// the NetworkStats passed to Build (or sent through the transport, once
+/// set); all operations are deterministic given the build RNG.
+class CanOverlay {
  public:
   /// Bootstraps a CAN of `num_nodes` nodes over [0,1)^dim.
   ///
@@ -71,24 +73,70 @@ class CanOverlay : public overlay::Overlay {
   static Result<std::unique_ptr<CanOverlay>> Build(size_t dim, int num_nodes,
                                                    sim::NetworkStats* stats, Rng& rng);
 
-  // Overlay interface -------------------------------------------------------
-  size_t dim() const override { return dim_; }
-  int num_nodes() const override { return static_cast<int>(nodes_.size()); }
+  /// Key-space dimensionality.
+  size_t dim() const { return dim_; }
+
+  /// Number of nodes ever created (departed nodes keep their ids).
+  int num_nodes() const { return static_cast<int>(nodes_.size()); }
+
+  /// Publishes `cluster` starting from node `origin`. The sphere is stored
+  /// at the zone owning its centroid and replicated into every other zone it
+  /// overlaps (Fig. 6: otherwise queries landing in a neighbouring zone
+  /// would miss it).
   Result<overlay::InsertReceipt> Insert(const overlay::PublishedCluster& cluster,
-                                        overlay::NodeId origin) override;
+                                        overlay::NodeId origin);
+
+  /// Returns all stored clusters whose sphere intersects `query`, flooding
+  /// outward from the zone owning the query center.
   Result<overlay::RangeQueryResult> RangeQuery(const geom::Sphere& query,
-                                               overlay::NodeId origin) override;
+                                               overlay::NodeId origin);
+
+  /// RangeQuery via a mined entry hint: `origin` first contacts `entry_hint`
+  /// directly (one overlay message instead of the greedy multi-hop walk) and
+  /// the walk resumes from there — usually zero hops, because the hint *is*
+  /// the query center's zone owner for a repeated query. Fail-soft and
+  /// recall-preserving by construction: the flood still starts at the true
+  /// zone owner, and any failure on the hinted path reports undelivered so
+  /// the caller can fall back to the plain RangeQuery.
   Result<overlay::RangeQueryResult> RangeQueryVia(const geom::Sphere& query,
                                                   overlay::NodeId origin,
-                                                  overlay::NodeId entry_hint) override;
-  std::vector<overlay::NodeStorage> StorageDistribution() const override;
-  void ClearStorage() override;
-  int RemoveByOwner(int owner_peer) override;
-  void set_replicate_spheres(bool enabled) override { replicate_spheres_ = enabled; }
-  void set_transport(net::Transport* transport) override { transport_ = transport; }
-  void set_route_detours(int budget) override { route_detours_ = budget; }
-  int ExpireBefore(double now) override;
-  int ClearNode(overlay::NodeId node) override;
+                                                  overlay::NodeId entry_hint);
+
+  /// Current storage load of every node.
+  std::vector<overlay::NodeStorage> StorageDistribution() const;
+
+  /// Removes all stored clusters (keeps the topology).
+  void ClearStorage();
+
+  /// Removes every stored cluster published by `owner_peer` (replicas
+  /// included); returns the number of stored entries erased. Supports
+  /// re-publication after a peer's local collection changed.
+  int RemoveByOwner(int owner_peer);
+
+  /// Enables/disables sphere replication into overlapping zones. ON by
+  /// default; turning it OFF recreates the Fig. 6 failure mode (queries
+  /// landing in a neighbouring zone miss border-straddling clusters) and
+  /// exists for the replication ablation bench.
+  void set_replicate_spheres(bool enabled) { replicate_spheres_ = enabled; }
+
+  /// Routes all overlay traffic through `transport` (not owned; may be
+  /// nullptr to restore direct stats recording).
+  void set_transport(net::Transport* transport) { transport_ = transport; }
+
+  /// k-alternative greedy routing budget for *query* routing: when the best
+  /// next hop is unreachable the walk may try up to `budget` alternate
+  /// neighbours (backtracking out of dead-end pockets) before declaring the
+  /// query lost. 0 (the default) keeps the classic single-path greedy walk;
+  /// publication routing always stays single-path.
+  void set_route_detours(int budget) { route_detours_ = budget; }
+
+  /// Soft state: erases every stored summary with expires_at < `now` and
+  /// returns the number of entries erased.
+  int ExpireBefore(double now);
+
+  /// Crash support: wipes `node`'s volatile summary storage (the node keeps
+  /// its zone and stays routable) and returns the number of entries lost.
+  int ClearNode(overlay::NodeId node);
 
   // Introspection (tests, experiments) --------------------------------------
 

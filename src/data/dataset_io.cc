@@ -115,6 +115,16 @@ Result<Dataset> ReadBinary(const std::string& path) {
   if (count > kMaxReasonable || dim == 0 || dim > kMaxReasonable) {
     return InvalidArgumentError("ReadBinary: implausible header counts");
   }
+  // The payload must fit in what is left of the file; checking first keeps a
+  // corrupt count from reaching reserve() as a huge allocation.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const uint64_t remaining = static_cast<uint64_t>(in.tellg() - header_end);
+  in.seekg(header_end);
+  const uint64_t bytes_per_item = dim * sizeof(double) + (labeled != 0 ? sizeof(int32_t) : 0);
+  if (count > remaining / bytes_per_item) {
+    return InvalidArgumentError("ReadBinary: header counts exceed the file size");
+  }
   Dataset dataset;
   dataset.items.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

@@ -13,8 +13,6 @@
 #include "common/seed_stream.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
-#include "overlay/ring_overlay.h"
-#include "overlay/tree_overlay.h"
 #include "wavelet/haar.h"
 
 namespace hyperm::core {
@@ -166,11 +164,6 @@ Status HyperMNetwork::InitTransport() {
     }
     transport_ = std::make_unique<net::ReliableTransport>(&stats_, net_opts.link);
   } else {
-    if (options_.overlay_kind != OverlayKind::kCan) {
-      return InvalidArgumentError(
-          "Build: net.unreliable requires the CAN overlay (the other overlay "
-          "kinds do not route their traffic through a transport)");
-    }
     HM_RETURN_IF_ERROR(net_opts.faults.Validate(num_peers()));
     sim_ = std::make_unique<sim::Simulator>();
     fault_state_ = std::make_unique<net::FaultState>(num_peers(), net_opts.faults);
@@ -483,19 +476,9 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
       if (!bounds_init[layer]) return InvalidArgumentError("Build: no items assigned");
       net->mappers_.push_back(KeyMapper::FromBounds(bounds[layer], options.key_margin));
       const size_t layer_dim = net->levels_[layer].dim();
-      if (options.overlay_kind == OverlayKind::kRingAndCan && layer_dim == 1) {
-        HM_ASSIGN_OR_RETURN(auto ring,
-                            overlay::RingOverlay::Build(num_peers, &net->stats_, rng));
-        net->overlays_.push_back(std::move(ring));
-      } else if (options.overlay_kind == OverlayKind::kTree) {
-        HM_ASSIGN_OR_RETURN(auto tree, overlay::TreeOverlay::Build(layer_dim, num_peers,
-                                                                   &net->stats_, rng));
-        net->overlays_.push_back(std::move(tree));
-      } else {
-        HM_ASSIGN_OR_RETURN(auto can, can::CanOverlay::Build(layer_dim, num_peers,
-                                                             &net->stats_, rng));
-        net->overlays_.push_back(std::move(can));
-      }
+      HM_ASSIGN_OR_RETURN(auto can, can::CanOverlay::Build(layer_dim, num_peers,
+                                                           &net->stats_, rng));
+      net->overlays_.push_back(std::move(can));
       net->overlays_.back()->set_replicate_spheres(options.replicate_spheres);
     }
   }
@@ -937,7 +920,7 @@ int HyperMNetwork::total_items() const {
   return total;
 }
 
-const overlay::Overlay& HyperMNetwork::overlay(int layer) const {
+const can::CanOverlay& HyperMNetwork::overlay(int layer) const {
   HM_CHECK_GE(layer, 0);
   HM_CHECK_LT(static_cast<size_t>(layer), overlays_.size());
   return *overlays_[static_cast<size_t>(layer)];

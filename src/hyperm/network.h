@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "backbone/manager.h"
+#include "can/can_overlay.h"
 #include "channel/mobility.h"
 #include "channel/radio_channel.h"
 #include "cluster/kmeans.h"
@@ -44,13 +45,6 @@
 
 namespace hyperm::core {
 
-/// Which overlay implementation backs each layer.
-enum class OverlayKind {
-  kCan,          ///< CAN for every layer (the paper's configuration)
-  kRingAndCan,   ///< Chord-style ring for 1-D layers, CAN for the rest
-  kTree,         ///< balanced BSP tree (BATON/VBI flavour) for every layer
-};
-
 /// Configuration of a Hyper-M deployment.
 struct HyperMOptions {
   int num_layers = 4;          ///< overlays used: A, D_0, .., D_{num_layers-2}
@@ -58,7 +52,6 @@ struct HyperMOptions {
   int kmeans_max_iterations = 30;
   double key_margin = 0.05;    ///< KeyMapper safety margin
   ScorePolicy score_policy = ScorePolicy::kMin;
-  OverlayKind overlay_kind = OverlayKind::kCan;
   wavelet::WaveletKind wavelet_kind = wavelet::WaveletKind::kHaarAveraging;
   bool replicate_spheres = true;  ///< false recreates the Fig. 6 failure mode
                                   ///< (ablation only; breaks the range-query
@@ -294,7 +287,7 @@ class HyperMNetwork {
   uint64_t publication_hops(int id) const;
 
   /// Overlay / level / mapper / peer of a layer (0 <= layer < num_layers()).
-  const overlay::Overlay& overlay(int layer) const;
+  const can::CanOverlay& overlay(int layer) const;
   const wavelet::Level& level(int layer) const;
   const KeyMapper& mapper(int layer) const;
   const Peer& peer(int id) const;
@@ -369,7 +362,7 @@ class HyperMNetwork {
   std::vector<Peer> peers_;
   std::vector<wavelet::Level> levels_;
   std::vector<KeyMapper> mappers_;
-  std::vector<std::unique_ptr<overlay::Overlay>> overlays_;
+  std::vector<std::unique_ptr<can::CanOverlay>> overlays_;
   std::unique_ptr<ThreadPool> pool_;
   sim::NetworkStats stats_;
   std::vector<uint64_t> publication_hops_;  // per peer, set during Build

@@ -156,7 +156,7 @@ QueryPlan QueryPlanner::PlanKnn(const Vector& query, int k) const {
 }
 
 QueryExecutor::QueryExecutor(
-    std::vector<std::unique_ptr<overlay::Overlay>>* overlays, sim::Simulator* sim,
+    std::vector<std::unique_ptr<can::CanOverlay>>* overlays, sim::Simulator* sim,
     std::function<void(size_t, const std::function<void(size_t)>&)> fan_out,
     backbone::BackboneManager* backbone, ShortcutProvider* shortcuts)
     : overlays_(overlays),
@@ -170,7 +170,7 @@ QueryExecutor::QueryExecutor(
 void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
                              LevelOutcome* out) {
   const auto start = std::chrono::steady_clock::now();
-  overlay::Overlay& overlay = *(*overlays_)[static_cast<size_t>(probe.layer)];
+  can::CanOverlay& overlay = *(*overlays_)[static_cast<size_t>(probe.layer)];
   bool delivered = true;
   net::DeliveryOutcome failure = net::DeliveryOutcome::kDelivered;
   [&] {

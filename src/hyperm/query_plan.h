@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "can/can_overlay.h"
 #include "geom/shapes.h"
 #include "hyperm/key_mapper.h"
 #include "hyperm/score.h"
@@ -64,7 +65,7 @@ const char* LevelDeliveryName(LevelDelivery delivery);
 /// historical layer-dropping behavior bit for bit.
 struct QueryPlanOptions {
   /// k-alternative greedy routing budget per query route (see
-  /// overlay::Overlay::set_route_detours). 0 = classic single-path walks.
+  /// can::CanOverlay::set_route_detours). 0 = classic single-path walks.
   int route_detours = 0;
 
   /// Re-issue rounds for deferred levels. Each round waits heal_window_ms of
@@ -192,7 +193,7 @@ class QueryExecutor {
   /// when `sim` is non-null: the miner is single-threaded) — a stale hint
   /// costs its airtime and the probe re-runs on the plain greedy walk, so
   /// recall never depends on the miner's state.
-  QueryExecutor(std::vector<std::unique_ptr<overlay::Overlay>>* overlays,
+  QueryExecutor(std::vector<std::unique_ptr<can::CanOverlay>>* overlays,
                 sim::Simulator* sim,
                 std::function<void(size_t, const std::function<void(size_t)>&)>
                     fan_out,
@@ -215,11 +216,11 @@ class QueryExecutor {
   static void MergeReissue(const LevelOutcome& retry, double heal_wait_ms,
                            LevelOutcome* out);
 
-  std::vector<std::unique_ptr<overlay::Overlay>>* overlays_;  // not owned
-  sim::Simulator* sim_;                                       // not owned
+  std::vector<std::unique_ptr<can::CanOverlay>>* overlays_;  // not owned
+  sim::Simulator* sim_;                                      // not owned
   std::function<void(size_t, const std::function<void(size_t)>&)> fan_out_;
-  backbone::BackboneManager* backbone_;                       // not owned, may be null
-  ShortcutProvider* shortcuts_;                               // not owned, may be null
+  backbone::BackboneManager* backbone_;                      // not owned, may be null
+  ShortcutProvider* shortcuts_;                              // not owned, may be null
 };
 
 }  // namespace hyperm::core

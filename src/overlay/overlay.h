@@ -1,13 +1,13 @@
-// Overlay-agnostic indexing interface.
+// Value types exchanged with the overlay that indexes published summaries.
 //
-// Hyper-M "has been designed independent of the underlying peer-to-peer
-// overlays ... so long as they can support multi-dimensional indexing"
-// (Section 5). This interface is that seam: the core publishes cluster
-// spheres into, and range-queries against, any `Overlay` implementation.
-// CAN (src/can) is the paper's evaluation overlay; RingOverlay (this module)
-// is a 1-dimensional Chord-style alternative used in ablations.
+// Hyper-M publishes cluster spheres into, and range-queries against, one CAN
+// (src/can) per wavelet subspace — the paper's evaluation overlay. This
+// header holds only the data that crosses that boundary (cluster records,
+// cost receipts, query results, storage snapshots), so layers that consume
+// them (scoring, storage metrics, the backbone, the serving layer) need not
+// depend on the CAN implementation.
 //
-// Key-space convention: every overlay indexes the half-open unit cube
+// Key-space convention: the overlay indexes the half-open unit cube
 // [0,1)^dim. The caller (hyperm core) maps wavelet coordinates into this
 // cube with a *uniform* per-level scale so spheres stay spheres and volume
 // *fractions* — all the scoring math needs — are preserved exactly.
@@ -19,10 +19,8 @@
 #include <limits>
 #include <vector>
 
-#include "common/result.h"
 #include "geom/shapes.h"
 #include "net/transport.h"
-#include "sim/stats.h"
 
 namespace hyperm::overlay {
 
@@ -89,85 +87,6 @@ struct NodeStorage {
   NodeId node = kInvalidNode;
   int clusters = 0;  ///< replicas count individually
   int items = 0;     ///< sum of items over stored clusters (with replicas)
-};
-
-/// A structured P2P overlay indexing the unit cube.
-///
-/// Implementations record their traffic in the NetworkStats passed at
-/// construction; all operations are deterministic given the build RNG.
-class Overlay {
- public:
-  virtual ~Overlay() = default;
-
-  /// Key-space dimensionality.
-  virtual size_t dim() const = 0;
-
-  /// Number of nodes in the overlay.
-  virtual int num_nodes() const = 0;
-
-  /// Publishes `cluster` starting from node `origin`. The sphere is stored
-  /// at the zone owning its centroid and replicated into every other zone it
-  /// overlaps (Fig. 6: otherwise queries landing in a neighbouring zone
-  /// would miss it).
-  virtual Result<InsertReceipt> Insert(const PublishedCluster& cluster, NodeId origin) = 0;
-
-  /// Returns all stored clusters whose sphere intersects `query`, flooding
-  /// outward from the zone owning the query center.
-  virtual Result<RangeQueryResult> RangeQuery(const geom::Sphere& query,
-                                              NodeId origin) = 0;
-
-  /// RangeQuery via a mined entry hint: `origin` first contacts `entry_hint`
-  /// directly (one overlay message instead of the greedy multi-hop walk) and
-  /// the walk resumes from there — usually zero hops, because the hint *is*
-  /// the query center's zone owner for a repeated query. Fail-soft and
-  /// recall-preserving by construction: the flood still starts at the true
-  /// zone owner, and any failure on the hinted path reports undelivered so
-  /// the caller can fall back to the plain RangeQuery. Default: hint ignored.
-  virtual Result<RangeQueryResult> RangeQueryVia(const geom::Sphere& query,
-                                                 NodeId origin,
-                                                 NodeId entry_hint) {
-    (void)entry_hint;
-    return RangeQuery(query, origin);
-  }
-
-  /// Current storage load of every node.
-  virtual std::vector<NodeStorage> StorageDistribution() const = 0;
-
-  /// Removes all stored clusters (keeps the topology).
-  virtual void ClearStorage() = 0;
-
-  /// Removes every stored cluster published by `owner_peer` (replicas
-  /// included); returns the number of stored entries erased. Supports
-  /// re-publication after a peer's local collection changed.
-  virtual int RemoveByOwner(int owner_peer) = 0;
-
-  /// Enables/disables sphere replication into overlapping zones. ON by
-  /// default; turning it OFF recreates the Fig. 6 failure mode (queries
-  /// landing in a neighbouring zone miss border-straddling clusters) and
-  /// exists for the replication ablation bench.
-  virtual void set_replicate_spheres(bool enabled) = 0;
-
-  /// Routes all overlay traffic through `transport` (not owned; may be
-  /// nullptr to restore direct stats recording). Default: ignored —
-  /// overlays without transport support keep their inline accounting.
-  virtual void set_transport(net::Transport* transport) { (void)transport; }
-
-  /// k-alternative greedy routing budget for *query* routing: when the best
-  /// next hop is unreachable the walk may try up to `budget` alternate
-  /// neighbours (backtracking out of dead-end pockets) before declaring the
-  /// query lost. 0 (the default) keeps the classic single-path greedy walk;
-  /// publication routing always stays single-path. Default: ignored —
-  /// overlays without a routed query phase have nothing to detour.
-  virtual void set_route_detours(int budget) { (void)budget; }
-
-  /// Soft state: erases every stored summary with expires_at < `now` and
-  /// returns the number of entries erased. Default: no soft state, 0.
-  virtual int ExpireBefore(double now) { (void)now; return 0; }
-
-  /// Crash support: wipes `node`'s volatile summary storage (the node keeps
-  /// its zone and stays routable) and returns the number of entries lost.
-  /// Default: no crash support, 0.
-  virtual int ClearNode(NodeId node) { (void)node; return 0; }
 };
 
 }  // namespace hyperm::overlay

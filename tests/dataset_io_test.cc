@@ -1,5 +1,6 @@
 #include "data/dataset_io.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -117,6 +118,25 @@ TEST_F(DatasetIoTest, BinaryRejectsTruncation) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   EXPECT_FALSE(ReadBinary(truncated).ok());
+}
+
+TEST_F(DatasetIoTest, BinaryRejectsHeaderCountBeyondFileSize) {
+  // A 25-byte file: valid magic and a header claiming 2^32 one-dimensional
+  // items, with no payload. Must be refused before anything is allocated.
+  const std::string path = TempPath("hugecount.hmd");
+  {
+    std::ofstream out(path, std::ios::binary);
+    const uint64_t count = uint64_t{1} << 32;
+    const uint64_t dim = 1;
+    const uint8_t labeled = 0;
+    out.write("HYPERMD1", 8);
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+    out.write(reinterpret_cast<const char*>(&labeled), sizeof(labeled));
+  }
+  Result<Dataset> loaded = ReadBinary(path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -94,7 +94,7 @@ TEST(NetworkBuildTest, PublishesAtMostKpClustersPerPeerPerLayer) {
     const size_t dim = bed.network->overlay(layer).dim();
     geom::Sphere everything{Vector(dim, 0.5), 2.0 * std::sqrt(static_cast<double>(dim))};
     Result<overlay::RangeQueryResult> all =
-        const_cast<overlay::Overlay&>(bed.network->overlay(layer))
+        const_cast<can::CanOverlay&>(bed.network->overlay(layer))
             .RangeQuery(everything, 0);
     ASSERT_TRUE(all.ok()) << all.status().ToString();
     std::vector<int> per_peer(16, 0);
@@ -342,30 +342,6 @@ TEST(NetworkChurnTest, RepublishIsIdempotentOnCleanPeers) {
   ASSERT_TRUE(bed.network->RepublishPeer(3, rng).ok());
   ASSERT_TRUE(bed.network->RepublishPeer(3, rng).ok());  // twice is fine
   const Vector& query = bed.dataset.items[10];
-  const double eps = oracle.KnnRadius(query, 10);
-  Result<std::vector<ItemId>> result = bed.network->RangeQuery(query, eps, 0, -1);
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(Evaluate(*result, oracle.RangeSearch(query, eps)).recall, 1.0);
-}
-
-TEST(NetworkConfigTest, RingOverlayHybridWorks) {
-  HyperMOptions options;
-  options.overlay_kind = OverlayKind::kRingAndCan;
-  TestBed bed = MakeTestBed(options, /*seed=*/4);
-  const FlatIndex oracle(bed.dataset);
-  const Vector& query = bed.dataset.items[11];
-  const double eps = oracle.KnnRadius(query, 10);
-  Result<std::vector<ItemId>> result = bed.network->RangeQuery(query, eps, 0, -1);
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(Evaluate(*result, oracle.RangeSearch(query, eps)).recall, 1.0);
-}
-
-TEST(NetworkConfigTest, TreeOverlayWorks) {
-  HyperMOptions options;
-  options.overlay_kind = OverlayKind::kTree;
-  TestBed bed = MakeTestBed(options, /*seed=*/14);
-  const FlatIndex oracle(bed.dataset);
-  const Vector& query = bed.dataset.items[33];
   const double eps = oracle.KnnRadius(query, 10);
   Result<std::vector<ItemId>> result = bed.network->RangeQuery(query, eps, 0, -1);
   ASSERT_TRUE(result.ok());

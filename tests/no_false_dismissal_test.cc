@@ -4,6 +4,7 @@
 // counts and cluster granularities.
 
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,13 @@ struct Config {
   bool histogram_data;
   uint64_t seed;
 };
+
+// gtest would otherwise print the struct as raw bytes, padding included, and
+// the uninitialized padding would make the listed test names vary by run.
+void PrintTo(const Config& c, std::ostream* os) {
+  *os << "{layers=" << c.num_layers << ", k=" << c.clusters_per_peer
+      << (c.histogram_data ? ", hist" : ", markov") << ", seed=" << c.seed << "}";
+}
 
 class NoFalseDismissal : public ::testing::TestWithParam<Config> {};
 
