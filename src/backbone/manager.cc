@@ -34,9 +34,6 @@ Status BackboneOptions::Validate() const {
   if (digest_bits < 0) {
     return InvalidArgumentError("backbone.digest_bits must be >= 0");
   }
-  if (digest_bits > 0 && (digest_hashes < 1 || digest_hashes > 16)) {
-    return InvalidArgumentError("backbone.digest_hashes must be in [1, 16]");
-  }
   if (digest_cells_per_axis < 1) {
     return InvalidArgumentError("backbone.digest_cells_per_axis must be >= 1");
   }
@@ -246,9 +243,9 @@ void BackboneManager::MaintenanceTick() {
 
 void BackboneManager::BuildDigests() {
   const double now = sim_->now();
-  const DigestOptions digest_options{options_.digest_bits,
-                                     options_.digest_hashes,
-                                     options_.digest_cells_per_axis};
+  DigestOptions digest_options;  // Bloom hash count stays at its default
+  digest_options.bits = options_.digest_bits;
+  digest_options.cells_per_axis = options_.digest_cells_per_axis;
   for (int s = 0; s < num_peers_; ++s) {
     if (!election_.is_supernode[s] || !fault_state_->up(s)) {
       digests_[s] = {};

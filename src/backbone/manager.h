@@ -63,9 +63,8 @@ struct BackboneOptions {
   /// Bloom geometry per (supernode, wavelet level) digest. digest_bits == 0
   /// is the digest-less comparator mode: the backbone still elects, reports
   /// and walks, but descends into every domain (what bench_backbone measures
-  /// pruning against).
+  /// pruning against). Every digest uses DigestOptions' default hash count.
   int digest_bits = 2048;
-  int digest_hashes = 4;
   int digest_cells_per_axis = 8;
 
   /// Member report cadence; <= 0 inherits net.republish_period_ms.

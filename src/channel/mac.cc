@@ -138,7 +138,7 @@ FrameResult CsmaCaMac::SendFrame(int node, int receiver,
   int attempt = 0;
   while (true) {
     ++attempt;
-    // Carrier sense: defer while any out-neighbour's radio is still busy.
+    // Carrier sense: defer while any neighbour's radio is still busy.
     sim::TimeMs idle_at = start;
     int busy = 0;
     for (int peer : out) {
@@ -171,7 +171,7 @@ FrameResult CsmaCaMac::SendFrame(int node, int receiver,
       // could not carrier-sense. Each one still busy when this frame starts
       // corrupts it independently.
       int rx_busy = 0;
-      for (int peer : topology().in_neighbors(receiver)) {
+      for (int peer : topology().neighbors(receiver)) {
         if (peer == node) continue;
         if (busy_until_[static_cast<size_t>(peer)] > start) ++rx_busy;
       }

@@ -11,8 +11,8 @@
 //    the `bench_partition --paper` goldens are byte-equal under it.
 //
 //  * CsmaCaMac — an 802.11-flavoured CSMA/CA model: carrier-sense deferral
-//    while any out-neighbour's radio is busy, slotted binary-exponential
-//    backoff, and hidden-terminal collision detection (each busy in-neighbour
+//    while any neighbour's radio is busy, slotted binary-exponential
+//    backoff, and hidden-terminal collision detection (each busy neighbour
 //    of the *receiver* the sender cannot hear corrupts the frame
 //    independently) with retransmit-until-retry-limit. A frame that exhausts
 //    its retries is dropped — the channel reports it as a MAC loss and the
@@ -71,7 +71,7 @@ struct MacOptions {
   int cw_min_slots = 4;    ///< initial contention window (slots)
   int cw_max_slots = 64;   ///< BEB ceiling
   int retry_limit = 6;     ///< frame attempts before the drop
-  /// Per busy in-neighbour of the receiver: independent corruption
+  /// Per busy neighbour of the receiver: independent corruption
   /// probability of one frame (hidden terminals the sender cannot sense).
   double collision_per_busy_neighbor = 0.02;
   uint64_t seed = 0x6d616321ULL;  ///< per-node backoff streams ("mac!")
@@ -116,7 +116,7 @@ class MacModel {
 
   /// Sends one frame of `message.bytes` payload from `node` to link-layer
   /// `receiver` (-1: broadcast / no ack expected — collision retries only
-  /// apply to acked unicast frames toward a current out-neighbour).
+  /// apply to acked unicast frames toward a current neighbour).
   /// `message.dst` is the end-to-end destination, used for event tagging
   /// only. Returns when the radio frees up and whether the frame survived.
   virtual FrameResult SendFrame(int node, int receiver,

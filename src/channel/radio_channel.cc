@@ -94,7 +94,7 @@ bool RadioChannel::Reachable(int src, int dst) const {
       dst >= topology_.num_nodes()) {
     return false;
   }
-  return topology_.CanReach(src, dst);
+  return topology_.SameIsland(src, dst);
 }
 
 const ChannelCounters& RadioChannel::counters() const {

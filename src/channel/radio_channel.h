@@ -111,8 +111,7 @@ class RadioChannel : public net::PhysicalChannel {
                                                       const ChannelOptions& options,
                                                       sim::NetworkStats* stats);
 
-  /// True iff dst is currently radio-reachable from src (same island on
-  /// symmetric graphs; directed reachability on asymmetric ones).
+  /// True iff dst is currently radio-reachable from src (same island).
   bool Reachable(int src, int dst) const override;
 
   /// Charges one physical transmission attempt: the routing protocol
@@ -164,8 +163,7 @@ class RadioChannel : public net::PhysicalChannel {
   /// in ascending-node discovery order; -1 for out-of-range nodes. Two peers
   /// are mutually reachable iff their labels match — the hint detour routing
   /// and the partition benches key off. Delegates to the topology's lazily
-  /// cached per-epoch labels (strongly connected components on directed
-  /// graphs).
+  /// cached per-epoch labels.
   int island(int node) const;
 
   /// Number of distinct radio islands right now (1 when connected()).

@@ -22,6 +22,14 @@ namespace {
 // header + query vector is dominated by the response, accounted separately.
 constexpr uint64_t kRequestBytes = 64;
 
+// Lloyd iteration budget of every peer's local k-means.
+constexpr int kKMeansMaxIterations = 30;
+
+// Floor on the number of peers a k-NN query contacts (Fig. 5's P). Scores
+// are expectations, not guarantees; a single high-score peer rarely holds
+// all k true neighbours.
+constexpr size_t kKnnMinPeers = 5;
+
 uint64_t ResponseBytes(size_t items, size_t dim) {
   return 16 + items * (8 * dim + 8);
 }
@@ -148,13 +156,6 @@ Status HyperMNetwork::InitTransport() {
     return InvalidArgumentError(
         "Build: backbone.enabled requires net.unreliable and channel.enabled "
         "(the CDS is elected over the live radio graph)");
-  }
-  if (options_.backbone.enabled &&
-      (options_.channel.field.min_range_multiplier != 1.0 ||
-       options_.channel.field.max_range_multiplier != 1.0)) {
-    return InvalidArgumentError(
-        "Build: backbone.enabled requires a symmetric radio graph (the CDS "
-        "election assumes bidirectional links; keep range multipliers at 1)");
   }
   if (!net_opts.unreliable) {
     if (options_.channel.enabled) {
@@ -357,7 +358,7 @@ void HyperMNetwork::AdvanceTo(sim::TimeMs t) {
 cluster::KMeansOptions HyperMNetwork::MakeKMeansOptions() const {
   cluster::KMeansOptions kmeans_options;
   kmeans_options.k = options_.clusters_per_peer;
-  kmeans_options.max_iterations = options_.kmeans_max_iterations;
+  kmeans_options.max_iterations = kKMeansMaxIterations;
   return kmeans_options;
 }
 
@@ -474,7 +475,7 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
     HM_OBS_SPAN("build/overlays");
     for (size_t layer = 0; layer < num_layers; ++layer) {
       if (!bounds_init[layer]) return InvalidArgumentError("Build: no items assigned");
-      net->mappers_.push_back(KeyMapper::FromBounds(bounds[layer], options.key_margin));
+      net->mappers_.push_back(KeyMapper::FromBounds(bounds[layer]));
       const size_t layer_dim = net->levels_[layer].dim();
       HM_ASSIGN_OR_RETURN(auto can, can::CanOverlay::Build(layer_dim, num_peers,
                                                            &net->stats_, rng));
@@ -718,6 +719,7 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   }
   if (k < 1) return InvalidArgumentError("KnnQuery: k < 1");
   if (options.c <= 0.0) return InvalidArgumentError("KnnQuery: C must be positive");
+  if (options.max_peers < 1) return InvalidArgumentError("KnnQuery: max_peers < 1");
   if (querying_peer < 0 || querying_peer >= num_peers()) {
     return InvalidArgumentError("KnnQuery: bad querying peer");
   }
@@ -770,16 +772,13 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   }
 
   // Step 4-6: P = the smallest score prefix expected to cover k items,
-  // floored at min_peers (scores are expected values; hedging across a few
-  // extra peers costs little and recovers neighbours the estimate missed).
+  // floored at kKnnMinPeers (scores are expected values; hedging across a
+  // few extra peers costs little and recovers neighbours the estimate missed).
   size_t num_contacted = 0;
   double sum = 0.0;
   for (const PeerScore& ps : merged) {
     if (num_contacted >= static_cast<size_t>(options.max_peers)) break;
-    if (sum >= static_cast<double>(k) &&
-        num_contacted >= static_cast<size_t>(options.min_peers)) {
-      break;
-    }
+    if (sum >= static_cast<double>(k) && num_contacted >= kKnnMinPeers) break;
     sum += ps.score;
     ++num_contacted;
   }

@@ -49,8 +49,6 @@ namespace hyperm::core {
 struct HyperMOptions {
   int num_layers = 4;          ///< overlays used: A, D_0, .., D_{num_layers-2}
   int clusters_per_peer = 10;  ///< K_p, identical on every peer (Section 5.1)
-  int kmeans_max_iterations = 30;
-  double key_margin = 0.05;    ///< KeyMapper safety margin
   ScorePolicy score_policy = ScorePolicy::kMin;
   wavelet::WaveletKind wavelet_kind = wavelet::WaveletKind::kHaarAveraging;
   bool replicate_spheres = true;  ///< false recreates the Fig. 6 failure mode
@@ -142,10 +140,7 @@ struct KnnQueryInfo {
 /// Options of the Fig. 5 k-NN heuristic.
 struct KnnOptions {
   double c = 1.5;           ///< the paper's C knob: items requested = C*k*share
-  int min_peers = 5;        ///< floor on P (scores are expectations, not
-                            ///< guarantees; a single high-score peer rarely
-                            ///< holds all k true neighbours)
-  int max_peers = 1 << 20;  ///< optional cap on peers contacted
+  int max_peers = 1 << 20;  ///< optional cap on peers contacted (>= 1)
   bool truncate_to_k = false;  ///< return only the k best fetched items
                                ///< (raises precision, caps recall at the
                                ///< fetched set's coverage)

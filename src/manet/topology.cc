@@ -14,32 +14,16 @@ Result<ManetTopology> ManetTopology::Generate(const TopologyOptions& options, Rn
   if (options.field_size_m <= 0.0 || options.radio_range_m <= 0.0) {
     return InvalidArgumentError("ManetTopology: non-positive geometry");
   }
-  if (options.min_range_multiplier <= 0.0 ||
-      options.max_range_multiplier < options.min_range_multiplier) {
-    return InvalidArgumentError("ManetTopology: bad range multipliers");
-  }
-  const bool directed = options.min_range_multiplier != 1.0 ||
-                        options.max_range_multiplier != 1.0;
   ManetTopology topology;
   topology.options_ = options;
-  topology.directed_ = directed;
   for (int attempt = 0; attempt < options.max_placement_attempts; ++attempt) {
     topology.positions_.clear();
     topology.waypoints_.clear();
-    topology.range_mult_.clear();
     for (int i = 0; i < options.num_nodes; ++i) {
       topology.positions_.push_back(
           {rng.Uniform(0.0, options.field_size_m), rng.Uniform(0.0, options.field_size_m)});
       topology.waypoints_.push_back(
           {rng.Uniform(0.0, options.field_size_m), rng.Uniform(0.0, options.field_size_m)});
-    }
-    if (directed) {
-      // Drawn only in directed mode, after the position loop, so the legacy
-      // symmetric placement stream is bit-identical.
-      for (int i = 0; i < options.num_nodes; ++i) {
-        topology.range_mult_.push_back(rng.Uniform(
-            options.min_range_multiplier, options.max_range_multiplier));
-      }
     }
     topology.RebuildConnectivity();
     if (topology.connected()) return topology;
@@ -48,9 +32,8 @@ Result<ManetTopology> ManetTopology::Generate(const TopologyOptions& options, Rn
       "ManetTopology: no connected placement found (radio range too small?)");
 }
 
-Result<ManetTopology> ManetTopology::FromPositions(
-    const TopologyOptions& options, std::vector<Vector> positions,
-    std::vector<double> range_multipliers) {
+Result<ManetTopology> ManetTopology::FromPositions(const TopologyOptions& options,
+                                                   std::vector<Vector> positions) {
   if (positions.empty()) return InvalidArgumentError("FromPositions: no positions");
   if (options.field_size_m <= 0.0 || options.radio_range_m <= 0.0) {
     return InvalidArgumentError("FromPositions: non-positive geometry");
@@ -62,37 +45,17 @@ Result<ManetTopology> ManetTopology::FromPositions(
       return InvalidArgumentError("FromPositions: position outside the field");
     }
   }
-  if (!range_multipliers.empty()) {
-    if (range_multipliers.size() != positions.size()) {
-      return InvalidArgumentError(
-          "FromPositions: one range multiplier per node (or none)");
-    }
-    for (double m : range_multipliers) {
-      if (m <= 0.0) {
-        return InvalidArgumentError("FromPositions: non-positive multiplier");
-      }
-    }
-  }
   ManetTopology topology;
   topology.options_ = options;
   topology.options_.num_nodes = static_cast<int>(positions.size());
   topology.positions_ = std::move(positions);
   topology.waypoints_ = topology.positions_;
-  topology.directed_ = !range_multipliers.empty();
-  topology.range_mult_ = std::move(range_multipliers);
   topology.RebuildConnectivity();
   return topology;
 }
 
-double ManetTopology::CellSizeM() const {
-  if (!directed_) return options_.radio_range_m;
-  double max_mult = 0.0;
-  for (double m : range_mult_) max_mult = std::max(max_mult, m);
-  return options_.radio_range_m * std::max(max_mult, 1e-12);
-}
-
 int ManetTopology::CellOf(const Vector& position) const {
-  const double cell = CellSizeM();
+  const double cell = options_.radio_range_m;
   int cx = static_cast<int>(position[0] / cell);
   int cy = static_cast<int>(position[1] / cell);
   cx = std::min(std::max(cx, 0), grid_dim_ - 1);
@@ -103,7 +66,7 @@ int ManetTopology::CellOf(const Vector& position) const {
 void ManetTopology::RebuildGrid() {
   const size_t n = positions_.size();
   grid_dim_ = std::max(
-      1, static_cast<int>(std::ceil(options_.field_size_m / CellSizeM())));
+      1, static_cast<int>(std::ceil(options_.field_size_m / options_.radio_range_m)));
   cells_.assign(static_cast<size_t>(grid_dim_) * static_cast<size_t>(grid_dim_), {});
   node_cell_.resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -129,18 +92,11 @@ void ManetTopology::UpdateGridAfterMove() {
 void ManetTopology::RecomputeNeighborLists() {
   const size_t n = positions_.size();
   if (neighbors_.size() != n) neighbors_.resize(n);
-  const double base_range_sq = options_.radio_range_m * options_.radio_range_m;
+  const double range_sq = options_.radio_range_m * options_.radio_range_m;
   for (size_t i = 0; i < n; ++i) {
     std::vector<int>& list = neighbors_[i];
     list.clear();  // keeps the previous epoch's capacity
     if (list.capacity() == 0) list.reserve(16);
-    // Out-neighbours: j is reachable from i iff dist <= i's transmit range
-    // (the per-node multiplier is what makes links directed).
-    double range_sq = base_range_sq;
-    if (directed_) {
-      const double r = options_.radio_range_m * range_mult_[i];
-      range_sq = r * r;
-    }
     const int cx = node_cell_[i] % grid_dim_;
     const int cy = node_cell_[i] / grid_dim_;
     const int x_lo = std::max(cx - 1, 0), x_hi = std::min(cx + 1, grid_dim_ - 1);
@@ -159,17 +115,6 @@ void ManetTopology::RecomputeNeighborLists() {
     // Cell visit order is spatial, not by id; ascending ids are the BFS
     // tie-break contract, so restore them here.
     std::sort(list.begin(), list.end());
-  }
-  if (directed_) {
-    // Invert the out-lists. Sources are visited in ascending id, so every
-    // in-list comes out ascending without a sort.
-    if (in_neighbors_.size() != n) in_neighbors_.resize(n);
-    for (size_t i = 0; i < n; ++i) in_neighbors_[i].clear();
-    for (size_t i = 0; i < n; ++i) {
-      for (int j : neighbors_[i]) {
-        in_neighbors_[static_cast<size_t>(j)].push_back(static_cast<int>(i));
-      }
-    }
   }
 }
 
@@ -190,19 +135,6 @@ const std::vector<int>& ManetTopology::neighbors(int node) const {
   HM_CHECK_GE(node, 0);
   HM_CHECK_LT(node, num_nodes());
   return neighbors_[static_cast<size_t>(node)];
-}
-
-const std::vector<int>& ManetTopology::in_neighbors(int node) const {
-  HM_CHECK_GE(node, 0);
-  HM_CHECK_LT(node, num_nodes());
-  if (!directed_) return neighbors_[static_cast<size_t>(node)];
-  return in_neighbors_[static_cast<size_t>(node)];
-}
-
-double ManetTopology::range_multiplier(int node) const {
-  HM_CHECK_GE(node, 0);
-  HM_CHECK_LT(node, num_nodes());
-  return directed_ ? range_mult_[static_cast<size_t>(node)] : 1.0;
 }
 
 const ManetTopology::SourceTree& ManetTopology::TreeFor(int from) const {
@@ -292,81 +224,8 @@ double ManetTopology::MeanPairwiseHops() const {
   return pairs == 0 ? 0.0 : total / pairs;
 }
 
-int ManetTopology::SccLabelsInto(std::vector<int>& labels) const {
-  // Iterative Kosaraju: forward DFS finish order over the out-lists, then
-  // reverse-graph sweeps (in-lists) in reverse finish order. On a symmetric
-  // graph both passes see the same edges, so components — and, after the
-  // dense renumbering below, the labels themselves — match the undirected
-  // BFS labeller exactly.
-  const int n = num_nodes();
-  labels.assign(static_cast<size_t>(n), -1);
-  std::vector<int> order;
-  order.reserve(static_cast<size_t>(n));
-  std::vector<char> visited(static_cast<size_t>(n), 0);
-  std::vector<std::pair<int, size_t>> stack;  // (node, next out-edge index)
-  for (int start = 0; start < n; ++start) {
-    if (visited[static_cast<size_t>(start)]) continue;
-    visited[static_cast<size_t>(start)] = 1;
-    stack.emplace_back(start, 0);
-    while (!stack.empty()) {
-      auto& [node, edge] = stack.back();
-      const std::vector<int>& out = neighbors_[static_cast<size_t>(node)];
-      if (edge < out.size()) {
-        const int next = out[edge++];
-        if (!visited[static_cast<size_t>(next)]) {
-          visited[static_cast<size_t>(next)] = 1;
-          stack.emplace_back(next, 0);
-        }
-      } else {
-        order.push_back(node);
-        stack.pop_back();
-      }
-    }
-  }
-  int raw_label = 0;
-  std::vector<int> frontier;
-  frontier.reserve(static_cast<size_t>(n));
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    if (labels[static_cast<size_t>(*it)] >= 0) continue;
-    labels[static_cast<size_t>(*it)] = raw_label;
-    frontier.clear();
-    frontier.push_back(*it);
-    for (size_t cursor = 0; cursor < frontier.size(); ++cursor) {
-      for (int prev : in_neighbors(frontier[cursor])) {
-        if (labels[static_cast<size_t>(prev)] >= 0) continue;
-        labels[static_cast<size_t>(prev)] = raw_label;
-        frontier.push_back(prev);
-      }
-    }
-    ++raw_label;
-  }
-  // Dense renumbering by ascending first occurrence — the historical
-  // RelabelIslands contract shared with the undirected labeller.
-  std::vector<int> remap(static_cast<size_t>(raw_label), -1);
-  int next_label = 0;
-  for (int i = 0; i < n; ++i) {
-    int& label = labels[static_cast<size_t>(i)];
-    if (remap[static_cast<size_t>(label)] < 0) {
-      remap[static_cast<size_t>(label)] = next_label++;
-    }
-    label = remap[static_cast<size_t>(label)];
-  }
-  return next_label;
-}
-
-std::vector<int> ManetTopology::SccLabels() const {
-  std::vector<int> labels;
-  SccLabelsInto(labels);
-  return labels;
-}
-
 const std::vector<int>& ManetTopology::island_labels() const {
   if (island_epoch_ == epoch_ && !islands_.empty()) return islands_;
-  if (directed_) {
-    num_islands_ = SccLabelsInto(islands_);
-    island_epoch_ = epoch_;
-    return islands_;
-  }
   const int n = num_nodes();
   islands_.assign(static_cast<size_t>(n), -1);
   int label = 0;
@@ -405,14 +264,6 @@ bool ManetTopology::SameIsland(int a, int b) const {
   return labels[static_cast<size_t>(a)] == labels[static_cast<size_t>(b)];
 }
 
-bool ManetTopology::CanReach(int from, int to) const {
-  if (!directed_) return SameIsland(from, to);
-  // One-way links cross SCC boundaries, so a digraph needs the real
-  // directed answer — served from the same per-source BFS tree cache the
-  // routing layer uses.
-  return PathHops(from, to) != kUnreachableHops;
-}
-
 int ManetTopology::CachedTreeCount() const {
   int fresh = 0;
   for (const SourceTree& tree : trees_) {
@@ -431,9 +282,7 @@ double ManetTopology::MeanLinkDistanceM() const {
   int links = 0;
   for (size_t i = 0; i < positions_.size(); ++i) {
     for (int j : neighbors_[i]) {
-      // Symmetric graphs count each pair once; digraphs count each directed
-      // link (an asymmetric link has no mirror to dedupe against).
-      if (!directed_ && static_cast<size_t>(j) <= i) continue;
+      if (static_cast<size_t>(j) <= i) continue;  // count each pair once
       total += vec::Distance(positions_[i], positions_[static_cast<size_t>(j)]);
       ++links;
     }

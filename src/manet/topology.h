@@ -44,17 +44,6 @@ struct TopologyOptions {
   double field_size_m = 200.0;   ///< square field side
   double radio_range_m = 50.0;   ///< unit-disk radio range
   int max_placement_attempts = 200;  ///< retries until a connected placement
-
-  // Asymmetric radios (directed links): each node transmits to
-  // radio_range_m scaled by a per-node multiplier drawn uniformly from
-  // [min_range_multiplier, max_range_multiplier] on the placement stream.
-  // A link a->b exists iff dist(a, b) <= range * multiplier(a), so unequal
-  // multipliers make the connectivity graph a digraph (island labelling
-  // becomes SCC-based, "connected" means strongly connected). The default
-  // (1, 1) keeps the graph symmetric and draws nothing extra from the
-  // placement stream — legacy streams stay bit-identical.
-  double min_range_multiplier = 1.0;
-  double max_range_multiplier = 1.0;
 };
 
 /// Sentinel returned by PathHops when no radio path exists (the unit-disk
@@ -82,12 +71,8 @@ class ManetTopology {
   /// Connectivity is NOT required — this is how tests and the channel layer
   /// construct deterministic disconnected layouts. Waypoints start at the
   /// node positions (nodes are stationary until RandomWaypointStep re-draws).
-  /// `range_multipliers` (optional) gives each node an explicit transmit
-  /// range factor: empty keeps the symmetric unit-disk graph; otherwise one
-  /// positive entry per node makes links directed (see TopologyOptions).
-  static Result<ManetTopology> FromPositions(
-      const TopologyOptions& options, std::vector<Vector> positions,
-      std::vector<double> range_multipliers = {});
+  static Result<ManetTopology> FromPositions(const TopologyOptions& options,
+                                             std::vector<Vector> positions);
 
   /// Number of nodes.
   int num_nodes() const { return static_cast<int>(positions_.size()); }
@@ -95,19 +80,10 @@ class ManetTopology {
   /// Position of `node` (2-D, meters).
   const Vector& position(int node) const;
 
-  /// Physical radio neighbours `node` can transmit *to* (out-neighbours on a
-  /// digraph; within radio range), ascending id.
+  /// Physical radio neighbours of `node` (within radio range), ascending
+  /// id. Links are bidirectional: j is in neighbors(i) iff i is in
+  /// neighbors(j).
   const std::vector<int>& neighbors(int node) const;
-
-  /// Nodes that can transmit *to* `node` (in-neighbours), ascending id.
-  /// Identical to neighbors(node) on symmetric topologies.
-  const std::vector<int>& in_neighbors(int node) const;
-
-  /// False once per-node range multipliers make links directed.
-  bool symmetric() const { return !directed_; }
-
-  /// Transmit-range factor of `node` (1.0 on symmetric topologies).
-  double range_multiplier(int node) const;
 
   /// Shortest-path hop count between two nodes (0 for a == b), or
   /// kUnreachableHops when mobility has split them into different radio
@@ -157,21 +133,7 @@ class ManetTopology {
 
   /// True iff both nodes sit in the same radio island — O(1) between
   /// mobility ticks, the cheap pre-check that keeps unreachable drops free.
-  /// On digraphs "same island" means the same SCC (mutually reachable).
   bool SameIsland(int a, int b) const;
-
-  /// Directed-aware reachability: can a transmission starting at `from`
-  /// reach `to`? Symmetric topologies answer via the O(1) island labels
-  /// (exactly the legacy check); digraphs consult the cached BFS tree,
-  /// because one-way paths cross SCC boundaries.
-  bool CanReach(int from, int to) const;
-
-  /// Strongly-connected-component label per node, computed fresh (no
-  /// cache), densely numbered by ascending first occurrence — the same
-  /// contract as island_labels(), which delegates here on digraphs. On a
-  /// symmetric topology SCCs coincide with connected components, so this
-  /// must equal island_labels() exactly (regression-tested).
-  std::vector<int> SccLabels() const;
 
   /// Route-cache totals since construction (monotonic).
   const RouteCacheCounters& route_cache_counters() const { return route_counters_; }
@@ -193,14 +155,6 @@ class ManetTopology {
 
   void RebuildConnectivity();
 
-  /// SCC labelling workhorse (iterative Kosaraju over the out/in lists);
-  /// fills `labels` and returns the component count.
-  int SccLabelsInto(std::vector<int>& labels) const;
-
-  /// Grid cell edge: radio range scaled by the largest multiplier, so the
-  /// 3x3 cell probe still covers the longest-range node.
-  double CellSizeM() const;
-
   /// Rebuilds the spatial-hash grid from scratch (placement time).
   void RebuildGrid();
   /// Moves nodes between grid cells after a mobility step; only cells whose
@@ -216,13 +170,7 @@ class ManetTopology {
   TopologyOptions options_;
   std::vector<Vector> positions_;   // 2-D points
   std::vector<Vector> waypoints_;   // mobility targets
-  std::vector<std::vector<int>> neighbors_;  // out-neighbours on digraphs
-
-  // Directed mode (per-node range multipliers). Both stay empty on
-  // symmetric topologies: in_neighbors(n) then aliases neighbors(n).
-  bool directed_ = false;
-  std::vector<double> range_mult_;
-  std::vector<std::vector<int>> in_neighbors_;
+  std::vector<std::vector<int>> neighbors_;
 
   // Spatial hash: cells_[cy * grid_dim_ + cx] lists the occupant node ids.
   int grid_dim_ = 1;

@@ -88,10 +88,10 @@ bool AodvRouting::Discover(const net::Message& message, sim::TimeMs now,
   control.dst = dst;
   control.bytes = options_.control_bytes;
   control.cls = message.cls;  // attributed to the traffic that caused it
-  // RREQ flood: breadth-first over ascending out-neighbour lists (the
-  // oracle's BFS tie-break, so hop counts match it on static symmetric
-  // graphs). Every reached node rebroadcasts once — real airtime through
-  // the MAC — except the destination, which answers instead.
+  // RREQ flood: breadth-first over ascending neighbour lists (the oracle's
+  // BFS tie-break, so hop counts match it on static graphs). Every reached
+  // node rebroadcasts once — real airtime through the MAC — except the
+  // destination, which answers instead.
   double last_ms = now;
   for (size_t cursor = 0; cursor < frontier_.size(); ++cursor) {
     const int node = frontier_[cursor];

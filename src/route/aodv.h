@@ -2,14 +2,15 @@
 //
 // Per-node route tables (dst -> {next hop, hop count, sequence number,
 // soft-state expiry}) answer Resolve by walking next hops from the source;
-// every hop is validated against the *current* out-neighbour lists, so a
+// every hop is validated against the *current* neighbour lists, so a
 // mobility epoch that moved a relay out of range turns the walk into a
 // cache miss instead of a wrong delivery. A miss triggers an RREQ flood —
-// breadth-first over ascending out-neighbour lists, so discovered routes
-// match the oracle's hop counts on static symmetric graphs — whose frames
-// burn real airtime through the MacModel; the RREP unicasts back along the
-// reverse path installing forward routes, and every flooded node learns its
-// reverse route to the origin for free (standard AODV behaviour).
+// breadth-first over ascending neighbour lists, so discovered routes match
+// the oracle's hop counts on static graphs — whose frames burn real airtime
+// through the MacModel; the RREP unicasts back along the reverse path
+// (radio links are bidirectional) installing forward routes, and every
+// flooded node learns its reverse route to the origin for free (standard
+// AODV behaviour).
 //
 // Staleness therefore costs control airtime and discovery latency, never
 // delivery-accounting correctness: within one Transmit the topology is
@@ -63,7 +64,7 @@ class AodvRouting : public RoutingProtocol {
   };
 
   /// Follows cached next hops src -> dst, validating each against the
-  /// current out-neighbour lists and TTLs. Fills `path` and returns true on
+  /// current neighbour lists and TTLs. Fills `path` and returns true on
   /// a complete valid walk; otherwise erases the offending entry and
   /// returns false with `path` cleared.
   bool WalkCachedRoute(int src, int dst, sim::TimeMs now,

@@ -25,24 +25,16 @@ RouteResolution OracleRouting::Resolve(const net::Message& message,
   (void)now;  // omniscient: always current, never stale
   ++counters_.resolutions;
   RouteResolution res;
-  if (topology_->symmetric()) {
-    // Exactly the legacy channel sequence: the island lookup costs no BFS,
-    // so an unreachable drop leaves the route cache untouched.
-    if (!topology_->SameIsland(message.src, message.dst)) {
-      ++counters_.unreachable;
-      path.clear();
-      return res;
-    }
-    topology_->ShortestPathInto(message.src, message.dst, path);
-    HM_CHECK(!path.empty());  // same island, so the cached tree reaches dst
-    res.found = true;
+  // Exactly the legacy channel sequence: the island lookup costs no BFS,
+  // so an unreachable drop leaves the route cache untouched.
+  if (!topology_->SameIsland(message.src, message.dst)) {
+    ++counters_.unreachable;
+    path.clear();
     return res;
   }
-  // Digraph: one-way links cross SCC boundaries, so only the directed BFS
-  // tree knows the truth.
   topology_->ShortestPathInto(message.src, message.dst, path);
-  res.found = !path.empty();
-  if (!res.found) ++counters_.unreachable;
+  HM_CHECK(!path.empty());  // same island, so the cached tree reaches dst
+  res.found = true;
   return res;
 }
 

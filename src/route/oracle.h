@@ -9,12 +9,10 @@
 
 namespace hyperm::route {
 
-/// Wraps manet::ManetTopology's cached shortest paths. On symmetric
-/// topologies the resolve sequence is exactly the legacy channel's:
-/// SameIsland pre-check (O(1), keeps unreachable drops BFS-free and the
-/// channel.route_cache.* counters bit-identical), then ShortestPathInto.
-/// Digraphs skip the island shortcut — one-way paths cross SCC boundaries —
-/// and ask the directed BFS tree directly.
+/// Wraps manet::ManetTopology's cached shortest paths. The resolve sequence
+/// is exactly the legacy channel's: SameIsland pre-check (O(1), keeps
+/// unreachable drops BFS-free and the channel.route_cache.* counters
+/// bit-identical), then ShortestPathInto.
 class OracleRouting : public RoutingProtocol {
  public:
   explicit OracleRouting(const manet::ManetTopology* topology);

@@ -73,7 +73,6 @@ Result<ServeStats> ServeEngine::Run(
   // Schedules are zero-based; the serving session starts wherever the
   // network's clock already is (after settling / previous sessions).
   const double start_ms = network_->now();
-  double next_series_ms = start_ms + options_.queue_series_period_ms;
   for (const Arrival& arrival : schedule) {
     if (arrival.template_id < 0 ||
         static_cast<size_t>(arrival.template_id) >= templates.size()) {
@@ -91,12 +90,6 @@ Result<ServeStats> ServeEngine::Run(
     const double now = network_->now();
     const double lag = now - scheduled_ms;
     const double backlog = channel ? channel->MaxQueueBacklogMs(now) : 0.0;
-    if (options_.queue_series_period_ms > 0.0 && now >= next_series_ms) {
-      HM_OBS_SERIES("channel.queue.max_backlog_ms", now, backlog);
-      while (next_series_ms <= now) {
-        next_series_ms += options_.queue_series_period_ms;
-      }
-    }
 
     // Admission. Backlog outranks lag: when both are over their watermarks
     // the radio is the bottleneck and the lag is just its echo.

@@ -73,9 +73,6 @@ struct ServeOptions {
   /// answer, simulated) exceeds this misses its SLO and does not count
   /// toward goodput.
   double deadline_ms = 500.0;
-  /// Period of the channel.queue.max_backlog_ms time series the engine
-  /// samples while running (0 = no series).
-  double queue_series_period_ms = 0.0;
 };
 
 }  // namespace hyperm::serve

@@ -204,6 +204,19 @@ TEST(NetworkQueryTest, RejectsBadQueries) {
   EXPECT_FALSE(bed.network->KnnQuery(bed.dataset.items[0], 5, knn, 0).ok());
 }
 
+TEST(NetworkQueryTest, KnnRejectsPeerCapBelowOne) {
+  TestBed bed = MakeTestBed();
+  KnnOptions knn;
+  knn.max_peers = 0;  // would contact nobody
+  Result<std::vector<ItemId>> none = bed.network->KnnQuery(bed.dataset.items[0], 10, knn, 0);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kInvalidArgument);
+  knn.max_peers = 1;  // the smallest cap still answers
+  Result<std::vector<ItemId>> one = bed.network->KnnQuery(bed.dataset.items[0], 10, knn, 0);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_FALSE(one->empty());
+}
+
 TEST(NetworkQueryTest, KnnReturnsSortedResultsCoveringK) {
   TestBed bed = MakeTestBed();
   const FlatIndex oracle(bed.dataset);
