@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of the computational kernels behind
 // Hyper-M: the Haar pyramid, k-means, the sphere-intersection geometry of
-// Eqs. 5-8, and CAN greedy routing. These quantify the "could be done
-// offline / negligible" claims the paper makes about local computation.
+// Eqs. 5-8, CAN greedy routing and zone flooding, and peer-local range
+// retrieval. These quantify the "could be done offline / negligible" claims
+// the paper makes about local computation.
 //
 // With --json=<path> the binary additionally runs one small instrumented
 // end-to-end sample (Build + range + k-NN query) and writes the global
@@ -9,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -18,6 +20,7 @@
 #include "data/markov_generator.h"
 #include "geom/radius_estimator.h"
 #include "geom/sphere_volume.h"
+#include "hyperm/peer.h"
 #include "vec/matrix.h"
 #include "vec/vector.h"
 #include "wavelet/haar.h"
@@ -157,6 +160,73 @@ void BM_SquaredDistanceBatch(benchmark::State& state) {
                           static_cast<int64_t>(dim * sizeof(double)));
 }
 BENCHMARK(BM_SquaredDistanceBatch)->Args({1000, 64})->Args({1000, 512});
+
+// Peer-local range retrieval (Peer::RangeSearch over the bounded scan
+// kernel). Args: {dim, near}. A near query sits on a stored row with the
+// median row distance as radius, so half the rows match and are summed in
+// full; a far query is the same ball shifted by 1 in every coordinate, so no
+// row matches and most 4-row blocks are dropped after their first columns.
+void BM_PeerRangeScan(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const bool near = state.range(1) != 0;
+  constexpr int kRows = 256;
+  Rng rng(12);
+  core::Peer peer(0);
+  std::vector<Vector> rows;
+  for (int i = 0; i < kRows; ++i) {
+    rows.push_back(RandomVector(dim, rng));
+    peer.AddItem(i, rows.back());
+  }
+  std::vector<double> dist;
+  for (const Vector& row : rows) dist.push_back(vec::Distance(row, rows.front()));
+  std::nth_element(dist.begin(), dist.begin() + kRows / 2, dist.end());
+  const double epsilon = dist[kRows / 2];
+  Vector query = rows.front();
+  if (!near) {
+    for (double& x : query) x += 1.0;
+  }
+  for (auto _ : state) {
+    std::vector<core::ItemId> hits = peer.RangeSearch(query, epsilon);
+    benchmark::DoNotOptimize(hits.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_PeerRangeScan)->Args({64, 1})->Args({64, 0})->Args({512, 1})->Args({512, 0});
+
+// One CAN zone flood: a range query entered at the owner of its center (so
+// no routing walk), over replicated cluster spheres. Args: {dim, nodes}.
+void BM_CanFlood(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const int nodes = static_cast<int>(state.range(1));
+  sim::NetworkStats stats;
+  Rng rng(13);
+  auto can = can::CanOverlay::Build(dim, nodes, &stats, rng).value();
+  const auto random_key = [dim](Rng& key_rng) {
+    Vector key(dim);
+    for (double& v : key) v = key_rng.NextDouble();
+    return key;
+  };
+  for (uint64_t id = 1; id <= 4000; ++id) {
+    overlay::PublishedCluster c;
+    c.sphere = geom::Sphere{random_key(rng), rng.Uniform(0.0, 0.15)};
+    c.owner_peer = static_cast<int>(id % static_cast<uint64_t>(nodes));
+    c.items = 1;
+    c.cluster_id = id;
+    if (!can->Insert(c, 0).ok()) std::abort();
+  }
+  Rng query_rng(14);
+  size_t matches = 0;
+  for (auto _ : state) {
+    const geom::Sphere query{random_key(query_rng), 0.1};
+    const overlay::NodeId entry = can->OwnerOf(query.center);
+    Result<overlay::RangeQueryResult> r = can->RangeQueryVia(query, entry, entry);
+    matches += r.value().matches.size();
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["matches_per_flood"] = benchmark::Counter(
+      static_cast<double>(matches), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CanFlood)->Args({2, 256})->Args({4, 256});
 
 // End-to-end Build at a fixed dataset, swept over the pool size. On a
 // single-core host the >1-thread rows only measure coordination overhead;

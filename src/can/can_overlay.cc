@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -413,6 +412,8 @@ Result<InsertReceipt> CanOverlay::Insert(const PublishedCluster& cluster, NodeId
     auto& stored = nodes_[static_cast<size_t>(node)].stored;
     for (PublishedCluster& existing : stored) {
       if (existing.cluster_id == cluster.cluster_id) {
+        HM_DCHECK(existing.sphere.center == cluster.sphere.center &&
+                  existing.sphere.radius == cluster.sphere.radius);
         existing = cluster;
         return;
       }
@@ -546,39 +547,89 @@ Result<RangeQueryResult> CanOverlay::RangeQueryVia(const geom::Sphere& query,
   return result;
 }
 
+void CanOverlay::FloodScratch::Begin(size_t num_nodes) {
+  if (++epoch_ == 0) {
+    // Wrapped: stale stamps could now read as current, so clear them once.
+    std::fill(node_stamp_.begin(), node_stamp_.end(), 0u);
+    std::fill(id_stamp_.begin(), id_stamp_.end(), 0u);
+    epoch_ = 1;
+  }
+  if (node_stamp_.size() < num_nodes) {
+    node_stamp_.resize(num_nodes, 0u);
+    node_arrival_.resize(num_nodes, 0.0);
+  }
+  queue_.clear();
+  ids_used_ = 0;
+}
+
+void CanOverlay::FloodScratch::Reach(NodeId node, double arrival_ms) {
+  node_stamp_[static_cast<size_t>(node)] = epoch_;
+  node_arrival_[static_cast<size_t>(node)] = arrival_ms;
+  queue_.push_back(node);
+}
+
+namespace {
+
+size_t IdSlot(uint64_t cluster_id, size_t mask) {
+  const uint64_t h = cluster_id * 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(h ^ (h >> 32)) & mask;
+}
+
+}  // namespace
+
+bool CanOverlay::FloodScratch::FirstTest(uint64_t cluster_id) {
+  if (2 * (ids_used_ + 1) > id_keys_.size()) GrowIdTable();
+  const size_t mask = id_keys_.size() - 1;
+  for (size_t i = IdSlot(cluster_id, mask);; i = (i + 1) & mask) {
+    if (id_stamp_[i] != epoch_) {
+      id_stamp_[i] = epoch_;
+      id_keys_[i] = cluster_id;
+      ++ids_used_;
+      return true;
+    }
+    if (id_keys_[i] == cluster_id) return false;
+  }
+}
+
+void CanOverlay::FloodScratch::GrowIdTable() {
+  std::vector<uint64_t> keys = std::move(id_keys_);
+  std::vector<uint32_t> stamps = std::move(id_stamp_);
+  const size_t size = std::max<size_t>(64, 2 * keys.size());
+  id_keys_.assign(size, 0);
+  id_stamp_.assign(size, 0u);
+  ids_used_ = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (stamps[i] == epoch_) FirstTest(keys[i]);
+  }
+}
+
 void CanOverlay::FloodFrom(const geom::Sphere& query, NodeId entry,
                            RangeQueryResult* result) {
-  std::unordered_set<NodeId> visited;
-  std::unordered_set<uint64_t> seen_clusters;
-  std::deque<NodeId> frontier;
   // Flood branches run concurrently: a node's answer arrives when the chain
   // of flood edges reaching it completes, and the query completes when the
   // slowest branch does.
-  std::unordered_map<NodeId, double> arrival;
-  visited.insert(entry);
-  frontier.push_back(entry);
-  arrival[entry] = result->latency_ms;
-  while (!frontier.empty()) {
-    const NodeId node = frontier.front();
-    frontier.pop_front();
+  flood_.Begin(nodes_.size());
+  flood_.Reach(entry, result->latency_ms);
+  for (size_t head = 0; head < flood_.queue().size(); ++head) {
+    const NodeId node = flood_.queue()[head];
     ++result->nodes_visited;
     for (const PublishedCluster& cluster : nodes_[static_cast<size_t>(node)].stored) {
-      if (!cluster.sphere.Intersects(query)) continue;
-      if (!seen_clusters.insert(cluster.cluster_id).second) continue;
-      result->matches.push_back(cluster);
+      // Test once per id: every stored copy of a cluster_id has the same
+      // sphere (see Insert), so the first copy the flood meets decides for
+      // all of them, and a match is reported once, at its first copy.
+      if (!flood_.FirstTest(cluster.cluster_id)) continue;
+      if (cluster.sphere.Intersects(query)) result->matches.push_back(cluster);
     }
     for (NodeId n : nodes_[static_cast<size_t>(node)].neighbors) {
-      if (visited.contains(n)) continue;
+      if (flood_.reached(n)) continue;
       if (!nodes_[static_cast<size_t>(n)].zone.IntersectsSphere(query)) continue;
       const net::HopResult hop =
           SendMessage(net::MessageType::kQueryFlood, node, n, KeyMessageBytes(),
                       sim::TrafficClass::kQuery);
       if (!hop.delivered) continue;
-      visited.insert(n);
-      frontier.push_back(n);
       ++result->flood_hops;
-      const double at = arrival[node] + hop.latency_ms;
-      arrival[n] = at;
+      const double at = flood_.arrival(node) + hop.latency_ms;
+      flood_.Reach(n, at);
       result->latency_ms = std::max(result->latency_ms, at);
     }
   }

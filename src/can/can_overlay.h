@@ -83,11 +83,18 @@ class CanOverlay {
   /// at the zone owning its centroid and replicated into every other zone it
   /// overlaps (Fig. 6: otherwise queries landing in a neighbouring zone
   /// would miss it).
+  ///
+  /// Inserting a cluster_id that is already stored is a refresh: it must
+  /// carry the same sphere, and it replaces the stored copies in place. A
+  /// changed summary takes a fresh id (after RemoveByOwner). So every stored
+  /// copy of one cluster_id has the same sphere, which the range-query flood
+  /// relies on to test each id once.
   Result<overlay::InsertReceipt> Insert(const overlay::PublishedCluster& cluster,
                                         overlay::NodeId origin);
 
   /// Returns all stored clusters whose sphere intersects `query`, flooding
-  /// outward from the zone owning the query center.
+  /// outward from the zone owning the query center. Floods reuse scratch
+  /// owned by the overlay, so one overlay serves one query at a time.
   Result<overlay::RangeQueryResult> RangeQuery(const geom::Sphere& query,
                                                overlay::NodeId origin);
 
@@ -229,6 +236,43 @@ class CanOverlay {
     bool active = true;
   };
 
+  /// Bookkeeping of one zone flood, kept across floods. An entry belongs to
+  /// the current flood iff its stamp equals the current epoch, so starting a
+  /// flood bumps the epoch instead of clearing or allocating anything.
+  class FloodScratch {
+   public:
+    /// Starts a flood over an overlay of `num_nodes` nodes.
+    void Begin(size_t num_nodes);
+
+    /// Marks `node` reached at `arrival_ms` and queues it for expansion.
+    void Reach(overlay::NodeId node, double arrival_ms);
+    bool reached(overlay::NodeId node) const {
+      return node_stamp_[static_cast<size_t>(node)] == epoch_;
+    }
+    double arrival(overlay::NodeId node) const {
+      return node_arrival_[static_cast<size_t>(node)];
+    }
+
+    /// Reached nodes in BFS order; FloodFrom expands them front to back.
+    const std::vector<overlay::NodeId>& queue() const { return queue_; }
+
+    /// Records `cluster_id` as tested; false if this flood already did.
+    bool FirstTest(uint64_t cluster_id);
+
+   private:
+    void GrowIdTable();
+
+    uint32_t epoch_ = 0;
+    std::vector<uint32_t> node_stamp_;
+    std::vector<double> node_arrival_;
+    std::vector<overlay::NodeId> queue_;
+    // Open-addressing set of tested cluster ids (linear probing, power-of-two
+    // size, at most half full).
+    std::vector<uint64_t> id_keys_;
+    std::vector<uint32_t> id_stamp_;
+    size_t ids_used_ = 0;
+  };
+
   CanOverlay(size_t dim, sim::NetworkStats* stats) : dim_(dim), stats_(stats) {}
 
   /// Adds one node via the CAN join protocol.
@@ -303,6 +347,7 @@ class CanOverlay {
   bool replicate_spheres_ = true;
   int route_detours_ = 0;  // query-routing detour budget (set_route_detours)
   std::vector<Node> nodes_;
+  FloodScratch flood_;
 };
 
 }  // namespace hyperm::can

@@ -21,7 +21,9 @@ double LogDoubleFactorial(int n);
 
 /// Regularized incomplete beta function I_x(a, b) for a, b > 0 and
 /// x in [0, 1], computed with the Lentz continued-fraction expansion.
-/// Accuracy ~1e-12 over the tested domain.
+/// Accuracy ~1e-12 over the tested domain. Thread-safe: the (a, b)-only
+/// log-gamma term is memoized per thread, and a memoized value is bitwise
+/// the one a fresh evaluation produces.
 double RegularizedIncompleteBeta(double a, double b, double x);
 
 /// Numerically stable log(exp(a) + exp(b)).

@@ -13,6 +13,16 @@ namespace {
 
 constexpr char kMagic[8] = {'H', 'Y', 'P', 'E', 'R', 'M', 'D', '1'};
 
+// Reads one whole CSV field as a `T`: leading and trailing whitespace is
+// allowed, anything else after the number ("0.5abc", "2x") is not.
+template <typename T>
+bool ParseField(const std::string& field, T* value) {
+  std::istringstream parse(field);
+  if (!(parse >> *value)) return false;
+  parse >> std::ws;
+  return parse.eof();
+}
+
 }  // namespace
 
 Status WriteCsv(const Dataset& dataset, const std::string& path) {
@@ -46,14 +56,12 @@ Result<Dataset> ReadCsv(const std::string& path) {
     }
     int label = 0;
     Vector item;
-    {
-      std::istringstream parse(field);
-      if (!(parse >> label)) return InvalidArgumentError("ReadCsv: bad label: " + field);
+    if (!ParseField(field, &label)) {
+      return InvalidArgumentError("ReadCsv: bad label: " + field);
     }
     while (std::getline(fields, field, ',')) {
-      std::istringstream parse(field);
       double v = 0.0;
-      if (!(parse >> v)) return InvalidArgumentError("ReadCsv: bad value: " + field);
+      if (!ParseField(field, &v)) return InvalidArgumentError("ReadCsv: bad value: " + field);
       item.push_back(v);
     }
     if (item.empty()) return InvalidArgumentError("ReadCsv: record without values");

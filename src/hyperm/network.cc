@@ -366,6 +366,13 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
     const data::Dataset& dataset, const data::PeerAssignment& assignment,
     const HyperMOptions& options, Rng& rng) {
   if (dataset.items.empty()) return InvalidArgumentError("Build: empty dataset");
+  // A NaN coordinate poisons the key bounds and the cluster spheres of every
+  // peer it reaches, so queries on finite items would miss true matches.
+  for (const Vector& item : dataset.items) {
+    if (!vec::AllFinite(item)) {
+      return InvalidArgumentError("Build: dataset holds a non-finite value");
+    }
+  }
   if (!IsPowerOfTwo(static_cast<int64_t>(dataset.dim()))) {
     return InvalidArgumentError("Build: dataset dimensionality must be a power of two");
   }
@@ -623,6 +630,9 @@ Result<std::vector<PeerScore>> HyperMNetwork::ScorePeers(const Vector& query,
   if (query.size() != data_dim_) {
     return InvalidArgumentError("ScorePeers: query dimensionality mismatch");
   }
+  if (!vec::AllFinite(query) || !std::isfinite(epsilon)) {
+    return InvalidArgumentError("ScorePeers: non-finite query or epsilon");
+  }
   if (epsilon < 0.0) return InvalidArgumentError("ScorePeers: negative epsilon");
   if (querying_peer < 0 || querying_peer >= num_peers()) {
     return InvalidArgumentError("ScorePeers: bad querying peer");
@@ -630,10 +640,10 @@ Result<std::vector<PeerScore>> HyperMNetwork::ScorePeers(const Vector& query,
   HM_OBS_SPAN("query/score");
   // Plan, then execute. The planner compiles the Theorem 4.1 probe spheres on
   // the calling thread (pure wavelet math); the executor fans the per-level
-  // range searches out — they are independent (read-only overlays, atomic
-  // stats) — and re-issues deferred levels when so configured. Scores and
-  // info accounting are drained in layer order below, preserving the
-  // sequential merge exactly.
+  // range searches out — they are independent (each level's overlay serves
+  // only its own probe; stats are atomic) — and re-issues deferred levels
+  // when so configured. Scores and info accounting are drained in layer
+  // order below, preserving the sequential merge exactly.
   const QueryPlan plan = MakePlanner().PlanRange(query, epsilon);
   std::vector<LevelOutcome> outcomes = MakeExecutor().Execute(plan, querying_peer);
   std::vector<std::unordered_map<int, double>> level_scores;
@@ -717,6 +727,7 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   if (query.size() != data_dim_) {
     return InvalidArgumentError("KnnQuery: query dimensionality mismatch");
   }
+  if (!vec::AllFinite(query)) return InvalidArgumentError("KnnQuery: non-finite query");
   if (k < 1) return InvalidArgumentError("KnnQuery: k < 1");
   if (options.c <= 0.0) return InvalidArgumentError("KnnQuery: C must be positive");
   if (options.max_peers < 1) return InvalidArgumentError("KnnQuery: max_peers < 1");

@@ -155,7 +155,8 @@ class HyperMNetwork {
   /// data::AssignByInterest). The dataset dimensionality must be a power of
   /// two (PadToPowerOfTwo the data otherwise). Items are copied into the
   /// peers' local stores; the dataset need not outlive the network. All
-  /// traffic is recorded in stats().
+  /// traffic is recorded in stats(). A dataset holding a NaN or infinite
+  /// value is rejected with InvalidArgument.
   static Result<std::unique_ptr<HyperMNetwork>> Build(
       const data::Dataset& dataset, const data::PeerAssignment& assignment,
       const HyperMOptions& options, Rng& rng);
@@ -164,7 +165,8 @@ class HyperMNetwork {
 
   /// Scores all peers against a range query (phase 1 of Fig. 3): per-layer
   /// overlay range queries with the Theorem 4.1 thresholds, Eq. 1 scoring,
-  /// aggregation per the configured policy. Sorted descending.
+  /// aggregation per the configured policy. Sorted descending. A query or
+  /// epsilon that is NaN or infinite is rejected with InvalidArgument.
   Result<std::vector<PeerScore>> ScorePeers(const Vector& query, double epsilon,
                                             int querying_peer,
                                             RangeQueryInfo* info = nullptr);
@@ -172,6 +174,7 @@ class HyperMNetwork {
   /// Full range query: scores peers, contacts the top `max_peers_contacted`
   /// (all candidates if negative), and unions their exact local results.
   /// Precision is 1 by construction; recall depends on the contact budget.
+  /// Validates its arguments as ScorePeers does.
   Result<std::vector<ItemId>> RangeQuery(const Vector& query, double epsilon,
                                          int querying_peer, int max_peers_contacted = -1,
                                          RangeQueryInfo* info = nullptr);
@@ -179,6 +182,8 @@ class HyperMNetwork {
   /// The Fig. 5 k-NN heuristic. Returns the fetched ids ordered by true
   /// distance to the query (the caller may truncate to k; the paper
   /// evaluates the full fetched set, trading precision for recall via C).
+  /// A query with a NaN or infinite coordinate is rejected with
+  /// InvalidArgument.
   Result<std::vector<ItemId>> KnnQuery(const Vector& query, int k,
                                        const KnnOptions& options, int querying_peer,
                                        KnnQueryInfo* info = nullptr);

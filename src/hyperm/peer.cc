@@ -26,13 +26,12 @@ void Peer::AddItem(ItemId item_id, const Vector& features) {
 
 std::vector<ItemId> Peer::RangeSearch(const Vector& query, double epsilon) const {
   HM_CHECK_GE(epsilon, 0.0);
+  thread_local std::vector<size_t> rows;  // per-thread, like DistScratch
+  rows.clear();
+  vec::RangeScanBatch(features_, query, epsilon * epsilon, &rows);
   std::vector<ItemId> hits;
-  const double eps_sq = epsilon * epsilon;
-  std::vector<double>& dist_sq = DistScratch(features_.rows());
-  vec::SquaredDistanceBatch(features_, query, dist_sq.data());
-  for (size_t i = 0; i < features_.rows(); ++i) {
-    if (dist_sq[i] <= eps_sq) hits.push_back(ids_[i]);
-  }
+  hits.reserve(rows.size());
+  for (size_t r : rows) hits.push_back(ids_[r]);
   return hits;
 }
 

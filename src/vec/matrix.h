@@ -13,6 +13,12 @@
 // the operation order of vec::SquaredDistance — so replacing a per-Vector
 // scan with a batch call cannot change any result, only its speed. Blocking
 // happens across rows (independent sums), never within one row.
+//
+// RangeScanBatch keeps the same per-row order and decides `sum <= bound` on
+// the sum SquaredDistanceBatch would produce. It may stop adding a block's
+// terms early, but only once every row in the block is already past the
+// bound: each term is non-negative and rounding is monotone, so a partial
+// sum above the bound stays above it, and the answer cannot change.
 
 #ifndef HYPERM_VEC_MATRIX_H_
 #define HYPERM_VEC_MATRIX_H_
@@ -75,6 +81,19 @@ void SquaredDistanceBatch(const double* rows, size_t num_rows, size_t stride,
 
 /// Matrix convenience overload; `out` must hold m.rows() doubles.
 void SquaredDistanceBatch(const Matrix& m, const Vector& query, double* out);
+
+/// Appends to `hits`, in ascending order, the index of every row of
+/// [rows, stride] whose squared distance to `query` is <= `bound_sq`:
+/// exactly the rows r with SquaredDistanceBatch's out[r] <= bound_sq. Rows
+/// are summed in blocks of four as there; every 16 columns a block whose four
+/// partial sums all exceed `bound_sq` is dropped without reading the rest.
+void RangeScanBatch(const double* rows, size_t num_rows, size_t stride,
+                    const double* query, size_t dim, double bound_sq,
+                    std::vector<size_t>* hits);
+
+/// Matrix convenience overload.
+void RangeScanBatch(const Matrix& m, const Vector& query, double bound_sq,
+                    std::vector<size_t>* hits);
 
 }  // namespace hyperm::vec
 

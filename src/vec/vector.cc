@@ -91,6 +91,13 @@ void NormalizeL1InPlace(Vector& a) {
   if (mass > 0.0) ScaleInPlace(a, 1.0 / mass);
 }
 
+bool AllFinite(const Vector& a) {
+  for (double x : a) {
+    if (!std::isfinite(x)) return false;
+  }
+  return true;
+}
+
 }  // namespace vec
 
 Bounds Bounds::Unit(size_t dim) {

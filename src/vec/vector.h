@@ -58,6 +58,9 @@ Vector Mean(const std::vector<Vector>& points);
 /// Normalizes `a` to unit L1 mass in place; no-op on the zero vector.
 void NormalizeL1InPlace(Vector& a);
 
+/// True iff no coordinate is NaN or infinite.
+bool AllFinite(const Vector& a);
+
 }  // namespace vec
 
 /// Per-dimension axis-aligned bounds of a point set; used to map wavelet

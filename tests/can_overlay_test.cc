@@ -1,6 +1,8 @@
 #include "can/can_overlay.h"
 
 #include <cmath>
+#include <deque>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -276,6 +278,129 @@ TEST(CanQueryTest, QueryCenterOutsideCubeIsClamped) {
   auto can = MakeCan(2, 8, &stats);
   geom::Sphere query{{1.5, -0.5}, 0.2};
   EXPECT_TRUE(can->RangeQuery(query, 0).ok());
+}
+
+// The flood before test-once: test every stored copy, keep the first match
+// of each id. BFS from `entry` over neighbours whose zone meets the query,
+// in neighbour-list order (no transport, so every hop is delivered).
+struct ReferenceFlood {
+  std::vector<PublishedCluster> matches;
+  int nodes_visited = 0;
+  int flood_hops = 0;
+};
+
+ReferenceFlood TestThenDedupeFlood(const CanOverlay& can, const geom::Sphere& query,
+                                   NodeId entry) {
+  ReferenceFlood out;
+  std::set<NodeId> visited{entry};
+  std::set<uint64_t> matched;
+  std::deque<NodeId> frontier{entry};
+  while (!frontier.empty()) {
+    const NodeId node = frontier.front();
+    frontier.pop_front();
+    ++out.nodes_visited;
+    for (const PublishedCluster& c : can.stored(node)) {
+      if (c.sphere.Intersects(query) && matched.insert(c.cluster_id).second) {
+        out.matches.push_back(c);
+      }
+    }
+    for (NodeId n : can.neighbors(node)) {
+      if (visited.count(n) != 0 || !can.zone(n).IntersectsSphere(query)) continue;
+      visited.insert(n);
+      frontier.push_back(n);
+      ++out.flood_hops;
+    }
+  }
+  return out;
+}
+
+bool SameCluster(const PublishedCluster& a, const PublishedCluster& b) {
+  return a.cluster_id == b.cluster_id && a.owner_peer == b.owner_peer &&
+         a.items == b.items && a.sphere.center == b.sphere.center &&
+         a.sphere.radius == b.sphere.radius && a.expires_at == b.expires_at;
+}
+
+// Every stored copy of one cluster_id carries the same sphere: the
+// invariant the flood's test-once rule relies on.
+void ExpectOneSpherePerId(const CanOverlay& can) {
+  std::map<uint64_t, geom::Sphere> first_copy;
+  for (NodeId n = 0; n < can.num_nodes(); ++n) {
+    for (const PublishedCluster& c : can.stored(n)) {
+      const auto [it, fresh] = first_copy.emplace(c.cluster_id, c.sphere);
+      if (fresh) continue;
+      EXPECT_EQ(it->second.center, c.sphere.center) << "id " << c.cluster_id;
+      EXPECT_EQ(it->second.radius, c.sphere.radius) << "id " << c.cluster_id;
+    }
+  }
+}
+
+void ExpectFloodsMatchReference(CanOverlay& can, Rng& rng, const std::string& stage) {
+  for (int trial = 0; trial < 60; ++trial) {
+    geom::Sphere query{{rng.NextDouble(), rng.NextDouble(), rng.NextDouble()},
+                       rng.Uniform(0.0, 0.45)};
+    Result<overlay::RangeQueryResult> got = can.RangeQuery(query, 0);
+    ASSERT_TRUE(got.ok());
+    const ReferenceFlood want = TestThenDedupeFlood(can, query, got->entry_node);
+    EXPECT_EQ(got->nodes_visited, want.nodes_visited) << stage << " trial " << trial;
+    EXPECT_EQ(got->flood_hops, want.flood_hops) << stage << " trial " << trial;
+    ASSERT_EQ(got->matches.size(), want.matches.size()) << stage << " trial " << trial;
+    for (size_t i = 0; i < want.matches.size(); ++i) {
+      EXPECT_TRUE(SameCluster(got->matches[i], want.matches[i]))
+          << stage << " trial " << trial << " match " << i;
+    }
+  }
+}
+
+TEST(CanQueryTest, TestOnceFloodMatchesTestThenDedupeWalk) {
+  sim::NetworkStats stats;
+  auto can = MakeCan(3, 48, &stats);
+  Rng rng(11);
+  // Wide spheres so most clusters are replicated into several zones, and
+  // enough ids (300) to grow the flood's tested-id table past its first size.
+  std::vector<PublishedCluster> published;
+  uint64_t next_id = 1;
+  auto random_cluster = [&](int owner) {
+    PublishedCluster c;
+    c.sphere = geom::Sphere{{rng.NextDouble(), rng.NextDouble(), rng.NextDouble()},
+                            rng.Uniform(0.0, 0.3)};
+    c.owner_peer = owner;
+    c.items = 1 + static_cast<int>(rng.NextIndex(9));
+    c.cluster_id = next_id++;
+    c.expires_at = 1000.0;
+    return c;
+  };
+  for (int i = 0; i < 300; ++i) {
+    published.push_back(random_cluster(i % 12));
+    ASSERT_TRUE(can->Insert(published.back(), 0).ok());
+  }
+  ExpectOneSpherePerId(*can);
+  ExpectFloodsMatchReference(*can, rng, "fresh");
+
+  // TTL refresh: re-insert a third of the summaries unchanged but for the
+  // expiry; every copy is superseded in place.
+  for (size_t i = 0; i < published.size(); i += 3) {
+    published[i].expires_at = 2000.0;
+    ASSERT_TRUE(can->Insert(published[i], static_cast<NodeId>(i % 48)).ok());
+  }
+  ExpectOneSpherePerId(*can);
+  ExpectFloodsMatchReference(*can, rng, "refreshed");
+
+  // Re-publication: owners 3 and 7 unpublish everything and publish new
+  // summaries under fresh ids.
+  for (int owner : {3, 7}) {
+    EXPECT_GT(can->RemoveByOwner(owner), 0);
+    for (int i = 0; i < 25; ++i) ASSERT_TRUE(can->Insert(random_cluster(owner), 5).ok());
+  }
+  ExpectOneSpherePerId(*can);
+  ExpectFloodsMatchReference(*can, rng, "republished");
+
+  // Churn re-homes copies and changes the node count the scratch covers.
+  Rng churn_rng(12);
+  ASSERT_TRUE(can->AddNode(churn_rng).ok());
+  ASSERT_TRUE(can->AddNode(churn_rng).ok());
+  ASSERT_TRUE(can->Leave(9).ok());
+  ExpectOneSpherePerId(*can);
+  ExpectFloodsMatchReference(*can, rng, "churned");
 }
 
 TEST(CanStorageTest, DistributionAndClear) {

@@ -76,6 +76,33 @@ TEST_F(DatasetIoTest, CsvRejectsGarbage) {
   EXPECT_FALSE(ReadCsv(path).ok());
 }
 
+TEST_F(DatasetIoTest, CsvRejectsTrailingGarbageInAField) {
+  // A value or label must be the whole field: "0.5abc" is not 0.5, "2x" is
+  // not label 2.
+  for (const char* record : {"1,0.5abc,0.25\n", "2x,0.5,0.25\n", "1,0.5,0.25 7\n"}) {
+    const std::string path = TempPath("trailing.csv");
+    {
+      std::ofstream out(path);
+      out << record;
+    }
+    Result<Dataset> loaded = ReadCsv(path);
+    ASSERT_FALSE(loaded.ok()) << record;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << record;
+  }
+}
+
+TEST_F(DatasetIoTest, CsvAllowsWhitespaceAroundFields) {
+  const std::string path = TempPath("spaced.csv");
+  {
+    std::ofstream out(path);
+    out << " 3 , 0.5 ,0.25\r\n";
+  }
+  Result<Dataset> loaded = ReadCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->labels, std::vector<int>{3});
+  EXPECT_EQ(loaded->items, (std::vector<Vector>{{0.5, 0.25}}));
+}
+
 TEST_F(DatasetIoTest, CsvMissingFileIsUnavailable) {
   Result<Dataset> loaded = ReadCsv(TempPath("does_not_exist.csv"));
   EXPECT_FALSE(loaded.ok());

@@ -204,6 +204,54 @@ TEST(NetworkQueryTest, RejectsBadQueries) {
   EXPECT_FALSE(bed.network->KnnQuery(bed.dataset.items[0], 5, knn, 0).ok());
 }
 
+TEST(NetworkBuildTest, RejectsNonFiniteDataset) {
+  // One NaN coordinate used to build fine and then hide true matches among
+  // the finite items from range queries (a silent Thm 4.1 violation).
+  Rng rng(3);
+  data::MarkovOptions data_options;
+  data_options.count = 400;
+  data_options.dim = 32;
+  data_options.num_families = 8;
+  data::Dataset dataset = data::GenerateMarkov(data_options, rng).value();
+  data::AssignmentOptions assign_options;
+  assign_options.num_peers = 8;
+  assign_options.num_interest_classes = 8;
+  assign_options.min_peers_per_class = 2;
+  assign_options.max_peers_per_class = 4;
+  const data::PeerAssignment assignment =
+      data::AssignByInterest(dataset, assign_options, rng).value();
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    data::Dataset poisoned = dataset;
+    poisoned.items[5][7] = bad;
+    Rng build_rng(4);
+    Result<std::unique_ptr<HyperMNetwork>> net =
+        HyperMNetwork::Build(poisoned, assignment, {}, build_rng);
+    ASSERT_FALSE(net.ok()) << bad;
+    EXPECT_EQ(net.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  Rng build_rng(4);
+  EXPECT_TRUE(HyperMNetwork::Build(dataset, assignment, {}, build_rng).ok());
+}
+
+TEST(NetworkQueryTest, RejectsNonFiniteQueries) {
+  TestBed bed = MakeTestBed();
+  const Vector& good = bed.dataset.items[0];
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Vector center = good;
+    center[3] = bad;
+    Result<std::vector<ItemId>> range = bed.network->RangeQuery(center, 0.3, 0);
+    ASSERT_FALSE(range.ok()) << bad;
+    EXPECT_EQ(range.status().code(), StatusCode::kInvalidArgument);
+    Result<std::vector<ItemId>> knn = bed.network->KnnQuery(center, 5, KnnOptions{}, 0);
+    ASSERT_FALSE(knn.ok()) << bad;
+    EXPECT_EQ(knn.status().code(), StatusCode::kInvalidArgument);
+    // A NaN radius used to abort inside the key mapper.
+    Result<std::vector<ItemId>> eps = bed.network->RangeQuery(good, bad, 0);
+    ASSERT_FALSE(eps.ok()) << bad;
+    EXPECT_EQ(eps.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(NetworkQueryTest, KnnRejectsPeerCapBelowOne) {
   TestBed bed = MakeTestBed();
   KnnOptions knn;

@@ -1,7 +1,10 @@
 // The SoA batch kernel's bit-identity contract: SquaredDistanceBatch must
 // produce, for every row, the exact double vec::SquaredDistance produces —
 // blocking is across rows only, never within a row's accumulation chain.
+// RangeScanBatch must select exactly the rows whose such sum is <= the bound.
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,6 +91,95 @@ TEST(MatrixBatchTest, QueryAsRowAndRowAsQueryAgree) {
     SquaredDistanceBatch(q, data[r], &one);
     EXPECT_EQ(got[r], one);
   }
+}
+
+std::vector<size_t> BruteForceRange(const std::vector<Vector>& data, const Vector& query,
+                                    double bound_sq) {
+  std::vector<size_t> hits;
+  for (size_t r = 0; r < data.size(); ++r) {
+    if (SquaredDistance(data[r], query) <= bound_sq) hits.push_back(r);
+  }
+  return hits;
+}
+
+TEST(MatrixRangeScanTest, MatchesBruteForceIdsAndOrder) {
+  // Row counts straddle the 4-row blocks; dims straddle the 16-column
+  // bound checks (and the paper's 512).
+  for (size_t rows = 0; rows <= 9; ++rows) {
+    for (size_t dim : {1u, 15u, 16u, 17u, 512u}) {
+      const std::vector<Vector> data = RandomRows(rows, dim, 300 + rows * 13 + dim);
+      const Vector query = RandomRows(1, dim, 777 + dim).front();
+      const Matrix m = Matrix::FromRows(data);
+      std::vector<double> bounds = {0.0, 1e300};
+      for (const Vector& row : data) {
+        // A row exactly at the bound must be kept (<=, as the brute force).
+        const double exact = SquaredDistance(row, query);
+        bounds.push_back(exact);
+        bounds.push_back(std::nextafter(exact, 0.0));
+      }
+      for (double bound_sq : bounds) {
+        std::vector<size_t> got;
+        RangeScanBatch(m, query, bound_sq, &got);
+        EXPECT_EQ(got, BruteForceRange(data, query, bound_sq))
+            << "rows=" << rows << " dim=" << dim << " bound=" << bound_sq;
+      }
+    }
+  }
+}
+
+TEST(MatrixRangeScanTest, EarlyFarRowsNeverHideANearRowInTheirBlock) {
+  // Rows equal the query except where noted. Far-early rows leave the bound
+  // in column 0, so whole blocks of them are dropped after 16 columns; a
+  // far-late row only crosses it in the last column; a near row never does.
+  constexpr size_t kDim = 512;
+  const Vector query(kDim, 0.5);
+  auto far_early = [&] {
+    Vector row = query;
+    row[0] += 3.0;
+    return row;
+  };
+  auto far_late = [&] {
+    Vector row = query;
+    row[kDim - 1] += 3.0;
+    return row;
+  };
+  auto near = [&] {
+    Vector row = query;
+    for (double& x : row) x += 0.01;
+    return row;
+  };
+  const std::vector<Vector> data = {
+      far_early(), far_early(), far_early(), far_early(),  // an all-far block
+      far_early(), far_early(), far_early(), near(),       // one near row
+      far_late(),  far_early(), far_late(),  far_early(),  // far only at the end
+      near(),      far_early(), near()};                   // tail rows
+  const Matrix m = Matrix::FromRows(data);
+  for (double bound_sq : {0.0, 0.01, 1.0, 8.9, 9.5}) {
+    std::vector<size_t> got;
+    RangeScanBatch(m, query, bound_sq, &got);
+    EXPECT_EQ(got, BruteForceRange(data, query, bound_sq)) << "bound=" << bound_sq;
+  }
+  std::vector<size_t> got;
+  RangeScanBatch(m, query, 1.0, &got);
+  EXPECT_EQ(got, (std::vector<size_t>{7, 12, 14}));
+}
+
+TEST(MatrixRangeScanTest, PaddedStrideAndAppendSemantics) {
+  // The raw overload honours a stride wider than dim, and appends after
+  // whatever `hits` already holds.
+  constexpr size_t kRows = 6, kDim = 17, kStride = 20;
+  const std::vector<Vector> data = RandomRows(kRows, kDim, 5);
+  const Vector query = RandomRows(1, kDim, 6).front();
+  std::vector<double> padded(kRows * kStride, 1e9);
+  for (size_t r = 0; r < kRows; ++r) {
+    std::copy(data[r].begin(), data[r].end(), padded.begin() + static_cast<long>(r * kStride));
+  }
+  const double bound_sq = SquaredDistance(data[2], query);
+  std::vector<size_t> got = {99};
+  RangeScanBatch(padded.data(), kRows, kStride, query.data(), kDim, bound_sq, &got);
+  std::vector<size_t> want = {99};
+  for (size_t r : BruteForceRange(data, query, bound_sq)) want.push_back(r);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace
