@@ -109,8 +109,12 @@ int main(int argc, char** argv) {
       const core::ItemId id = static_cast<core::ItemId>(combined.items.size());
       combined.items.push_back(extra->items[cursor]);
       combined.labels.push_back(-1);
-      bed->network->AddItemWithoutRepublish(
+      const Status added = bed->network->AddItemWithoutRepublish(
           static_cast<int>(placement.NextIndex(50)), id, extra->items[cursor]);
+      if (!added.ok()) {
+        std::fprintf(stderr, "%s\n", added.ToString().c_str());
+        return 1;
+      }
     }
     double at_budget = 0.0, full = 0.0;
     measure(combined, &at_budget, &full);

@@ -73,44 +73,61 @@ BENCHMARK(BM_WaveletFamilies)
     ->Arg(static_cast<int>(wavelet::WaveletKind::kHaarOrthonormal))
     ->Arg(static_cast<int>(wavelet::WaveletKind::kDaubechies4));
 
-void BM_KMeans(benchmark::State& state) {
+// Args: {n, dim, k, markov}. markov 0 is uniform random points in
+// [-1, 1]^dim; 1 is the Markov dataset (8 families) that data::AssignByInterest
+// clusters, so {20000, 64, 64, 1} and {5000, 512, 8, 1} are the interest
+// k-means of perfbench's publish_1k and query_paper, and {20, 4, 10, 1} and
+// {50, 4, 10, 1} the size of Build's per-peer, per-level k-means there.
+std::vector<Vector> KMeansInput(const benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const size_t dim = static_cast<size_t>(state.range(1));
+  const int dim = static_cast<int>(state.range(1));
   Rng data_rng(3);
+  if (state.range(3) == 1) {
+    data::MarkovOptions options;
+    options.count = n;
+    options.dim = dim;
+    options.num_families = 8;
+    return std::move(data::GenerateMarkov(options, data_rng)).value().items;
+  }
   std::vector<Vector> points;
   points.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) points.push_back(RandomVector(dim, data_rng));
+  for (int i = 0; i < n; ++i) points.push_back(RandomVector(static_cast<size_t>(dim), data_rng));
+  return points;
+}
+
+void RunKMeansBench(benchmark::State& state, bool pruned) {
+  const std::vector<Vector> points = KMeansInput(state);
   cluster::KMeansOptions options;
-  options.k = 10;
+  options.k = static_cast<int>(state.range(2));
+  options.pruned = pruned;
   for (auto _ : state) {
     Rng rng(4);
     Result<cluster::KMeansResult> r = cluster::KMeans(points, options, rng);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(r);
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_KMeans)->Args({200, 4})->Args({1000, 4})->Args({1000, 64});
+
+void KMeansArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "dim", "k", "markov"});
+  b->Args({200, 4, 10, 0})->Args({1000, 4, 10, 0})->Args({1000, 64, 10, 0});
+  b->Args({20000, 64, 64, 1})->Args({5000, 512, 8, 1});
+  b->Args({20, 4, 10, 1})->Args({50, 4, 10, 1});
+  b->Unit(benchmark::kMicrosecond);
+}
+
+// The exact bounded kernel (the default, options.pruned = true).
+void BM_KMeans(benchmark::State& state) { RunKMeansBench(state, /*pruned=*/true); }
+BENCHMARK(BM_KMeans)->Apply(KMeansArgs);
 
 // Reference full-scan kernel (options.pruned = false); the ratio against
-// BM_KMeans on the same Args is the Hamerly-pruning speedup.
-void BM_KMeansNaive(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const size_t dim = static_cast<size_t>(state.range(1));
-  Rng data_rng(3);
-  std::vector<Vector> points;
-  points.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) points.push_back(RandomVector(dim, data_rng));
-  cluster::KMeansOptions options;
-  options.k = 10;
-  options.pruned = false;
-  for (auto _ : state) {
-    Rng rng(4);
-    Result<cluster::KMeansResult> r = cluster::KMeans(points, options, rng);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_KMeansNaive)->Args({200, 4})->Args({1000, 4})->Args({1000, 64});
+// BM_KMeans on the same Args is the bounded kernel's speedup.
+void BM_KMeansNaive(benchmark::State& state) { RunKMeansBench(state, /*pruned=*/false); }
+BENCHMARK(BM_KMeansNaive)->Apply(KMeansArgs);
 
 // AoS reference for the distance scan: one vec::SquaredDistance call per
 // heap-allocated row of a std::vector<Vector>. The ratio against

@@ -24,9 +24,11 @@ struct KMeansOptions {
   int max_iterations = 50;   ///< Lloyd iteration budget
   double tolerance = 1e-6;   ///< stop when total centroid movement^2 drops below
   bool plus_plus_seeding = true;  ///< k-means++ (true) or uniform seeding
-  /// Hamerly-style bound-pruned inner loop (true) or the naive full-scan
+  /// Exact bounded kernel (true: triangle-inequality skips in the seeding,
+  /// Yinyang group and Hamerly half-gap bounds in the assignment steps, clean
+  /// clusters keep their sums; DESIGN.md §19) or the naive full-scan
   /// reference kernel (false). Both produce bit-identical results; the naive
-  /// kernel exists as the correctness oracle and for benchmarking the pruning.
+  /// kernel exists as the correctness oracle and for benchmarking the bounds.
   bool pruned = true;
 };
 
@@ -43,7 +45,8 @@ struct KMeansResult {
 /// Deterministic given `rng`'s state. Empty clusters are reseeded with the
 /// point currently farthest from its centroid, so the returned clusters are
 /// always non-empty and their counts sum to |points|.
-/// Returns InvalidArgument on empty input or k < 1.
+/// Returns InvalidArgument on empty input, k < 1, points of unequal
+/// dimensionality or a non-finite coordinate.
 Result<KMeansResult> KMeans(const std::vector<Vector>& points,
                             const KMeansOptions& options, Rng& rng);
 

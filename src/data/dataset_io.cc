@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "vec/vector.h"
 
 namespace hyperm::data {
 namespace {
@@ -140,6 +141,9 @@ Result<Dataset> ReadBinary(const std::string& path) {
     in.read(reinterpret_cast<char*>(item.data()),
             static_cast<std::streamsize>(dim * sizeof(double)));
     if (!in) return InvalidArgumentError("ReadBinary: truncated items");
+    if (!vec::AllFinite(item)) {
+      return InvalidArgumentError("ReadBinary: non-finite feature value");
+    }
     dataset.items.push_back(std::move(item));
   }
   if (labeled != 0) {

@@ -859,14 +859,22 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   return result;
 }
 
-void HyperMNetwork::AddItemWithoutRepublish(int peer, ItemId id, const Vector& features) {
-  HM_CHECK_GE(peer, 0);
-  HM_CHECK_LT(peer, num_peers());
-  HM_CHECK_EQ(features.size(), data_dim_);
+Status HyperMNetwork::AddItemWithoutRepublish(int peer, ItemId id,
+                                              const Vector& features) {
+  if (peer < 0 || peer >= num_peers()) {
+    return InvalidArgumentError("AddItemWithoutRepublish: bad peer");
+  }
+  if (features.size() != data_dim_) {
+    return InvalidArgumentError("AddItemWithoutRepublish: dimension mismatch");
+  }
+  if (!vec::AllFinite(features)) {
+    return InvalidArgumentError("AddItemWithoutRepublish: non-finite feature");
+  }
   peers_[static_cast<size_t>(peer)].AddItem(id, features);
   // The peer's local store now answers differently even though its published
   // summaries are stale — cached results must not hide the new item.
   ++summary_epoch_;
+  return OkStatus();
 }
 
 Result<std::vector<ItemId>> HyperMNetwork::PointQuery(const Vector& point,

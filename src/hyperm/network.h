@@ -231,8 +231,10 @@ class HyperMNetwork {
 
   /// Adds an item to a peer's local store WITHOUT republishing summaries —
   /// the paper's post-creation insertion model: summaries go stale and
-  /// recall degrades gracefully.
-  void AddItemWithoutRepublish(int peer, ItemId id, const Vector& features);
+  /// recall degrades gracefully. Returns InvalidArgument, leaving the peer
+  /// and summary_epoch() untouched, for a bad peer, a dimensionality
+  /// mismatch or a non-finite feature value.
+  Status AddItemWithoutRepublish(int peer, ItemId id, const Vector& features);
 
   /// Re-clusters a peer's current local items and replaces its published
   /// summaries in every layer (unpublish + fresh k-means + insert). This is

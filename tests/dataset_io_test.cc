@@ -1,5 +1,6 @@
 #include "data/dataset_io.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -164,6 +165,28 @@ TEST_F(DatasetIoTest, BinaryRejectsHeaderCountBeyondFileSize) {
   Result<Dataset> loaded = ReadBinary(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(DatasetIoTest, BinaryRejectsNaNPayload) {
+  Dataset dataset = SampleDataset();
+  dataset.items[7][3] = std::nan("");
+  const std::string path = TempPath("nan.hmd");
+  ASSERT_TRUE(WriteBinary(dataset, path).ok());
+  Result<Dataset> loaded = ReadBinary(path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(DatasetIoTest, BinaryRejectsInfinitePayload) {
+  for (double bad : {HUGE_VAL, -HUGE_VAL}) {
+    Dataset dataset = SampleDataset();
+    dataset.items.back().back() = bad;
+    const std::string path = TempPath("inf.hmd");
+    ASSERT_TRUE(WriteBinary(dataset, path).ok());
+    Result<Dataset> loaded = ReadBinary(path);
+    EXPECT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

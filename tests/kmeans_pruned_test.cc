@@ -1,15 +1,20 @@
-// The pruned (Hamerly-bound) k-means kernel must be bit-identical to the
-// naive full-scan reference on every input — the pruning may only skip work
-// whose outcome is provably unchanged, and any near-tie must fall through to
-// the exact scan with the reference tie-breaking.
+// The bounded k-means kernel (options.pruned) must be bit-identical to the
+// naive full-scan reference on every input — seeding skips, group and
+// half-gap bounds and clean-cluster sums may only skip work whose outcome is
+// provably unchanged, and any near-tie must fall through to the exact scan
+// with the reference tie-breaking.
 
 #include "cluster/kmeans.h"
 
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "data/markov_generator.h"
+#include "data/peer_assignment.h"
+#include "obs/metrics.h"
 
 namespace hyperm::cluster {
 namespace {
@@ -143,6 +148,149 @@ TEST(KMeansPrunedTest, PrunedIsDeterministicAcrossRuns) {
   options.k = 8;
   ExpectIdentical(RunKMeans(points, options, /*pruned=*/true, 55),
                   RunKMeans(points, options, /*pruned=*/true, 55));
+}
+
+std::vector<Vector> Markov(int count, int dim, uint64_t seed) {
+  Rng rng(seed);
+  data::MarkovOptions options;
+  options.count = count;
+  options.dim = dim;
+  options.num_families = 8;
+  Result<data::Dataset> dataset = data::GenerateMarkov(options, rng);
+  EXPECT_TRUE(dataset.ok()) << dataset.status().ToString();
+  return std::move(dataset).value().items;
+}
+
+// Scaled-down versions of the two interest k-means that data::AssignByInterest
+// runs in perfbench: publish_1k (20,000 x 64-d, k = 64) and query_paper
+// (5,000 x 512-d, k = 8). Both use many groups of lower bounds, the seeding
+// skip and the half gaps.
+TEST(KMeansPrunedTest, MatchesNaiveOnMarkovAtThePublishShape) {
+  const std::vector<Vector> points = Markov(4000, 64, 71);
+  KMeansOptions options;
+  options.k = 64;
+  ExpectKernelsAgree(points, options, 1);
+  ExpectKernelsAgree(points, options, 2);
+}
+
+TEST(KMeansPrunedTest, MatchesNaiveOnMarkovAtTheQueryShape) {
+  const std::vector<Vector> points = Markov(1000, 512, 72);
+  KMeansOptions options;
+  options.k = 8;
+  ExpectKernelsAgree(points, options, 3);
+}
+
+TEST(KMeansPrunedTest, MatchesNaiveWithOneAndTwoCentroids) {
+  // k = 1 has no second centroid: every half gap and group bound is +inf.
+  const std::vector<Vector> points = Markov(600, 128, 73);
+  for (int k : {1, 2}) {
+    KMeansOptions options;
+    options.k = k;
+    ExpectKernelsAgree(points, options, 10 + static_cast<uint64_t>(k));
+    options.plus_plus_seeding = false;
+    ExpectKernelsAgree(points, options, 20 + static_cast<uint64_t>(k));
+  }
+}
+
+TEST(KMeansPrunedTest, MatchesNaiveWhenAllCentroidsCoincide) {
+  // Identical points make every seed (and every later centroid) the same
+  // point: all inter-centroid gaps are zero, every distance ties, and all but
+  // one cluster is empty and reseeded. Enough points and dimensions that the
+  // gap tests run.
+  Vector point(16);
+  for (size_t j = 0; j < point.size(); ++j) point[j] = 0.25 * static_cast<double>(j) - 1.0;
+  const std::vector<Vector> points(200, point);
+  for (bool plus_plus : {true, false}) {
+    KMeansOptions options;
+    options.k = 8;
+    options.plus_plus_seeding = plus_plus;
+    ExpectKernelsAgree(points, options, 31);
+  }
+}
+
+TEST(KMeansPrunedTest, MatchesNaiveWhenAClusterEmptiesPartway) {
+  // Three tight blobs, four outliers, k = 12 and uniform seeding: at these
+  // seeds the first assignment leaves every cluster populated and a later
+  // one empties one, so the reseed (and its in-place patch of the donor's
+  // sum) lands in the middle of the bounded iterations.
+  for (uint64_t seed : {8, 69, 149}) {
+    Rng data_rng(seed);
+    std::vector<Vector> points;
+    for (int b = 0; b < 3; ++b) {
+      const double cx = data_rng.Uniform(-5.0, 5.0);
+      const double cy = data_rng.Uniform(-5.0, 5.0);
+      for (int i = 0; i < 30; ++i) {
+        points.push_back(
+            {cx + data_rng.Gaussian(0.0, 0.3), cy + data_rng.Gaussian(0.0, 0.3)});
+      }
+    }
+    for (int i = 0; i < 4; ++i) {
+      points.push_back({data_rng.Uniform(-20.0, 20.0), data_rng.Uniform(-20.0, 20.0)});
+    }
+    KMeansOptions options;
+    options.k = 12;
+    options.plus_plus_seeding = false;
+    ExpectKernelsAgree(points, options, seed);
+#ifndef HYPERM_OBS_DISABLED
+    // The data really exercises a reseed after the first iteration.
+    auto reseeds = [&](int max_iterations) {
+      obs::MetricsRegistry::Global().Reset();
+      KMeansOptions capped = options;
+      capped.max_iterations = max_iterations;
+      RunKMeans(points, capped, /*pruned=*/true, seed);
+      const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+      const auto it = snap.counters.find("kmeans.reseeds");
+      return it == snap.counters.end() ? uint64_t{0} : it->second;
+    };
+    EXPECT_EQ(reseeds(1), 0u) << "seed " << seed;
+    EXPECT_GT(reseeds(options.max_iterations), 0u) << "seed " << seed;
+    obs::MetricsRegistry::Global().Reset();
+#endif
+  }
+}
+
+TEST(KMeansPrunedTest, MatchesNaiveWhenTheIterationCapIsHit) {
+  const std::vector<Vector> points = Markov(2000, 32, 74);
+  KMeansOptions options;
+  options.k = 32;
+  options.tolerance = 0.0;
+  for (int cap : {0, 1, 2, 7}) {
+    options.max_iterations = cap;
+    const KMeansResult bounded = RunKMeans(points, options, /*pruned=*/true, 41);
+    EXPECT_EQ(bounded.iterations, cap);
+    ExpectIdentical(bounded, RunKMeans(points, options, /*pruned=*/false, 41));
+  }
+}
+
+TEST(KMeansPrunedTest, AssignByInterestKMeansMatchesNaiveAndLeavesTheSameRng) {
+  // data::AssignByInterest runs KMeans with these options and then keeps
+  // drawing from the same Rng, so identical results plus an identical Rng
+  // state after the call give an identical peer assignment.
+  const std::vector<Vector> points = Markov(3000, 64, 75);
+  KMeansOptions options;
+  options.k = data::AssignmentOptions{}.num_interest_classes;
+  Rng bounded_rng(9), naive_rng(9);
+  options.pruned = true;
+  Result<KMeansResult> bounded = KMeans(points, options, bounded_rng);
+  options.pruned = false;
+  Result<KMeansResult> naive = KMeans(points, options, naive_rng);
+  ASSERT_TRUE(bounded.ok());
+  ASSERT_TRUE(naive.ok());
+  ExpectIdentical(*bounded, *naive);
+  EXPECT_EQ(bounded_rng.NextUint64(), naive_rng.NextUint64());
+}
+
+TEST(KMeansPrunedTest, RejectsNonFinitePoints) {
+  std::vector<Vector> points = Markov(50, 8, 76);
+  points[7][2] = std::numeric_limits<double>::quiet_NaN();
+  KMeansOptions options;
+  Rng rng(1);
+  for (bool pruned : {true, false}) {
+    options.pruned = pruned;
+    Result<KMeansResult> r = KMeans(points, options, rng);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(PickWeightedIndexTest, ReturnsFirstIndexPastTarget) {

@@ -124,7 +124,7 @@ RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
   // Post-creation churn: insert a deterministic item, republish, query again.
   Vector extra(network.data_dim(), 0.0);
   for (double& x : extra) x = rng.Uniform(0.0, 1.0);
-  network.AddItemWithoutRepublish(0, 1 << 20, extra);
+  EXPECT_TRUE(network.AddItemWithoutRepublish(0, 1 << 20, extra).ok());
   EXPECT_TRUE(network.RepublishPeer(0, rng).ok());
   Result<std::vector<ItemId>> post = network.RangeQuery(extra, 0.5, 3);
   EXPECT_TRUE(post.ok());

@@ -319,8 +319,10 @@ TEST(NetworkChurnTest, PostCreationInsertsDegradeRecallGracefully) {
   for (size_t i = 0; i < extra->items.size(); ++i) {
     const ItemId id = static_cast<ItemId>(combined.items.size());
     combined.items.push_back(extra->items[i]);
-    bed.network->AddItemWithoutRepublish(static_cast<int>(i % 16), id,
-                                         extra->items[i]);
+    ASSERT_TRUE(bed.network
+                    ->AddItemWithoutRepublish(static_cast<int>(i % 16), id,
+                                              extra->items[i])
+                    .ok());
   }
   EXPECT_EQ(bed.network->total_items(), 1000);
 
@@ -340,6 +342,37 @@ TEST(NetworkChurnTest, PostCreationInsertsDegradeRecallGracefully) {
   // at 45% new items; here 25% new items).
   EXPECT_GT(recall, 0.4);
   EXPECT_LE(recall, 1.0);
+}
+
+TEST(NetworkChurnTest, AddItemRejectsBadInputWithoutTouchingThePeer) {
+  TestBed bed = MakeTestBed();
+  const ItemId id = static_cast<ItemId>(bed.dataset.items.size());
+  const size_t before_items = bed.network->peer(2).num_items();
+  const uint64_t before_epoch = bed.network->summary_epoch();
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Vector features = bed.dataset.items[0];
+    features[5] = bad;
+    const Status status = bed.network->AddItemWithoutRepublish(2, id, features);
+    ASSERT_FALSE(status.ok()) << bad;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  }
+  const Vector short_features(bed.network->data_dim() - 1, 0.5);
+  EXPECT_EQ(bed.network->AddItemWithoutRepublish(2, id, short_features).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bed.network->AddItemWithoutRepublish(-1, id, bed.dataset.items[0]).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bed.network
+                ->AddItemWithoutRepublish(bed.network->num_peers(), id,
+                                          bed.dataset.items[0])
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bed.network->peer(2).num_items(), before_items);
+  EXPECT_EQ(bed.network->summary_epoch(), before_epoch);
+
+  // A finite item is accepted and bumps the epoch exactly once.
+  ASSERT_TRUE(bed.network->AddItemWithoutRepublish(2, id, bed.dataset.items[0]).ok());
+  EXPECT_EQ(bed.network->peer(2).num_items(), before_items + 1);
+  EXPECT_EQ(bed.network->summary_epoch(), before_epoch + 1);
 }
 
 TEST(NetworkQueryTest, PointQueryFindsExactItem) {
@@ -375,8 +408,10 @@ TEST(NetworkChurnTest, RepublishRestoresTheGuarantee) {
   for (size_t i = 0; i < extra->items.size(); ++i) {
     const ItemId id = static_cast<ItemId>(combined.items.size());
     combined.items.push_back(extra->items[i]);
-    bed.network->AddItemWithoutRepublish(static_cast<int>(i % 16), id,
-                                         extra->items[i]);
+    ASSERT_TRUE(bed.network
+                    ->AddItemWithoutRepublish(static_cast<int>(i % 16), id,
+                                              extra->items[i])
+                    .ok());
   }
   // Repair: every peer republishes its summaries.
   Rng republish_rng(99);

@@ -119,9 +119,11 @@ TEST(SummaryEpochTest, InsertAndRepublishBump) {
   options.net.unreliable = true;
   Bed bed = MakeBed(options);
   const uint64_t e0 = bed.network->summary_epoch();
-  bed.network->AddItemWithoutRepublish(
-      0, static_cast<core::ItemId>(bed.dataset.items.size()),
-      bed.dataset.items[0]);
+  ASSERT_TRUE(bed.network
+                  ->AddItemWithoutRepublish(
+                      0, static_cast<core::ItemId>(bed.dataset.items.size()),
+                      bed.dataset.items[0])
+                  .ok());
   const uint64_t e1 = bed.network->summary_epoch();
   EXPECT_GT(e1, e0);
   Rng rng(7);
