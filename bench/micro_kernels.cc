@@ -2,7 +2,8 @@
 // Hyper-M: the Haar pyramid, k-means, the sphere-intersection geometry of
 // Eqs. 5-8, CAN greedy routing and zone flooding, and peer-local range
 // retrieval. These quantify the "could be done offline / negligible" claims
-// the paper makes about local computation.
+// the paper makes about local computation. BM_DomainDigest* time the supernode
+// backbone's per-tick domain digest maintenance.
 //
 // With --json=<path> the binary additionally runs one small instrumented
 // end-to-end sample (Build + range + k-NN query) and writes the global
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "backbone/digest.h"
 #include "bench/bench_util.h"
 #include "can/can_overlay.h"
 #include "cluster/kmeans.h"
@@ -244,6 +246,73 @@ void BM_CanFlood(benchmark::State& state) {
       static_cast<double>(matches), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_CanFlood)->Args({2, 256})->Args({4, 256});
+
+// Domain digest maintenance at serve_manet's shape: four wavelet levels of
+// dims {1, 1, 2, 4}, 2048-bit digests with 24 cells per axis, `members`
+// domain members with 10 cluster spheres per level each. Rebuild hashes every member's spheres into the level digests,
+// as a maintenance tick did before member digests existed; Merge ORs the
+// members' prebuilt digests into the cleared level digests, as it does now.
+// Both end with identical digests. Args: {members}.
+struct DigestDomain {
+  static constexpr int kDims[4] = {1, 1, 2, 4};
+  static constexpr int kSpheresPerLevel = 10;
+  static constexpr backbone::DigestOptions kOptions{.cells_per_axis = 24};
+
+  explicit DigestDomain(int members) {
+    Rng rng(15);
+    spheres.resize(static_cast<size_t>(members));
+    member_digests.resize(static_cast<size_t>(members));
+    for (int m = 0; m < members; ++m) {
+      for (int dim : kDims) {
+        std::vector<geom::Sphere> level;
+        backbone::SphereDigest digest(dim, kOptions);
+        for (int i = 0; i < kSpheresPerLevel; ++i) {
+          Vector center(static_cast<size_t>(dim));
+          for (double& v : center) v = rng.NextDouble();
+          level.push_back(geom::Sphere{center, rng.Uniform(0.0, 0.1)});
+          digest.InsertSphere(level.back());
+        }
+        spheres[m].push_back(std::move(level));
+        member_digests[m].push_back(std::move(digest));
+      }
+    }
+    for (int dim : kDims) domain.emplace_back(dim, kOptions);
+  }
+
+  std::vector<std::vector<std::vector<geom::Sphere>>> spheres;  // [member][level]
+  std::vector<std::vector<backbone::SphereDigest>> member_digests;
+  std::vector<backbone::SphereDigest> domain;
+};
+
+void BM_DomainDigestRebuild(benchmark::State& state) {
+  DigestDomain bed(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    for (backbone::SphereDigest& level : bed.domain) level.Clear();
+    for (const auto& member : bed.spheres) {
+      for (size_t level = 0; level < member.size(); ++level) {
+        for (const geom::Sphere& sphere : member[level]) {
+          bed.domain[level].InsertSphere(sphere);
+        }
+      }
+    }
+    benchmark::DoNotOptimize(bed.domain.data());
+  }
+}
+BENCHMARK(BM_DomainDigestRebuild)->Arg(4)->Arg(8);
+
+void BM_DomainDigestMerge(benchmark::State& state) {
+  DigestDomain bed(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    for (backbone::SphereDigest& level : bed.domain) level.Clear();
+    for (const auto& member : bed.member_digests) {
+      for (size_t level = 0; level < member.size(); ++level) {
+        if (!bed.domain[level].Merge(member[level]).ok()) std::abort();
+      }
+    }
+    benchmark::DoNotOptimize(bed.domain.data());
+  }
+}
+BENCHMARK(BM_DomainDigestMerge)->Arg(4)->Arg(8);
 
 // End-to-end Build at a fixed dataset, swept over the pool size. On a
 // single-core host the >1-thread rows only measure coordination overhead;

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/status.h"
 
 namespace hyperm::backbone {
 namespace {
@@ -87,6 +88,17 @@ void SphereDigest::InsertSphere(const geom::Sphere& sphere) {
       if (dim_ == 2) break;  // (0,1) and (1,0) carry the same information
     }
   }
+}
+
+Status SphereDigest::Merge(const SphereDigest& other) {
+  if (dim_ != other.dim_ || options_.bits != other.options_.bits ||
+      options_.hashes != other.options_.hashes ||
+      options_.cells_per_axis != other.options_.cells_per_axis) {
+    return InvalidArgumentError("SphereDigest::Merge geometry mismatch");
+  }
+  if (options_.bits > 0) HM_RETURN_IF_ERROR(bloom_.Merge(other.bloom_));
+  spheres_ += other.spheres_;
+  return Status();
 }
 
 bool SphereDigest::MayIntersect(const geom::Sphere& query) const {

@@ -27,6 +27,7 @@
 #include <utility>
 
 #include "backbone/bloom.h"
+#include "common/status.h"
 #include "geom/shapes.h"
 
 namespace hyperm::backbone {
@@ -46,6 +47,12 @@ class SphereDigest {
   SphereDigest(int dim, const DigestOptions& options);
 
   void InsertSphere(const geom::Sphere& sphere);
+
+  /// Union with `other`: ORs the Bloom words and adds the sphere counts, so
+  /// merging digests of sphere sets A and B gives exactly the digest of A
+  /// followed by B inserted into one filter (insertion only ORs bits, which
+  /// commutes). Fails when dim, bits, hashes or cells_per_axis differ.
+  Status Merge(const SphereDigest& other);
 
   /// Conservative intersection test: false means *provably* no stored sphere
   /// intersects `query` (no false dismissals); true means "descend and look".

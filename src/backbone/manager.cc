@@ -27,6 +27,22 @@ uint64_t ReportTimerKey(int peer) {
   return (uint64_t{0xb0} << 56) | static_cast<uint64_t>(peer);
 }
 
+// True iff two summary lists carry the same clusters in the same order:
+// ids, item counts and spheres compared exactly, so equal lists always hash
+// into the same digest.
+bool SameSummaries(const std::vector<overlay::PublishedCluster>& a,
+                   const std::vector<overlay::PublishedCluster>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].cluster_id != b[i].cluster_id || a[i].items != b[i].items ||
+        a[i].sphere.radius != b[i].sphere.radius ||
+        a[i].sphere.center != b[i].sphere.center) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Status BackboneOptions::Validate() const {
@@ -62,9 +78,14 @@ BackboneManager::BackboneManager(sim::Simulator* sim, net::Transport* transport,
       << "resolve report_period_ms before constructing BackboneManager";
   HM_CHECK_GT(options_.maintenance_period_ms, 0.0);
   HM_CHECK_GT(options_.digest_ttl_ms, 0.0);
+  digest_options_.bits = options_.digest_bits;  // hash count stays at its default
+  digest_options_.cells_per_axis = options_.digest_cells_per_axis;
   num_peers_ = fault_state_->num_peers();
   HM_CHECK_EQ(num_peers_, topology_->num_nodes());
-  snapshots_.assign(num_peers_, {});
+  MemberSnapshot unreported;
+  unreported.per_layer.resize(layer_dims_.size());
+  unreported.digests.resize(layer_dims_.size());
+  snapshots_.assign(num_peers_, unreported);
   digests_.assign(num_peers_, {});
   neighbor_digests_.assign(num_peers_, {});
 }
@@ -150,10 +171,10 @@ void BackboneManager::RunElection() {
                .aux = election_.num_supernodes);
 }
 
-size_t BackboneManager::ReportBytes(const MemberSnapshot& snapshot) const {
+size_t BackboneManager::ReportBytes(int peer) const {
   size_t bytes = 16;
-  for (size_t layer = 0; layer < snapshot.per_layer.size(); ++layer) {
-    bytes += snapshot.per_layer[layer].size() *
+  for (size_t layer = 0; layer < layer_dims_.size(); ++layer) {
+    bytes += member_clusters_(peer, static_cast<int>(layer)).size() *
              ClusterWireBytes(layer_dims_[layer]);
   }
   return bytes;
@@ -163,29 +184,36 @@ void BackboneManager::SendReport(int peer) {
   const int s = election_.supernode_of[peer];
   if (s < 0 || !fault_state_->up(s)) return;  // unaffiliated: next election fixes it
 
-  MemberSnapshot snapshot;
-  snapshot.report_ms = sim_->now();
-  snapshot.per_layer.resize(layer_dims_.size());
-  for (size_t layer = 0; layer < layer_dims_.size(); ++layer) {
-    snapshot.per_layer[layer] =
-        member_clusters_(peer, static_cast<int>(layer));
-  }
-
   if (peer != s) {
     const net::HopResult hop = transport_->SendHop(
         {net::MessageType::kControl, peer, s,
-         static_cast<uint64_t>(ReportBytes(snapshot)),
-         sim::TrafficClass::kJoin});
+         static_cast<uint64_t>(ReportBytes(peer)), sim::TrafficClass::kJoin});
     if (!hop.delivered) {
       ++counters_.reports_lost;
       return;  // supernode keeps the previous (now aging) snapshot
     }
   }
+  // Only levels whose summaries changed since the last delivered report (or
+  // never reported: their digest is still geometry-less) are copied and
+  // hashed; the rest keep their snapshot and digest as they are.
+  MemberSnapshot& snapshot = snapshots_[peer];
+  snapshot.report_ms = sim_->now();
   int total_clusters = 0;
-  for (const auto& layer : snapshot.per_layer) {
-    total_clusters += static_cast<int>(layer.size());
+  for (size_t layer = 0; layer < layer_dims_.size(); ++layer) {
+    const std::vector<overlay::PublishedCluster>& live =
+        member_clusters_(peer, static_cast<int>(layer));
+    total_clusters += static_cast<int>(live.size());
+    SphereDigest& digest = snapshot.digests[layer];
+    if (digest.dim() > 0 && SameSummaries(snapshot.per_layer[layer], live)) {
+      continue;
+    }
+    snapshot.per_layer[layer] = live;
+    digest = SphereDigest(layer_dims_[layer], digest_options_);
+    for (const overlay::PublishedCluster& cluster : live) {
+      digest.InsertSphere(cluster.sphere);
+    }
+    ++counters_.member_digests_built;
   }
-  snapshots_[peer] = std::move(snapshot);
   ++counters_.reports_sent;
   HM_OBS_COUNTER_ADD("backbone.reports", 1);
   HM_OBS_EVENT(.sim_ms = sim_->now(), .kind = obs::EventKind::kBackboneReport,
@@ -243,9 +271,6 @@ void BackboneManager::MaintenanceTick() {
 
 void BackboneManager::BuildDigests() {
   const double now = sim_->now();
-  DigestOptions digest_options;  // Bloom hash count stays at its default
-  digest_options.bits = options_.digest_bits;
-  digest_options.cells_per_axis = options_.digest_cells_per_axis;
   for (int s = 0; s < num_peers_; ++s) {
     if (!election_.is_supernode[s] || !fault_state_->up(s)) {
       digests_[s] = {};
@@ -255,11 +280,17 @@ void BackboneManager::BuildDigests() {
     SendReport(s);
 
     DomainDigest& digest = digests_[s];
-    digest.per_layer.clear();
-    digest.per_layer.reserve(layer_dims_.size());
-    for (int dim : layer_dims_) {
-      digest.per_layer.emplace_back(dim, digest_options);
+    if (digest.per_layer.empty()) {
+      digest.per_layer.reserve(layer_dims_.size());
+      for (int dim : layer_dims_) {
+        digest.per_layer.emplace_back(dim, digest_options_);
+      }
+    } else {
+      for (SphereDigest& level : digest.per_layer) level.Clear();
     }
+    // The domain digest is the union of the fresh members' digests: Bloom
+    // insertion only ORs bits and the counters are sums, so this equals
+    // inserting every member's spheres into one filter, in any order.
     digest.complete = true;
     for (int m : election_.members_of[s]) {
       if (!fault_state_->up(m)) continue;  // crashed members' data is gone anyway
@@ -271,10 +302,9 @@ void BackboneManager::BuildDigests() {
         continue;
       }
       for (size_t layer = 0; layer < digest.per_layer.size(); ++layer) {
-        for (const overlay::PublishedCluster& cluster :
-             snapshot.per_layer[layer]) {
-          digest.per_layer[layer].InsertSphere(cluster.sphere);
-        }
+        const Status merged =
+            digest.per_layer[layer].Merge(snapshot.digests[layer]);
+        HM_CHECK(merged.ok()) << merged.ToString();
       }
     }
     digest.built_ms = now;

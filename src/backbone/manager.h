@@ -13,8 +13,11 @@
 //     pending timer instead of stacking duplicates. The report cadence and
 //     digest TTL default to the net-layer republish period and summary TTL,
 //     so backbone freshness piggybacks the existing soft-state machinery.
-//   * Each maintenance round the supernode rebuilds one SphereDigest per
-//     wavelet level from fresh member snapshots and ships the serialized
+//   * Each member snapshot carries one SphereDigest per wavelet level, built
+//     when a delivered report's summaries at that level differ from the
+//     previous snapshot's. Each maintenance round the supernode ORs the
+//     fresh members' digests into its domain digest (a Bloom union equals
+//     inserting every sphere into one filter) and ships the serialized
 //     digests to its CDS neighbours (so a parent can skip descending into a
 //     leaf domain whose digest provably cannot match).
 //   * ServeRangePlan walks the CDS depth-first inside the querier's radio
@@ -86,6 +89,7 @@ struct BackboneCounters {
   uint64_t election_messages_lost = 0;
   uint64_t reports_sent = 0;
   uint64_t reports_lost = 0;
+  uint64_t member_digests_built = 0;  ///< (member, level) digests built from changed reports
   uint64_t digests_exchanged = 0;
   uint64_t digests_lost = 0;
   uint64_t digest_bytes = 0;
@@ -157,10 +161,24 @@ class BackboneManager {
 
   const BackboneOptions& options() const { return options_; }
 
+  /// Per-level digests of `supernode`'s domain as of the last maintenance
+  /// round (empty when it was not a live supernode then).
+  const std::vector<SphereDigest>& domain_digests(int supernode) const {
+    return digests_[supernode].per_layer;
+  }
+
+  /// Summaries at `layer` from `member`'s last delivered report (empty before
+  /// the first one).
+  const std::vector<overlay::PublishedCluster>& reported_clusters(
+      int member, int layer) const {
+    return snapshots_[member].per_layer[layer];
+  }
+
  private:
   struct MemberSnapshot {
     double report_ms = -1.0;  ///< sim time of the last delivered report
     std::vector<std::vector<overlay::PublishedCluster>> per_layer;
+    std::vector<SphereDigest> digests;  ///< per_layer's spheres; geometry-less until reported
   };
   struct DomainDigest {
     double built_ms = -1.0;
@@ -196,7 +214,8 @@ class BackboneManager {
                      const std::vector<char>& descend_layer, int querying_peer,
                      double arrival_ms, std::vector<ProbeServeResult>* out,
                      double* completion_ms, std::vector<int>* found_per_layer);
-  size_t ReportBytes(const MemberSnapshot& snapshot) const;
+  /// Wire size of a report carrying `peer`'s live summaries.
+  size_t ReportBytes(int peer) const;
   size_t DigestMessageBytes(const DomainDigest& digest) const;
 
   sim::Simulator* sim_;
@@ -206,6 +225,7 @@ class BackboneManager {
   std::vector<int> layer_dims_;
   BackboneOptions options_;
   MemberClusters member_clusters_;
+  DigestOptions digest_options_;
   int num_peers_ = 0;
 
   ElectionResult election_;

@@ -119,13 +119,15 @@ Result<Dataset> ReadBinary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&dim), sizeof(dim));
   in.read(reinterpret_cast<char*>(&labeled), sizeof(labeled));
   if (!in) return InvalidArgumentError("ReadBinary: truncated header");
+  if (labeled > 1) return InvalidArgumentError("ReadBinary: bad labeled flag");
   // Sanity bounds to refuse corrupted headers before allocating.
   constexpr uint64_t kMaxReasonable = uint64_t{1} << 32;
   if (count > kMaxReasonable || dim == 0 || dim > kMaxReasonable) {
     return InvalidArgumentError("ReadBinary: implausible header counts");
   }
-  // The payload must fit in what is left of the file; checking first keeps a
-  // corrupt count from reaching reserve() as a huge allocation.
+  // The payload must fill exactly what is left of the file. Checking first
+  // keeps a corrupt count from reaching reserve() as a huge allocation, and
+  // a count corrupted downward from loading a silently truncated dataset.
   const std::streamoff header_end = in.tellg();
   in.seekg(0, std::ios::end);
   const uint64_t remaining = static_cast<uint64_t>(in.tellg() - header_end);
@@ -133,6 +135,9 @@ Result<Dataset> ReadBinary(const std::string& path) {
   const uint64_t bytes_per_item = dim * sizeof(double) + (labeled != 0 ? sizeof(int32_t) : 0);
   if (count > remaining / bytes_per_item) {
     return InvalidArgumentError("ReadBinary: header counts exceed the file size");
+  }
+  if (count * bytes_per_item != remaining) {
+    return InvalidArgumentError("ReadBinary: trailing bytes after the payload");
   }
   Dataset dataset;
   dataset.items.reserve(count);

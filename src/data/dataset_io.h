@@ -27,7 +27,8 @@ Result<Dataset> ReadCsv(const std::string& path);
 /// Writes `dataset` in the binary HMD format.
 Status WriteBinary(const Dataset& dataset, const std::string& path);
 
-/// Reads an HMD file; validates the magic and structural invariants.
+/// Reads an HMD file; validates the magic and structural invariants (a 0/1
+/// labeled flag, a payload that fills the file exactly, finite values).
 Result<Dataset> ReadBinary(const std::string& path);
 
 }  // namespace hyperm::data

@@ -237,5 +237,106 @@ TEST(SphereDigestTest, ClampedBoundarySpheresStillMatch) {
   EXPECT_TRUE(digest.MayIntersect(geom::Sphere{{-0.01, 1.01}, 0.05}));
 }
 
+// The backbone builds a domain digest by merging per-member digests, which
+// is exact only if a merge equals inserting both sphere sets into one digest:
+// same Bloom bytes, same insert counter, same sphere count, in either order.
+TEST(SphereDigestTest, MergeEqualsInsertingTheUnion) {
+  Rng rng(77);
+  DigestOptions options;
+  options.bits = 2048;
+  options.cells_per_axis = 8;
+  for (int dim : {1, 2, 4, 8, 32}) {
+    for (int a_count : {0, 1, 7, 30}) {
+      std::vector<geom::Sphere> a_spheres;
+      std::vector<geom::Sphere> b_spheres;
+      for (int i = 0; i < a_count; ++i) {
+        a_spheres.push_back(RandomSphere(rng, dim, 0.2));
+      }
+      for (int i = 0; i < 11; ++i) b_spheres.push_back(RandomSphere(rng, dim, 0.2));
+
+      SphereDigest a(dim, options);
+      SphereDigest b(dim, options);
+      SphereDigest both(dim, options);
+      for (const geom::Sphere& s : a_spheres) a.InsertSphere(s);
+      for (const geom::Sphere& s : b_spheres) b.InsertSphere(s);
+      for (const geom::Sphere& s : a_spheres) both.InsertSphere(s);
+      for (const geom::Sphere& s : b_spheres) both.InsertSphere(s);
+
+      SphereDigest ab = a;
+      ASSERT_TRUE(ab.Merge(b).ok());
+      SphereDigest ba = b;
+      ASSERT_TRUE(ba.Merge(a).ok());
+      for (const SphereDigest* merged : {&ab, &ba}) {
+        EXPECT_EQ(merged->bloom().Serialize(), both.bloom().Serialize())
+            << "dim=" << dim << " a_count=" << a_count;
+        EXPECT_EQ(merged->bloom().inserted(), both.bloom().inserted());
+        EXPECT_EQ(merged->spheres(), both.spheres());
+        EXPECT_EQ(merged->spheres(), static_cast<uint64_t>(a_count + 11));
+      }
+    }
+  }
+}
+
+TEST(SphereDigestTest, DigestlessMergeSumsSphereCounts) {
+  DigestOptions options;
+  options.bits = 0;
+  SphereDigest a(3, options);
+  SphereDigest b(3, options);
+  SphereDigest both(3, options);
+  Rng rng(8);
+  for (int i = 0; i < 4; ++i) {
+    const geom::Sphere s = RandomSphere(rng, 3, 0.1);
+    a.InsertSphere(s);
+    both.InsertSphere(s);
+  }
+  for (int i = 0; i < 6; ++i) {
+    const geom::Sphere s = RandomSphere(rng, 3, 0.1);
+    b.InsertSphere(s);
+    both.InsertSphere(s);
+  }
+  ASSERT_TRUE(a.Merge(b).ok());
+  EXPECT_EQ(a.spheres(), both.spheres());
+  EXPECT_EQ(a.spheres(), 10u);
+  EXPECT_EQ(a.bloom().Serialize(), both.bloom().Serialize());
+  EXPECT_EQ(a.bloom().inserted(), 0u);
+  EXPECT_EQ(a.SerializedBytes(), BloomFilter().SerializedBytes());
+  EXPECT_TRUE(a.MayIntersect(geom::Sphere{{0.5, 0.5, 0.5}, 0.01}));
+
+  // An empty digest-less digest merged into another stays empty: the
+  // provable "no match" of an empty level survives the union.
+  SphereDigest empty(3, options);
+  ASSERT_TRUE(empty.Merge(SphereDigest(3, options)).ok());
+  EXPECT_FALSE(empty.MayIntersect(geom::Sphere{{0.5, 0.5, 0.5}, 0.01}));
+}
+
+TEST(SphereDigestTest, MergeRejectsGeometryMismatch) {
+  DigestOptions options;
+  options.bits = 1024;
+  options.cells_per_axis = 8;
+  SphereDigest target(4, options);
+  target.InsertSphere(geom::Sphere{{0.1, 0.2, 0.3, 0.4}, 0.05});
+  const std::string before = target.bloom().Serialize();
+
+  DigestOptions other_bits = options;
+  other_bits.bits = 2048;
+  DigestOptions other_cells = options;
+  other_cells.cells_per_axis = 16;
+  DigestOptions other_hashes = options;
+  other_hashes.hashes = 3;
+  DigestOptions digestless = options;
+  digestless.bits = 0;
+  EXPECT_FALSE(target.Merge(SphereDigest(8, options)).ok());
+  EXPECT_FALSE(target.Merge(SphereDigest(4, other_bits)).ok());
+  EXPECT_FALSE(target.Merge(SphereDigest(4, other_cells)).ok());
+  EXPECT_FALSE(target.Merge(SphereDigest(4, other_hashes)).ok());
+  EXPECT_FALSE(target.Merge(SphereDigest(4, digestless)).ok());
+  EXPECT_FALSE(target.Merge(SphereDigest()).ok());
+  // A rejected merge leaves the target untouched.
+  EXPECT_EQ(target.bloom().Serialize(), before);
+  EXPECT_EQ(target.spheres(), 1u);
+  EXPECT_TRUE(target.Merge(SphereDigest(4, options)).ok());
+  EXPECT_EQ(target.bloom().Serialize(), before);
+}
+
 }  // namespace
 }  // namespace hyperm::backbone

@@ -7,10 +7,15 @@
 //   * determinism: enabled runs are bit-identical at 1 and 8 pool threads;
 //   * mobility: connectivity-epoch changes trigger re-elections and queries
 //     keep succeeding throughout (falling back to CAN when stale);
+//   * digest maintenance: every usable domain digest, merged from per-member
+//     digests, equals a from-scratch rebuild, and members whose summaries
+//     did not change are never re-hashed;
 //   * observability: backbone events land in the flight recorder.
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -222,6 +227,151 @@ TEST(BackboneNetworkTest, MobilityReElectsAndQueriesStaySound) {
   EXPECT_GT(manager->election_epoch(), first_epoch);
   // Some probes were served from the backbone across the run.
   EXPECT_GT(counters.probes_served, 0u);
+}
+
+// Rebuilds every usable domain digest from scratch (one InsertSphere per
+// cluster in every up member's last delivered report) and expects the
+// manager's merged digest to match it exactly. Returns the domains checked.
+int ExpectDigestsMatchRebuild(const HyperMNetwork& network) {
+  const backbone::BackboneManager& manager = *network.backbone();
+  backbone::DigestOptions digest_options;
+  digest_options.bits = manager.options().digest_bits;
+  digest_options.cells_per_axis = manager.options().digest_cells_per_axis;
+  int checked = 0;
+  for (int s = 0; s < network.num_peers(); ++s) {
+    if (!manager.DigestUsable(s)) continue;
+    const std::vector<backbone::SphereDigest>& merged = manager.domain_digests(s);
+    EXPECT_EQ(static_cast<int>(merged.size()), network.num_layers());
+    for (int layer = 0; layer < network.num_layers(); ++layer) {
+      backbone::SphereDigest rebuilt(static_cast<int>(network.level(layer).dim()),
+                                     digest_options);
+      for (int m : manager.election().members_of[s]) {
+        if (!network.peer_up(m)) continue;
+        for (const overlay::PublishedCluster& cluster :
+             manager.reported_clusters(m, layer)) {
+          rebuilt.InsertSphere(cluster.sphere);
+        }
+      }
+      EXPECT_TRUE(merged[layer].bloom().Serialize() ==
+                  rebuilt.bloom().Serialize())
+          << "supernode " << s << " layer " << layer << " at "
+          << network.now();
+      EXPECT_EQ(merged[layer].bloom().inserted(), rebuilt.bloom().inserted());
+      EXPECT_EQ(merged[layer].spheres(), rebuilt.spheres());
+    }
+    ++checked;
+  }
+  return checked;
+}
+
+// Cluster ids of every peer's last delivered report, per level.
+std::vector<std::vector<std::vector<uint64_t>>> ReportedIds(
+    const HyperMNetwork& network) {
+  std::vector<std::vector<std::vector<uint64_t>>> ids(network.num_peers());
+  for (int p = 0; p < network.num_peers(); ++p) {
+    for (int layer = 0; layer < network.num_layers(); ++layer) {
+      std::vector<uint64_t> level;
+      for (const overlay::PublishedCluster& cluster :
+           network.backbone()->reported_clusters(p, layer)) {
+        level.push_back(cluster.cluster_id);
+      }
+      ids[p].push_back(std::move(level));
+    }
+  }
+  return ids;
+}
+
+TEST(BackboneNetworkTest, MergedDomainDigestsEqualFromScratchRebuilds) {
+  // Mobile field, writes that republish, a supernode crash and its rejoin
+  // (each forcing a re-election). The test stops exactly on every
+  // maintenance tick: report timers due at a tick fire before it, and the
+  // post-election reports run 1 ms after one, so each check sees the
+  // snapshots the tick's digests were merged from.
+  const HyperMOptions base = RadioOptions(/*speed_m_per_s=*/2.0,
+                                          /*backbone_on=*/true);
+  int victim = -1;
+  sim::TimeMs start_ms = 0.0;
+  {
+    Bed probe = MakeBed(base);
+    const backbone::ElectionResult& election = probe.network->backbone()->election();
+    size_t largest = 1;
+    for (int s = 0; s < kNumPeers; ++s) {
+      if (election.is_supernode[s] && election.members_of[s].size() > largest) {
+        largest = election.members_of[s].size();
+        victim = s;
+      }
+    }
+    start_ms = probe.network->now();
+  }
+  ASSERT_GE(victim, 0) << "no supernode has a member to strand";
+  HyperMOptions options = base;
+  const double period = 400.0;  // maintenance inherits republish_period_ms
+  options.net.faults.peer_events = {
+      {start_ms + 10.5 * period, victim, /*up=*/false},
+      {start_ms + 25.5 * period, victim, /*up=*/true}};
+  Bed bed = MakeBed(options);
+  const backbone::BackboneManager* manager = bed.network->backbone();
+  ASSERT_NE(manager, nullptr);
+  ASSERT_EQ(bed.network->now(), start_ms);
+  ASSERT_EQ(manager->options().maintenance_period_ms, period);
+  ASSERT_TRUE(manager->election().is_supernode[victim]);
+
+  Rng write_rng(99);
+  ItemId next_item = kNumItems;
+  const uint64_t base_elections = manager->counters().elections;
+  EXPECT_GT(ExpectDigestsMatchRebuild(*bed.network), 0);
+  auto ids = ReportedIds(*bed.network);
+  uint64_t built = manager->counters().member_digests_built;
+  int checked = 0;
+  int quiet_ticks = 0;
+  int changed_ticks = 0;
+  sim::TimeMs t = start_ms;
+  for (int tick = 1; tick <= 40; ++tick) {
+    t += period;
+    bed.network->AdvanceTo(t);
+    checked += ExpectDigestsMatchRebuild(*bed.network);
+
+    // Member digests are built exactly for the (member, level) reports whose
+    // summaries changed since the last tick, and for nothing else.
+    const auto now_ids = ReportedIds(*bed.network);
+    uint64_t changed = 0;
+    for (int p = 0; p < kNumPeers; ++p) {
+      for (int layer = 0; layer < bed.network->num_layers(); ++layer) {
+        if (now_ids[p][layer] != ids[p][layer]) ++changed;
+      }
+    }
+    const uint64_t now_built = manager->counters().member_digests_built;
+    EXPECT_EQ(now_built - built, changed) << "tick " << tick;
+    ++(changed == 0 ? quiet_ticks : changed_ticks);
+    ids = now_ids;
+    built = now_built;
+    if (tick == 10) {
+      // The crash half a period from now must strand a live domain.
+      ASSERT_TRUE(manager->election().is_supernode[victim]);
+    }
+
+    // Writes right after some ticks: a member, and the victim supernode
+    // itself (its own summaries are refreshed inside the digest rebuild).
+    if (tick % 4 == 0) {
+      for (int peer : {(tick / 4) % kNumPeers, victim}) {
+        if (!bed.network->peer_up(peer)) continue;
+        Vector features = bed.dataset.items[static_cast<size_t>(
+            (tick * 7 + peer) % kNumItems)];
+        features[0] += 0.25;
+        ASSERT_TRUE(bed.network
+                        ->AddItemWithoutRepublish(peer, next_item++, features)
+                        .ok());
+        ASSERT_TRUE(bed.network->RepublishPeer(peer, write_rng).ok());
+      }
+    }
+  }
+  EXPECT_GT(checked, 40);
+  EXPECT_GT(quiet_ticks, 5);
+  EXPECT_GT(changed_ticks, 5);
+  // The crash, the rejoin and mobility each forced a re-election.
+  EXPECT_GE(manager->counters().elections, base_elections + 2);
+  EXPECT_EQ(bed.network->soft_state().crashes, 1u);
+  EXPECT_EQ(bed.network->soft_state().rejoins, 1u);
 }
 
 class BackboneFlightRecorderTest : public ::testing::Test {

@@ -4,9 +4,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/markov_generator.h"
 
 namespace hyperm::data {
@@ -28,7 +32,21 @@ class DatasetIoTest : public ::testing::Test {
     EXPECT_TRUE(ds.ok());
     return std::move(ds).value();
   }
+
+  std::string ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+
+  void WriteBytes(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
 };
+
+// HMD header layout: 8-byte magic, uint64 count, uint64 dim, uint8 labeled.
+constexpr size_t kCountOffset = 8;
+constexpr size_t kLabeledOffset = 24;
 
 TEST_F(DatasetIoTest, CsvRoundTrip) {
   const Dataset original = SampleDataset();
@@ -186,6 +204,148 @@ TEST_F(DatasetIoTest, BinaryRejectsInfinitePayload) {
     Result<Dataset> loaded = ReadBinary(path);
     EXPECT_FALSE(loaded.ok()) << bad;
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(DatasetIoTest, BinaryRejectsTrailingBytes) {
+  const Dataset dataset = SampleDataset();
+  const std::string path = TempPath("trailing.hmd");
+  ASSERT_TRUE(WriteBinary(dataset, path).ok());
+  const std::string valid = ReadBytes(path);
+  for (const std::string& extra : {std::string(1, '\0'), std::string(8, 'x')}) {
+    WriteBytes(path, valid + extra);
+    Result<Dataset> loaded = ReadBinary(path);
+    EXPECT_FALSE(loaded.ok()) << extra.size() << " trailing bytes";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(DatasetIoTest, BinaryRejectsCountCorruptedDownward) {
+  // One item fewer in the header than in the payload used to load the first
+  // count - 1 items and ignore the rest.
+  for (bool labeled : {false, true}) {
+    Dataset dataset = SampleDataset();
+    if (!labeled) dataset.labels.clear();
+    const std::string path = TempPath("shortcount.hmd");
+    ASSERT_TRUE(WriteBinary(dataset, path).ok());
+    std::string bytes = ReadBytes(path);
+    const uint64_t count = dataset.size() - 1;
+    bytes.replace(kCountOffset, sizeof(count),
+                  reinterpret_cast<const char*>(&count), sizeof(count));
+    WriteBytes(path, bytes);
+    Result<Dataset> loaded = ReadBinary(path);
+    EXPECT_FALSE(loaded.ok()) << "labeled=" << labeled;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(DatasetIoTest, BinaryRejectsLabeledFlagOtherThanZeroOrOne) {
+  const Dataset dataset = SampleDataset();
+  ASSERT_TRUE(dataset.has_labels());
+  const std::string path = TempPath("flag.hmd");
+  ASSERT_TRUE(WriteBinary(dataset, path).ok());
+  std::string bytes = ReadBytes(path);
+  ASSERT_EQ(bytes[kLabeledOffset], '\x01');
+  for (char flag : {'\x02', '\xff'}) {
+    bytes[kLabeledOffset] = flag;
+    WriteBytes(path, bytes);
+    Result<Dataset> loaded = ReadBinary(path);
+    EXPECT_FALSE(loaded.ok()) << static_cast<int>(flag);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Seeded mutation fuzzing of both readers: valid files take byte flips,
+// inserts, deletes and truncations. Every outcome must be a Status error or
+// a well-formed dataset — finite values, one dimensionality, one label per
+// item or none — and never a crash (the sanitizer builds run this too).
+enum class Format { kCsv, kBinary };
+
+std::string Mutate(std::string bytes, Format format, Rng& rng) {
+  // CSV mutations favour bytes the parser treats specially.
+  static const std::string kCsvAlphabet = "0123456789,.-+eE \n\tnaif";
+  auto random_byte = [&]() -> char {
+    if (format == Format::kCsv && rng.NextDouble() < 0.8) {
+      return kCsvAlphabet[rng.NextUint64() % kCsvAlphabet.size()];
+    }
+    return static_cast<char>(rng.NextUint64() & 0xff);
+  };
+  const int edits = 1 + static_cast<int>(rng.NextUint64() % 4);
+  for (int e = 0; e < edits && !bytes.empty(); ++e) {
+    const size_t at = rng.NextUint64() % bytes.size();
+    switch (rng.NextUint64() % 4) {
+      case 0:  // flip: xor with a nonzero mask (a CSV flip writes a new byte)
+        if (format == Format::kCsv) {
+          bytes[at] = random_byte();
+        } else {
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.NextUint64() % 255));
+        }
+        break;
+      case 1:
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), random_byte());
+        break;
+      case 2:
+        bytes.erase(at, 1);
+        break;
+      default:
+        bytes.resize(at);
+        break;
+    }
+  }
+  return bytes;
+}
+
+void ExpectWellFormed(const Dataset& dataset, const std::string& context) {
+  ASSERT_TRUE(dataset.labels.empty() ||
+              dataset.labels.size() == dataset.items.size())
+      << context;
+  for (const Vector& item : dataset.items) {
+    ASSERT_FALSE(item.empty()) << context;
+    ASSERT_EQ(item.size(), dataset.items.front().size()) << context;
+    for (double v : item) ASSERT_TRUE(std::isfinite(v)) << context;
+  }
+}
+
+TEST_F(DatasetIoTest, MutatedFilesLoadWellFormedOrFail) {
+  Dataset labeled;
+  labeled.items = {{0.5, -1.25, 3.0}, {1e-3, 2.5, -0.75}, {4.0, 0.0, 1.5},
+                   {-2.0, 7.25, 0.125}};
+  labeled.labels = {0, 3, -1, 12};
+  Dataset unlabeled = labeled;
+  unlabeled.labels.clear();
+
+  for (Format format : {Format::kCsv, Format::kBinary}) {
+    const bool csv = format == Format::kCsv;
+    const std::string path = TempPath(csv ? "fuzz.csv" : "fuzz.hmd");
+    std::vector<std::string> seeds_files;
+    for (const Dataset* dataset : {&labeled, &unlabeled}) {
+      ASSERT_TRUE((csv ? WriteCsv(*dataset, path)
+                       : WriteBinary(*dataset, path)).ok());
+      seeds_files.push_back(ReadBytes(path));
+    }
+    int accepted = 0;
+    int rejected = 0;
+    for (uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34}) {
+      Rng rng(seed);
+      for (int round = 0; round < 150; ++round) {
+        const std::string& original = seeds_files[round % seeds_files.size()];
+        WriteBytes(path, Mutate(original, format, rng));
+        Result<Dataset> loaded = csv ? ReadCsv(path) : ReadBinary(path);
+        if (!loaded.ok()) {
+          EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+              << loaded.status().ToString();
+          ++rejected;
+          continue;
+        }
+        ++accepted;
+        ExpectWellFormed(loaded.value(), (csv ? "csv seed " : "hmd seed ") +
+                                             std::to_string(seed) + " round " +
+                                             std::to_string(round));
+      }
+    }
+    // Both outcomes must actually occur, or the mutations test nothing.
+    EXPECT_GT(accepted, 0) << (csv ? "csv" : "hmd");
+    EXPECT_GT(rejected, 0) << (csv ? "csv" : "hmd");
   }
 }
 
