@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "backbone/digest.h"
@@ -363,20 +364,38 @@ void BM_SphereIntersectionFraction(benchmark::State& state) {
 }
 BENCHMARK(BM_SphereIntersectionFraction)->Arg(2)->Arg(16);
 
+// One Eq. 8 inversion over the summaries a k-NN level probe discovers:
+// args {views, d, k}. ~190 views is query_paper's shape, ~1,570
+// publish_1k's. Centroids lie in the unit key cube around the query, with
+// ~15% single-item point clusters; the `sweeps` counter is ExpectedItems
+// sweeps per solve.
 void BM_SolveRadiusForCount(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  const double k = static_cast<double>(state.range(2));
   Rng rng(5);
+  std::vector<double> query(static_cast<size_t>(d));
+  for (double& q : query) q = rng.Uniform(0.0, 1.0);
   std::vector<geom::ClusterView> clusters;
-  for (int i = 0; i < 50; ++i) {
-    clusters.push_back(geom::ClusterView{rng.Uniform(0.1, 1.0),
-                                         rng.Uniform(0.0, 3.0),
-                                         static_cast<int>(rng.UniformInt(1, 40))});
+  for (int i = 0; i < n; ++i) {
+    double dist2 = 0.0;
+    for (double q : query) {
+      const double x = rng.Uniform(0.0, 1.0) - q;
+      dist2 += x * x;
+    }
+    const bool point = rng.Uniform(0.0, 1.0) < 0.15;
+    clusters.push_back(geom::ClusterView{
+        point ? 0.0 : rng.Uniform(0.005, 0.2), std::sqrt(dist2),
+        point ? 1 : static_cast<int>(rng.UniformInt(1, 40))});
   }
+  geom::RadiusSolveStats stats;
   for (auto _ : state) {
-    Result<double> eps = geom::SolveRadiusForCount(4, clusters, 25.0);
+    Result<double> eps = geom::SolveRadiusForCount(d, clusters, k, {}, &stats);
     benchmark::DoNotOptimize(eps);
   }
+  state.counters["sweeps"] = stats.sweeps;
 }
-BENCHMARK(BM_SolveRadiusForCount);
+BENCHMARK(BM_SolveRadiusForCount)->Args({190, 4, 10})->Args({1570, 4, 10});
 
 void BM_CanRoute(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));

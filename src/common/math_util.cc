@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/check.h"
 
@@ -119,6 +120,22 @@ double RegularizedIncompleteBeta(double a, double b, double x) {
     return std::exp(log_front) * BetaContinuedFraction(a, b, x) / a;
   }
   return 1.0 - std::exp(log_front) * BetaContinuedFraction(b, a, 1.0 - x) / b;
+}
+
+double LogRegularizedIncompleteBeta(double a, double b, double x) {
+  HM_CHECK_GT(a, 0.0);
+  HM_CHECK_GT(b, 0.0);
+  HM_CHECK_GE(x, 0.0);
+  HM_CHECK_LE(x, 1.0);
+  if (x == 0.0) return -std::numeric_limits<double>::infinity();
+  if (x == 1.0) return 0.0;
+  // Same split as RegularizedIncompleteBeta, but the small branch stays in
+  // log space; the other branch is at least ~1/2 and cannot underflow.
+  const double log_front = LogInverseBeta(a, b) + a * std::log(x) + b * std::log1p(-x);
+  if (x < (a + 1.0) / (a + b + 2.0)) {
+    return log_front + std::log(BetaContinuedFraction(a, b, x) / a);
+  }
+  return std::log1p(-std::exp(log_front) * BetaContinuedFraction(b, a, 1.0 - x) / b);
 }
 
 double LogSumExp(double a, double b) {

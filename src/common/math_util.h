@@ -26,6 +26,10 @@ double LogDoubleFactorial(int n);
 /// the one a fresh evaluation produces.
 double RegularizedIncompleteBeta(double a, double b, double x);
 
+/// log I_x(a, b), finite wherever I_x(a, b) > 0 even when I_x itself
+/// underflows a double; -inf at x = 0.
+double LogRegularizedIncompleteBeta(double a, double b, double x);
+
 /// Numerically stable log(exp(a) + exp(b)).
 double LogSumExp(double a, double b);
 

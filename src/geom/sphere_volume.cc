@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -10,6 +11,15 @@ namespace hyperm::geom {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+
+// log CapVolumeFraction(d, alpha) for alpha in (0, pi], finite where the
+// fraction itself underflows (thin caps at high d).
+double LogCapVolumeFraction(int d, double alpha) {
+  // Caps of at least a half-ball are >= 1/2: the direct form is exact.
+  if (alpha >= 0.5 * kPi) return std::log(CapVolumeFraction(d, alpha));
+  const double s = std::sin(alpha);
+  return std::log(0.5) + LogRegularizedIncompleteBeta(0.5 * (d + 1), 0.5, s * s);
+}
 
 }  // namespace
 
@@ -106,9 +116,20 @@ double SphereIntersectionFraction(int d, double r, double eps, double b) {
   const double cos_beta = std::clamp((b * b + eps * eps - r * r) / (2.0 * b * eps), -1.0, 1.0);
   const double alpha = std::acos(cos_alpha);
   const double beta = std::acos(cos_beta);
-  const double lens_over_vol_r =
-      CapVolumeFraction(d, alpha) +
-      CapVolumeFraction(d, beta) * std::exp(d * (std::log(eps) - std::log(r)));
+  // The query's cap is scaled to the data sphere by (eps/r)^d. At high d
+  // that factor can overflow while the cap underflows: 0 * inf is NaN, and
+  // a subnormal cap carries too few bits (times inf it clamps to a wrong 1).
+  // Only then are the two combined in log space; every product that is
+  // finite and computed from a normal cap keeps its bits.
+  const double cap_beta = CapVolumeFraction(d, beta);
+  const double log_ratio = d * (std::log(eps) - std::log(r));
+  double beta_term = cap_beta * std::exp(log_ratio);
+  if (!std::isfinite(beta_term) ||
+      (cap_beta < std::numeric_limits<double>::min() &&
+       beta_term >= std::numeric_limits<double>::min())) {
+    beta_term = std::exp(LogCapVolumeFraction(d, beta) + log_ratio);
+  }
+  const double lens_over_vol_r = CapVolumeFraction(d, alpha) + beta_term;
   return std::clamp(lens_over_vol_r, 0.0, 1.0);
 }
 

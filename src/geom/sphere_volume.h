@@ -47,7 +47,9 @@ double CapVolumeFractionSineRecurrence(int d, double alpha);
 ///   * (eps/r)^d when the eps-sphere is contained in the r-sphere,
 ///   * the two-cap lens volume over Vol(r) otherwise.
 ///
-/// Requires d >= 1, r > 0, eps >= 0, b >= 0. Result is clamped to [0, 1].
+/// Requires d >= 1, r > 0, eps >= 0, b >= 0. Result is clamped to [0, 1]
+/// and finite at every d: where (eps/r)^d overflows or the query's cap
+/// underflows, the lens term is formed in log space.
 double SphereIntersectionFraction(int d, double r, double eps, double b);
 
 }  // namespace hyperm::geom

@@ -748,7 +748,8 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
 
   // Plan, then execute: one expanding probe per level (Fig. 5), fanned out
   // like ScorePeers. Each probe keeps its hop counts and estimated radius in
-  // its own outcome slot; the double-valued knn.level_radius histogram is
+  // its own outcome slot; the double-valued knn.level_radius histogram and
+  // the Eq. 8 solver's cost (knn.radius_sweeps, knn.radius_unconverged) are
   // observed at the ordered drain so observation order never depends on
   // scheduling.
   const QueryPlan plan = MakePlanner().PlanKnn(query, k);
@@ -759,6 +760,15 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
     info->level_radii.push_back(out.level_radius);
     HM_OBS_HISTOGRAM("knn.level_radius", obs::Buckets::Linear(0.0, 4.0, 32),
                      out.level_radius);
+    // Levels whose solver never swept (no summaries found, k beyond them)
+    // ran no solve to report.
+    if (out.radius_solve.sweeps > 0) {
+      HM_OBS_HISTOGRAM("knn.radius_sweeps", obs::Buckets::Exponential(1, 2.0, 8),
+                       out.radius_solve.sweeps);
+      if (!out.radius_solve.converged) {
+        HM_OBS_COUNTER_ADD("knn.radius_unconverged", 1);
+      }
+    }
 #ifdef HYPERM_OBS_DISABLED
     (void)out;
 #endif

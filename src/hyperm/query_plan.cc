@@ -285,7 +285,8 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
     double level_radius = probe_radius;
     if (!views.empty()) {
       Result<double> solved = geom::SolveRadiusForCount(
-          probe.layer_dim, views, static_cast<double>(probe.knn_k));
+          probe.layer_dim, views, static_cast<double>(probe.knn_k), {},
+          &out->radius_solve);
       if (solved.ok()) level_radius = std::min(solved.value(), probe_radius);
     }
     out->level_radius = level_radius;
@@ -323,6 +324,7 @@ void QueryExecutor::MergeReissue(const LevelOutcome& retry, double heal_wait_ms,
     // the aggregation under the plan's score policy like any other level.
     out->scores = retry.scores;
     out->level_radius = retry.level_radius;
+    out->radius_solve = retry.radius_solve;
   }
 }
 

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "can/can_overlay.h"
+#include "geom/radius_estimator.h"
 #include "geom/shapes.h"
 #include "hyperm/key_mapper.h"
 #include "hyperm/score.h"
@@ -143,6 +144,7 @@ struct LevelOutcome {
   LevelDelivery delivery = LevelDelivery::kDelivered;
   std::unordered_map<int, double> scores;  ///< Eq. 1 per-peer level scores
   double level_radius = 0.0;               ///< k-NN only: Eq. 8 estimate
+  geom::RadiusSolveStats radius_solve;     ///< k-NN only: the Eq. 8 solve's cost
   int routing_hops = 0;
   int flood_hops = 0;
   int detours = 0;   ///< alternate-neighbour forwards the level's routes took

@@ -149,6 +149,30 @@ TEST(MathUtilTest, IncompleteBetaMemoBitwiseEqualsColdFormulaAcrossThreads) {
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0);
 }
 
+TEST(MathUtilTest, LogIncompleteBetaMatchesLogOfDirectForm) {
+  for (double a : {0.5, 2.0, 8.5, 128.5}) {
+    for (double x : {1e-6, 0.01, 0.3, 0.5, 0.9, 0.999}) {
+      const double direct = RegularizedIncompleteBeta(a, 0.5, x);
+      if (direct < 1e-300) continue;
+      EXPECT_NEAR(LogRegularizedIncompleteBeta(a, 0.5, x), std::log(direct),
+                  1e-10 * (1.0 + std::fabs(std::log(direct))))
+          << "a=" << a << " x=" << x;
+    }
+  }
+  EXPECT_EQ(LogRegularizedIncompleteBeta(2.0, 0.5, 1.0), 0.0);
+  EXPECT_TRUE(std::isinf(LogRegularizedIncompleteBeta(2.0, 0.5, 0.0)));
+}
+
+TEST(MathUtilTest, LogIncompleteBetaStaysFiniteWhereDirectUnderflows) {
+  // I_x(256.5, 0.5) at x = 0.01 is ~1e-513: zero as a double.
+  EXPECT_EQ(RegularizedIncompleteBeta(256.5, 0.5, 0.01), 0.0);
+  const double log_i = LogRegularizedIncompleteBeta(256.5, 0.5, 0.01);
+  EXPECT_TRUE(std::isfinite(log_i));
+  EXPECT_LT(log_i, -1000.0);
+  // Still increasing in x.
+  EXPECT_LT(log_i, LogRegularizedIncompleteBeta(256.5, 0.5, 0.02));
+}
+
 TEST(MathUtilTest, LogSumExp) {
   EXPECT_NEAR(LogSumExp(0.0, 0.0), std::log(2.0), 1e-12);
   EXPECT_NEAR(LogSumExp(100.0, 100.0), 100.0 + std::log(2.0), 1e-9);

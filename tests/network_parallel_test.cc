@@ -238,6 +238,21 @@ TEST(NetworkParallelTest, PoolMetricsAreRecorded) {
   ASSERT_NE(wall, run.metrics.histograms.end());
   EXPECT_GT(wall->second.count, 0u);
 }
+
+// The k-NN query's Eq. 8 solves are recorded at the ordered drain: at most
+// one sweep count per level, and BitIdenticalAcrossThreadCounts compares
+// them across lane counts like every other histogram.
+TEST(NetworkParallelTest, KnnRadiusSolveMetricsAreRecorded) {
+  const RunCapture run = RunWorkload(2);
+  const auto sweeps = run.metrics.histograms.find("knn.radius_sweeps");
+  ASSERT_NE(sweeps, run.metrics.histograms.end());
+  EXPECT_GT(sweeps->second.count, 0u);
+  EXPECT_LE(sweeps->second.count, run.knn_radii.size());
+  EXPECT_GE(sweeps->second.min, 1.0);
+  EXPECT_LE(sweeps->second.max, 202.0);
+  // Every solve at this shape converges within the default budget.
+  EXPECT_EQ(run.metrics.counters.count("knn.radius_unconverged"), 0u);
+}
 #endif
 
 TEST(NetworkParallelTest, DefaultThreadCountMatchesSequentialResults) {

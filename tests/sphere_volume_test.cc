@@ -1,6 +1,8 @@
 #include "geom/sphere_volume.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -158,6 +160,76 @@ TEST(IntersectionFractionTest, MonotoneDecreasingInDistance) {
       prev = f;
     }
   }
+}
+
+// At d >= 256, (eps/r)^d overflows while the query's cap underflows; the
+// direct product was 0 * inf = NaN (and a subnormal cap times inf clamped
+// to 1). These inputs returned NaN before the log-space fallback.
+TEST(IntersectionFractionTest, HighDimensionLensIsFinite) {
+  const double r = 0.12156718399343362;
+  const double eps = 0.49545478544418964;
+  const double b = 0.53840924327599238;
+  const double f = SphereIntersectionFraction(512, r, eps, b);
+  EXPECT_TRUE(std::isfinite(f));
+  EXPECT_GE(f, 0.0);
+  EXPECT_LE(f, 1.0);
+  // The lens holds less of the data sphere than a query reaching just past
+  // its far side, which covers it whole.
+  EXPECT_LE(f, SphereIntersectionFraction(512, r, b + r, b));
+}
+
+TEST(IntersectionFractionTest, HighDimensionLensesFiniteBoundedMonotone) {
+  Rng rng(2026);
+  for (int d : {256, 512, 1024}) {
+    int nonfinite = 0;
+    int out_of_range = 0;
+    int decreasing = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+      const double r = rng.Uniform(0.01, 1.0);
+      const double b = rng.Uniform(0.0, 1.5);
+      // Sweep eps through every regime: inside, lens, containing.
+      const double eps_max = b + r + 0.1;
+      double prev = 0.0;
+      for (int i = 1; i <= 200; ++i) {
+        const double eps = eps_max * i / 200.0;
+        const double f = SphereIntersectionFraction(d, r, eps, b);
+        if (!std::isfinite(f)) ++nonfinite;
+        if (!(f >= 0.0 && f <= 1.0)) ++out_of_range;
+        if (f < prev) ++decreasing;
+        prev = f;
+      }
+    }
+    EXPECT_EQ(nonfinite, 0) << "d=" << d;
+    EXPECT_EQ(out_of_range, 0) << "d=" << d;
+    EXPECT_EQ(decreasing, 0) << "d=" << d;
+  }
+}
+
+// The log-space fallback fires only for a non-finite product or a subnormal
+// cap: wherever the direct two-cap sum is finite and built from normal caps
+// the result keeps its bits.
+TEST(IntersectionFractionTest, FiniteDirectProductsKeepTheirBits) {
+  Rng rng(11);
+  int lenses = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int d = static_cast<int>(rng.UniformInt(1, 128));
+    const double r = rng.Uniform(0.01, 1.0);
+    const double eps = rng.Uniform(0.01, 1.0);
+    const double b = rng.Uniform(0.0, 2.0);
+    if (b >= r + eps || b + r <= eps || b + eps <= r) continue;
+    ++lenses;
+    const double cos_alpha = std::clamp((b * b + r * r - eps * eps) / (2.0 * b * r), -1.0, 1.0);
+    const double cos_beta = std::clamp((b * b + eps * eps - r * r) / (2.0 * b * eps), -1.0, 1.0);
+    const double cap_beta = CapVolumeFraction(d, std::acos(cos_beta));
+    const double direct = std::clamp(
+        CapVolumeFraction(d, std::acos(cos_alpha)) +
+            cap_beta * std::exp(d * (std::log(eps) - std::log(r))),
+        0.0, 1.0);
+    if (!std::isfinite(direct) || cap_beta < std::numeric_limits<double>::min()) continue;
+    ASSERT_EQ(SphereIntersectionFraction(d, r, eps, b), direct)
+        << "d=" << d << " r=" << r << " eps=" << eps << " b=" << b;
+  }
+  EXPECT_GT(lenses, 5000);
 }
 
 // Monte Carlo cross-validation of the closed form in low dimensions.
