@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -220,10 +221,7 @@ Status HyperMNetwork::InitTransport() {
     }
     if (net_opts.republish_period_ms > 0.0) ScheduleRepublish();
     if (net_opts.summary_ttl_ms > 0.0) {
-      const sim::TimeMs period = net_opts.expiry_sweep_period_ms > 0.0
-                                     ? net_opts.expiry_sweep_period_ms
-                                     : net_opts.summary_ttl_ms / 2.0;
-      ScheduleExpirySweep(period);
+      ScheduleExpirySweep(net_opts.summary_ttl_ms / 2.0);
     }
     if (options_.trace_series_period_ms > 0.0) {
       ScheduleSeriesProbe(options_.trace_series_period_ms);
@@ -392,6 +390,27 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
   if (options.plan.reissue_budget > 0 && options.plan.heal_window_ms <= 0.0) {
     return InvalidArgumentError(
         "Build: plan.reissue_budget needs a positive plan.heal_window_ms");
+  }
+  if (!options.net.unreliable) {
+    // The reliable transport has no simulator: it could neither inject these
+    // faults, expire or republish summaries, wait out a heal window nor
+    // sample a time series, so a run would answer as if fault-free.
+    const net::FaultPlan& faults = options.net.faults;
+    if (faults.loss_rate != 0.0 || !faults.peer_events.empty() ||
+        !faults.partitions.empty()) {
+      return InvalidArgumentError("Build: net.faults requires net.unreliable");
+    }
+    if (options.net.summary_ttl_ms > 0.0 || options.net.republish_period_ms > 0.0) {
+      return InvalidArgumentError(
+          "Build: net.summary_ttl_ms and net.republish_period_ms require "
+          "net.unreliable");
+    }
+    if (options.plan.reissue_budget > 0) {
+      return InvalidArgumentError("Build: plan.reissue_budget requires net.unreliable");
+    }
+    if (options.trace_series_period_ms > 0.0) {
+      return InvalidArgumentError("Build: trace_series_period_ms requires net.unreliable");
+    }
   }
 
   HM_OBS_SPAN("build");
@@ -654,6 +673,40 @@ Result<std::vector<PeerScore>> HyperMNetwork::ScorePeers(const Vector& query,
   return aggregated;
 }
 
+template <typename LocalSearch>
+auto HyperMNetwork::Retrieve(int querying_peer, const std::vector<PeerScore>& targets,
+                             size_t contact, const LocalSearch& local_search,
+                             RangeQueryInfo* info) {
+  HM_OBS_SPAN("query/retrieve");
+  std::invoke_result_t<const LocalSearch&, size_t, const Peer&> delivered;
+  double retrieve_latency = 0.0;
+  for (size_t i = 0; i < contact; ++i) {
+    const int target_peer = targets[i].peer;
+    const net::HopResult request = transport_->SendHop(
+        {net::MessageType::kRetrieveRequest, querying_peer, target_peer,
+         kRequestBytes, sim::TrafficClass::kRetrieve});
+    if (!request.delivered) {
+      ++soft_.retrieves_lost;
+      HM_OBS_COUNTER_ADD("net.retrieves_lost", 1);
+      continue;
+    }
+    auto local = local_search(i, peers_[static_cast<size_t>(target_peer)]);
+    const net::HopResult response = transport_->SendHop(
+        {net::MessageType::kRetrieveResponse, target_peer, querying_peer,
+         ResponseBytes(local.size(), data_dim_), sim::TrafficClass::kRetrieve});
+    retrieve_latency =
+        std::max(retrieve_latency, request.latency_ms + response.latency_ms);
+    if (!response.delivered) {
+      ++soft_.retrieves_lost;
+      HM_OBS_COUNTER_ADD("net.retrieves_lost", 1);
+      continue;
+    }
+    delivered.insert(delivered.end(), local.begin(), local.end());
+  }
+  info->latency_ms += retrieve_latency;
+  return delivered;
+}
+
 Result<std::vector<ItemId>> HyperMNetwork::RangeQuery(const Vector& query,
                                                       double epsilon, int querying_peer,
                                                       int max_peers_contacted,
@@ -675,38 +728,12 @@ Result<std::vector<ItemId>> HyperMNetwork::RangeQuery(const Vector& query,
   if (max_peers_contacted >= 0) {
     contact = std::min<size_t>(contact, static_cast<size_t>(max_peers_contacted));
   }
-  std::vector<ItemId> results;
-  {
-    HM_OBS_SPAN("query/retrieve");
-    // Peers are contacted in parallel; the phase completes when the slowest
-    // delivered exchange does.
-    double retrieve_latency = 0.0;
-    for (size_t i = 0; i < contact; ++i) {
-      const int target_peer = scores[i].peer;
-      const net::HopResult request = transport_->SendHop(
-          {net::MessageType::kRetrieveRequest, querying_peer, target_peer,
-           kRequestBytes, sim::TrafficClass::kRetrieve});
-      if (!request.delivered) {
-        ++soft_.retrieves_lost;
-        HM_OBS_COUNTER_ADD("net.retrieves_lost", 1);
-        continue;
-      }
-      const Peer& target = peers_[static_cast<size_t>(target_peer)];
-      std::vector<ItemId> local = target.RangeSearch(query, epsilon);
-      const net::HopResult response = transport_->SendHop(
-          {net::MessageType::kRetrieveResponse, target_peer, querying_peer,
-           ResponseBytes(local.size(), data_dim_), sim::TrafficClass::kRetrieve});
-      retrieve_latency =
-          std::max(retrieve_latency, request.latency_ms + response.latency_ms);
-      if (!response.delivered) {
-        ++soft_.retrieves_lost;
-        HM_OBS_COUNTER_ADD("net.retrieves_lost", 1);
-        continue;
-      }
-      results.insert(results.end(), local.begin(), local.end());
-    }
-    info->latency_ms += retrieve_latency;
-  }
+  std::vector<ItemId> results =
+      Retrieve(querying_peer, scores, contact,
+               [&](size_t, const Peer& target) {
+                 return target.RangeSearch(query, epsilon);
+               },
+               info);
   info->peers_contacted = static_cast<int>(contact);
   RecordQueryInfoMetrics(*info);
   stats_.RecordQueryServed();
@@ -808,39 +835,18 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   // Steps 7-9: fetch a score-proportional number of items from each peer.
   // Peers return (id, exact distance) pairs so the querier can merge without
   // shipping the vectors themselves.
-  std::vector<ScoredItem> fetched;
-  {
-    HM_OBS_SPAN("query/retrieve");
-    double retrieve_latency = 0.0;
-    for (size_t i = 0; i < num_contacted; ++i) {
-      const PeerScore& ps = merged[i];
-      const int request = std::max(
-          1, static_cast<int>(std::ceil(options.c * k * ps.score / sum)));
-      info->items_requested += request;
-      const net::HopResult request_hop = transport_->SendHop(
-          {net::MessageType::kRetrieveRequest, querying_peer, ps.peer,
-           kRequestBytes, sim::TrafficClass::kRetrieve});
-      if (!request_hop.delivered) {
-        ++soft_.retrieves_lost;
-        HM_OBS_COUNTER_ADD("net.retrieves_lost", 1);
-        continue;
-      }
-      const Peer& target = peers_[static_cast<size_t>(ps.peer)];
-      std::vector<ScoredItem> local = target.NearestItemsScored(query, request);
-      const net::HopResult response_hop = transport_->SendHop(
-          {net::MessageType::kRetrieveResponse, ps.peer, querying_peer,
-           ResponseBytes(local.size(), data_dim_), sim::TrafficClass::kRetrieve});
-      retrieve_latency = std::max(retrieve_latency,
-                                  request_hop.latency_ms + response_hop.latency_ms);
-      if (!response_hop.delivered) {
-        ++soft_.retrieves_lost;
-        HM_OBS_COUNTER_ADD("net.retrieves_lost", 1);
-        continue;
-      }
-      fetched.insert(fetched.end(), local.begin(), local.end());
-    }
-    range_info->latency_ms += retrieve_latency;
+  std::vector<int> requests(num_contacted);
+  for (size_t i = 0; i < num_contacted; ++i) {
+    requests[i] = std::max(
+        1, static_cast<int>(std::ceil(options.c * k * merged[i].score / sum)));
+    info->items_requested += requests[i];
   }
+  std::vector<ScoredItem> fetched =
+      Retrieve(querying_peer, merged, num_contacted,
+               [&](size_t i, const Peer& target) {
+                 return target.NearestItemsScored(query, requests[i]);
+               },
+               range_info);
   range_info->peers_contacted = static_cast<int>(num_contacted);
   HM_OBS_HISTOGRAM("knn.items_requested", obs::Buckets::Exponential(1, 2.0, 14),
                    info->items_requested);

@@ -64,8 +64,9 @@ struct HyperMOptions {
   /// Transport configuration. Default (net.unreliable == false) routes all
   /// overlay and retrieve traffic through a ReliableTransport, which is
   /// bit-identical to the historical direct-stats behavior. Setting
-  /// net.unreliable enables the MANET fault model (loss, duplication,
-  /// crash/rejoin, partitions, retries, soft-state republish).
+  /// net.unreliable enables the MANET fault model (loss, crash/rejoin,
+  /// partitions, retries, soft-state republish); Build rejects faults or
+  /// soft-state periods without it.
   net::NetOptions net;
 
   /// Physical radio substrate (requires net.unreliable). When
@@ -78,7 +79,7 @@ struct HyperMOptions {
   /// All-zero by default, which reproduces the historical query path bit for
   /// bit. Detours apply to query routing on any transport; re-issue requires
   /// net.unreliable (the reliable transport has no simulator and nothing to
-  /// heal) and is silently skipped otherwise.
+  /// heal), and Build rejects a re-issue budget without it.
   QueryPlanOptions plan;
 
   /// Supernode backbone (requires net.unreliable and channel.enabled): CDS
@@ -88,8 +89,9 @@ struct HyperMOptions {
   /// whole pipeline is bit-identical to a backbone-less build.
   backbone::BackboneOptions backbone;
 
-  /// Flight-recorder time-series sampling period (simulated ms). When > 0 and
-  /// net.unreliable, a self-rescheduling probe samples queue occupancy
+  /// Flight-recorder time-series sampling period (simulated ms; requires
+  /// net.unreliable, Build rejects it otherwise). When > 0, a
+  /// self-rescheduling probe samples queue occupancy
   /// (probe.busy_nodes), in-flight queries (probe.inflight_queries) and the
   /// live island count (probe.islands) into the global obs::EventLog's ring
   /// buffers every period. 0 (default) schedules nothing — zero overhead and
@@ -318,6 +320,18 @@ class HyperMNetwork {
 
   /// Executor over this network's overlays, fault simulator and QueryFanOut.
   QueryExecutor MakeExecutor();
+
+  /// Retrieve phase of a range or k-NN query (Fig. 3, step 2): one request
+  /// and one response exchange with each of the first `contact` peers in
+  /// `targets`, in order. `local_search(i, peer)` answers target i from its
+  /// local store and returns a vector of items. A lost request or response
+  /// counts in retrieves_lost and contributes nothing; `info->latency_ms`
+  /// grows by the slowest exchange (peers answer in parallel). Returns the
+  /// delivered items in target order.
+  template <typename LocalSearch>
+  auto Retrieve(int querying_peer, const std::vector<PeerScore>& targets,
+                size_t contact, const LocalSearch& local_search,
+                RangeQueryInfo* info);
 
   /// Drains executor outcomes in layer order on the calling thread: emits
   /// the per-layer spans and kLevelFinal flight-recorder events, folds

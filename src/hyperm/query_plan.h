@@ -73,7 +73,7 @@ struct QueryPlanOptions {
   /// simulated time (mobility ticks, partition windows and republishes run
   /// meanwhile) and re-probes every level still deferred. Requires an
   /// unreliable transport (there is no simulator — and nothing to heal — on
-  /// the reliable one).
+  /// the reliable one); HyperMNetwork::Build rejects it otherwise.
   int reissue_budget = 0;
 
   /// Simulated wait before each re-issue round. 0 disables re-issue.

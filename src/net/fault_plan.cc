@@ -8,10 +8,6 @@ Status FaultPlan::Validate(int num_peers) const {
   if (loss_rate < 0.0 || loss_rate > 1.0) {
     return InvalidArgumentError("FaultPlan: loss_rate outside [0,1]");
   }
-  if (duplicate_rate < 0.0 || duplicate_rate > 1.0) {
-    return InvalidArgumentError("FaultPlan: duplicate_rate outside [0,1]");
-  }
-  if (jitter_ms < 0.0) return InvalidArgumentError("FaultPlan: negative jitter");
   for (const PeerEvent& event : peer_events) {
     if (event.at_ms < 0.0) {
       return InvalidArgumentError("FaultPlan: peer event at negative time");

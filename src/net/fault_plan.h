@@ -1,11 +1,11 @@
 // Fault injection plan for the unreliable transport.
 //
 // The paper's setting is a MANET (conference room, train car): radio links
-// drop and duplicate packets, peers crash mid-query and come back, and the
-// room can split into radio islands. A FaultPlan is the declarative, seeded
-// description of those faults for one simulated run — per-message loss and
-// duplication probabilities, a timed crash/rejoin schedule, and timed
-// partitions — so every experiment is reproducible from (plan, seed) alone.
+// drop packets, peers crash mid-query and come back, and the room can split
+// into radio islands. A FaultPlan is the declarative, seeded description of
+// those faults for one simulated run — a per-transmission loss probability,
+// a timed crash/rejoin schedule, and timed partitions — so every experiment
+// is reproducible from (plan, seed) alone.
 //
 // FaultState is the live view the transport consults per message: which
 // peers are currently up (crash events are applied by scheduled simulator
@@ -43,14 +43,12 @@ struct Partition {
 /// Declarative fault schedule for one run. Default-constructed plans inject
 /// nothing (but still route messages through the unreliable machinery).
 struct FaultPlan {
-  double loss_rate = 0.0;       ///< P(one physical transmission is lost)
-  double duplicate_rate = 0.0;  ///< P(a delivered message arrives twice)
-  double jitter_ms = 0.0;       ///< uniform [0, jitter_ms) added per delivery
+  double loss_rate = 0.0;  ///< P(one physical transmission is lost)
   std::vector<PeerEvent> peer_events;
   std::vector<Partition> partitions;
 
-  /// Structural validation: probabilities in [0,1], jitter >= 0, events and
-  /// partition windows at non-negative times, peer ids in [0, num_peers).
+  /// Structural validation: loss_rate in [0,1], events and partition windows
+  /// at non-negative times, peer ids in [0, num_peers).
   Status Validate(int num_peers) const;
 };
 

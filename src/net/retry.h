@@ -1,20 +1,19 @@
 // Link-layer ack/retry (ARQ) policy.
 //
 // MANET radios already retransmit at the MAC layer (802.11 link-level ARQ);
-// this is the knob set for that mechanism as the transport models it: a
-// sender waits `timeout_ms` for the ack, retransmits with exponential
-// backoff capped at `max_timeout_ms`, and gives up after `max_attempts`
-// physical transmissions — the message then counts as a dead letter. Every
-// retransmission costs real radio energy and real latency, which is exactly
-// the retry-traffic axis the fault benches sweep.
+// this is that mechanism as the transport models it: a sender waits 20 ms
+// for the ack, retransmits with exponential backoff (x2 per attempt) capped
+// at 160 ms, and gives up after 4 physical transmissions — the message then
+// counts as a dead letter. Every retransmission costs real radio energy and
+// real latency, which is exactly the retry-traffic axis the fault benches
+// sweep. The schedule's constants live in retry.cc.
 //
 // The policy has two timeout modes. Static (the default) uses the fixed
-// `timeout_ms` base. Adaptive derives the base from a Jacobson-style
+// 20 ms base. Adaptive derives the base from a Jacobson-style
 // per-destination RTT estimate (srtt/rttvar EWMAs, RFC 6298 shape): under a
 // congested channel the observed RTT inflates with queue depth, and a static
 // timeout either fires spuriously (wasting energy on premature retransmits)
-// or waits far too long. The static mode is bit-identical to the pre-adaptive
-// behavior; adaptive is opt-in per NetOptions.
+// or waits far too long.
 
 #ifndef HYPERM_NET_RETRY_H_
 #define HYPERM_NET_RETRY_H_
@@ -23,37 +22,25 @@ namespace hyperm::net {
 
 /// Ack/retry configuration for one link-level exchange.
 struct RetryPolicy {
-  bool enabled = true;        ///< false: single attempt, loss is final
-  int max_attempts = 4;       ///< total physical transmissions (>= 1)
-  double timeout_ms = 20.0;   ///< ack wait before the first retransmission
-  double backoff = 2.0;       ///< timeout multiplier per further attempt (>= 1)
-  double max_timeout_ms = 160.0;  ///< backoff cap
-
-  // Adaptive mode (off by default; the static path is bit-identical when
-  // off). The ack-timeout base becomes srtt + rttvar_mult * rttvar of the
-  // destination's observed RTTs, floored at min_timeout_ms; `timeout_ms`
-  // still seeds destinations with no samples yet.
+  /// Adaptive mode (off by default). The ack-timeout base becomes
+  /// srtt + 4 * rttvar of the destination's observed RTTs, floored at 5 ms;
+  /// the static 20 ms base still seeds destinations with no samples yet.
   bool adaptive = false;
-  double rtt_gain = 0.125;      ///< srtt EWMA gain (Jacobson alpha)
-  double rttvar_gain = 0.25;    ///< rttvar EWMA gain (Jacobson beta)
-  double rttvar_mult = 4.0;     ///< timeout = srtt + rttvar_mult * rttvar
-  double min_timeout_ms = 5.0;  ///< hard floor on the adaptive timeout
 };
 
 /// Jacobson/Karels RTT estimator for one destination: smoothed RTT plus a
-/// mean-deviation estimate, so jitter widens the timeout instead of causing
-/// spurious retransmissions.
+/// mean-deviation estimate, so delay variance widens the timeout instead of
+/// causing spurious retransmissions.
 class RttEstimator {
  public:
   /// Folds one observed RTT sample into the estimate. First sample: srtt =
-  /// rtt, rttvar = rtt / 2 (RFC 6298 §2.2); later samples use the policy's
-  /// EWMA gains (§2.3).
-  void Observe(double rtt_ms, const RetryPolicy& policy);
+  /// rtt, rttvar = rtt / 2 (RFC 6298 §2.2); later samples use the EWMA gains
+  /// 1/8 (srtt) and 1/4 (rttvar) (§2.3).
+  void Observe(double rtt_ms);
 
-  /// Ack-timeout base derived from the estimate: srtt + rttvar_mult * rttvar,
-  /// never below min_timeout_ms. Falls back to the static timeout_ms (also
-  /// floored) before the first sample.
-  double TimeoutMs(const RetryPolicy& policy) const;
+  /// Ack-timeout base derived from the estimate: srtt + 4 * rttvar, never
+  /// below 5 ms. Falls back to the static 20 ms base before the first sample.
+  double TimeoutMs() const;
 
   bool has_sample() const { return has_sample_; }
   double srtt_ms() const { return srtt_; }
@@ -66,17 +53,16 @@ class RttEstimator {
 };
 
 /// Ack-timeout (ms) charged for failed attempt number `attempt` (0-based):
-/// timeout_ms * backoff^attempt, capped at max_timeout_ms.
-double RetryDelayMs(const RetryPolicy& policy, int attempt);
+/// 20 * 2^attempt, capped at 160.
+double RetryDelayMs(int attempt);
 
 /// Adaptive variant: the estimator's timeout replaces the static base, then
-/// the same backoff/cap schedule applies. The min_timeout_ms floor holds for
-/// every attempt.
-double AdaptiveRetryDelayMs(const RetryPolicy& policy, const RttEstimator& estimator,
-                            int attempt);
+/// the same backoff/cap schedule applies. The 5 ms floor holds for every
+/// attempt.
+double AdaptiveRetryDelayMs(const RttEstimator& estimator, int attempt);
 
-/// Physical transmissions the policy allows per message (>= 1).
-int MaxAttempts(const RetryPolicy& policy);
+/// Physical transmissions allowed per message.
+int MaxAttempts();
 
 }  // namespace hyperm::net
 

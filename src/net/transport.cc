@@ -38,7 +38,7 @@ UnreliableTransport::UnreliableTransport(sim::Simulator* sim,
     : sim_(sim),
       stats_(stats),
       state_(state),
-      plan_(options.faults),
+      loss_rate_(options.faults.loss_rate),
       retry_(options.retry),
       link_(options.link),
       msg_streams_(options.seed) {
@@ -56,11 +56,11 @@ const RttEstimator* UnreliableTransport::rtt_estimator(int peer) const {
 }
 
 double UnreliableTransport::RetryWaitMs(int dst, int attempt) const {
-  if (!retry_.adaptive) return RetryDelayMs(retry_, attempt);
+  if (!retry_.adaptive) return RetryDelayMs(attempt);
   if (dst < 0 || static_cast<size_t>(dst) >= rtt_.size()) {
-    return AdaptiveRetryDelayMs(retry_, RttEstimator{}, attempt);
+    return AdaptiveRetryDelayMs(RttEstimator{}, attempt);
   }
-  return AdaptiveRetryDelayMs(retry_, rtt_[static_cast<size_t>(dst)], attempt);
+  return AdaptiveRetryDelayMs(rtt_[static_cast<size_t>(dst)], attempt);
 }
 
 bool UnreliableTransport::ReachableHint(int src, int dst) const {
@@ -79,7 +79,7 @@ HopResult UnreliableTransport::SendHop(const Message& message) {
                .src = message.src, .dst = message.dst,
                .value = static_cast<double>(message.bytes),
                .aux = static_cast<int64_t>(message.type));
-  const int attempts = MaxAttempts(retry_);
+  const int attempts = MaxAttempts();
   for (int attempt = 0; attempt < attempts; ++attempt) {
     // One independent randomness stream per physical transmission: the draw
     // sequence depends only on (seed, issue order), never on timing.
@@ -135,7 +135,7 @@ HopResult UnreliableTransport::SendHop(const Message& message) {
       HM_OBS_COUNTER_ADD("net.dropped_mac", 1);
       result.outcome = DeliveryOutcome::kLostMac;
       lost = true;
-    } else if (draw.Bernoulli(plan_.loss_rate)) {
+    } else if (draw.Bernoulli(loss_rate_)) {
       ++counters_.dropped_loss;
       HM_OBS_COUNTER_ADD("net.dropped_loss", 1);
       result.outcome = DeliveryOutcome::kLostLoss;
@@ -143,36 +143,18 @@ HopResult UnreliableTransport::SendHop(const Message& message) {
     }
 
     if (!lost) {
-      double hop_ms = air_ms;
-      if (plan_.jitter_ms > 0.0) hop_ms += draw.Uniform(0.0, plan_.jitter_ms);
       if (retry_.adaptive && message.dst >= 0 &&
           static_cast<size_t>(message.dst) < rtt_.size()) {
-        // The delivered exchange is the RTT sample — jitter included, so the
-        // timeout widens with the variance it actually observes.
-        rtt_[static_cast<size_t>(message.dst)].Observe(hop_ms, retry_);
+        // The delivered exchange is the RTT sample, so the timeout widens
+        // with the queueing variance it actually observes.
+        rtt_[static_cast<size_t>(message.dst)].Observe(air_ms);
       }
       result.delivered = true;
       result.outcome = DeliveryOutcome::kDelivered;
-      result.latency_ms += hop_ms;
+      result.latency_ms += air_ms;
       HM_OBS_EVENT(.sim_ms = sim_->now(), .kind = obs::EventKind::kMsgDeliver,
                    .attempt = attempt, .src = message.src, .dst = message.dst,
                    .cause = 0, .value = result.latency_ms);
-      if (draw.Bernoulli(plan_.duplicate_rate)) {
-        // A spurious second copy reaches the receiver: the duplicate burnt
-        // air time and energy but carries no new information.
-        if (channel_ != nullptr) {
-          const ChannelTransmission dup = channel_->Transmit(message, sim_->now());
-          counters_.messages_sent += static_cast<uint64_t>(dup.radio_hops);
-        } else {
-          stats_->RecordHop(message.cls, message.bytes);
-          ++counters_.messages_sent;
-        }
-        ++counters_.duplicates;
-        HM_OBS_COUNTER_ADD("net.duplicates", 1);
-        HM_OBS_EVENT(.sim_ms = sim_->now(),
-                     .kind = obs::EventKind::kMsgDuplicate, .attempt = attempt,
-                     .src = message.src, .dst = message.dst);
-      }
       return result;
     }
     // The sender learns of the failure only by ack timeout; the wait is real

@@ -10,12 +10,13 @@
 //    and obs metrics stay bit-identical to the pre-transport code paths.
 //
 //  * UnreliableTransport — the MANET model. Each physical transmission can
-//    be lost, duplicated, blocked by a partition, or addressed to a crashed
-//    peer (per a seeded FaultPlan); deliveries take LinkModel time plus
-//    seeded jitter; a link-level ack/retry policy (RetryPolicy) retransmits
-//    with exponential backoff until delivery or the dead-letter budget is
-//    exhausted. Per-message randomness derives from MixSeed(seed, msg_id),
-//    never from wall clock or scheduling, so runs are deterministic.
+//    be lost, blocked by a partition, or addressed to a crashed peer (per a
+//    seeded FaultPlan); deliveries take LinkModel time (or the radio
+//    channel's queued airtime); a link-level ack/retry policy (RetryPolicy)
+//    retransmits with exponential backoff until delivery or the dead-letter
+//    budget is exhausted. Per-message randomness derives from
+//    MixSeed(seed, msg_id), never from wall clock or scheduling, so runs are
+//    deterministic.
 //
 // The unreliable transport is deliberately single-threaded (message ids are
 // consumed in call order); callers fan queries out serially when
@@ -75,7 +76,7 @@ enum class DeliveryOutcome {
 /// Outcome of one (possibly retried) message exchange.
 struct HopResult {
   bool delivered = false;
-  double latency_ms = 0.0;  ///< serialisation + jitter + ack-timeout waits
+  double latency_ms = 0.0;  ///< serialisation + ack-timeout waits
 
   /// Cause of the final attempt's fate; kDelivered iff `delivered`.
   DeliveryOutcome outcome = DeliveryOutcome::kDelivered;
@@ -87,7 +88,6 @@ struct TransportCounters {
   uint64_t messages_sent = 0;   ///< physical transmissions (retries included)
   uint64_t retries = 0;         ///< retransmissions after an ack timeout
   uint64_t dead_letters = 0;    ///< messages never delivered
-  uint64_t duplicates = 0;      ///< spurious second deliveries
   uint64_t dropped_loss = 0;    ///< transmissions lost to the loss_rate draw
   uint64_t dropped_down = 0;    ///< transmissions to/from a crashed peer
   uint64_t dropped_partition = 0;  ///< transmissions across a scripted partition
@@ -198,15 +198,15 @@ struct NetOptions {
   sim::LinkModel link;
   uint64_t seed = 0x6e657221;  ///< per-message randomness stream seed
 
-  // Soft state: published summaries expire after ttl and owners republish
-  // periodically, so the index self-heals after crashes. 0 disables either.
+  // Soft state: published summaries expire after ttl (swept every ttl / 2)
+  // and owners republish periodically, so the index self-heals after
+  // crashes. 0 disables either.
   double summary_ttl_ms = 0.0;
   double republish_period_ms = 0.0;
-  double expiry_sweep_period_ms = 0.0;  ///< 0: summary_ttl_ms / 2
 };
 
-/// The MANET transport: seeded loss/duplication/jitter, crash & partition
-/// awareness via FaultState, link-level ARQ per RetryPolicy. Single-threaded.
+/// The MANET transport: seeded loss, crash & partition awareness via
+/// FaultState, link-level ARQ per RetryPolicy. Single-threaded.
 class UnreliableTransport : public Transport {
  public:
   /// `sim`, `stats` and `state` must outlive the transport.
@@ -240,7 +240,7 @@ class UnreliableTransport : public Transport {
   sim::NetworkStats* stats_;  // not owned
   FaultState* state_;         // not owned
   PhysicalChannel* channel_ = nullptr;  // not owned; optional
-  FaultPlan plan_;
+  double loss_rate_;  // FaultPlan::loss_rate
   RetryPolicy retry_;
   sim::LinkModel link_;
   SeedStream msg_streams_;  // one independent Rng per physical transmission

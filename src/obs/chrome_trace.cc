@@ -192,10 +192,6 @@ Json ChromeTraceFromLog(const EventLog& log) {
                               "msg", tid, ts));
         break;
       }
-      case EventKind::kMsgDuplicate: {
-        out.push_back(Instant("duplicate", "msg", tid, ts));
-        break;
-      }
       case EventKind::kMsgDeadLetter: {
         out.push_back(
             Instant(std::string("dead_letter:") + DeliveryCauseName(e.cause),

@@ -17,7 +17,6 @@ const char* EventKindName(EventKind kind) {
     case EventKind::kMsgSend: return "msg_send";
     case EventKind::kMsgDeliver: return "msg_deliver";
     case EventKind::kMsgDrop: return "msg_drop";
-    case EventKind::kMsgDuplicate: return "msg_duplicate";
     case EventKind::kMsgDeadLetter: return "msg_dead_letter";
     case EventKind::kTxQueueWait: return "tx_queue_wait";
     case EventKind::kTxAirtime: return "tx_airtime";
@@ -59,7 +58,6 @@ Subsystem SubsystemOf(EventKind kind) {
     case EventKind::kMsgSend:
     case EventKind::kMsgDeliver:
     case EventKind::kMsgDrop:
-    case EventKind::kMsgDuplicate:
     case EventKind::kMsgDeadLetter:
       return Subsystem::kNet;
     case EventKind::kTxQueueWait:

@@ -35,7 +35,8 @@
 
 namespace hyperm::obs {
 
-/// What happened. Grouped by subsystem (see SubsystemOf).
+/// What happened. Grouped by subsystem (see SubsystemOf). Exports carry the
+/// kind's name (EventKindName), never its number.
 enum class EventKind : int32_t {
   // hyperm query engine (query planner / executor / network query API)
   kQueryPlan = 0,   ///< plan emitted; src=querying peer, aux=#level probes
@@ -48,7 +49,6 @@ enum class EventKind : int32_t {
   kMsgSend,         ///< logical message enters SendHop; aux=MessageType, value=bytes
   kMsgDeliver,      ///< delivered; attempt=tx attempt, value=accumulated latency ms
   kMsgDrop,         ///< one attempt lost; cause=DeliveryCause, value=retry wait ms
-  kMsgDuplicate,    ///< spurious duplicate transmission after delivery
   kMsgDeadLetter,   ///< retries exhausted; cause=last DeliveryCause
   // radio channel
   kTxQueueWait,     ///< hop waited for a busy air interface; value=wait ms
@@ -62,7 +62,7 @@ enum class EventKind : int32_t {
   kPeerRejoin,      ///< peer rejoined; src=peer
   kSummariesExpired,///< TTL sweep; aux=#summaries expired
   kRepublishRound,  ///< periodic republish; aux=#summaries pushed
-  // radio route cache (appended to keep earlier kinds' numeric values stable)
+  // radio route cache
   kRouteCacheBuild,      ///< BFS trees built for a transmit; src/dst=message, aux=#builds
   kRouteCacheInvalidate, ///< mobility dropped cached trees; value=#trees dropped
   // supernode backbone (src/backbone; appended)

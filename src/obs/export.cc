@@ -1,7 +1,6 @@
 #include "obs/export.h"
 
 #include <cstdio>
-#include <sstream>
 
 namespace hyperm::obs {
 namespace {
@@ -149,37 +148,6 @@ Result<MetricsSnapshot> MetricsFromJson(const Json& json) {
     }
   }
   return snap;
-}
-
-std::string MetricsToCsv(const MetricsSnapshot& metrics) {
-  std::ostringstream os;
-  os << "kind,name,value\n";
-  for (const auto& [name, value] : metrics.counters) {
-    os << "counter," << name << "," << value << "\n";
-  }
-  for (const auto& [name, value] : metrics.gauges) {
-    os << "gauge," << name << "," << value << "\n";
-  }
-  for (const auto& [name, h] : metrics.histograms) {
-    os << "histogram_count," << name << "," << h.count << "\n";
-    os << "histogram_sum," << name << "," << h.sum << "\n";
-    os << "histogram_mean," << name << "," << h.mean() << "\n";
-    if (h.count > 0) {
-      os << "histogram_min," << name << "," << h.min << "\n";
-      os << "histogram_max," << name << "," << h.max << "\n";
-    }
-  }
-  return os.str();
-}
-
-std::string SpansToCsv(const std::vector<SpanRecord>& spans) {
-  std::ostringstream os;
-  os << "id,parent,depth,name,start_us,dur_us\n";
-  for (const SpanRecord& span : spans) {
-    os << span.id << "," << span.parent << "," << span.depth << "," << span.name
-       << "," << span.start_us << "," << span.duration_us << "\n";
-  }
-  return os.str();
 }
 
 Status WriteReportFile(const std::string& path, const RunMeta& meta,

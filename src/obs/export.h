@@ -1,4 +1,4 @@
-// JSON / CSV exporters for metrics snapshots and span traces.
+// JSON exporters for metrics snapshots and span traces.
 //
 // Every bench binary writes one machine-readable report next to its text
 // table so perf trajectories can be tracked across commits (the BENCH_*.json
@@ -59,11 +59,6 @@ Json ReportToJson(const RunMeta& meta, const MetricsSnapshot& metrics,
 /// document or just its "metrics" object. Used by merge tooling and the
 /// round-trip tests.
 Result<MetricsSnapshot> MetricsFromJson(const Json& json);
-
-/// Flat CSV views (header line included): `kind,name,value` for scalars with
-/// histograms flattened to count/sum/mean/min/max rows, and one row per span.
-std::string MetricsToCsv(const MetricsSnapshot& metrics);
-std::string SpansToCsv(const std::vector<SpanRecord>& spans);
 
 /// Serializes and writes the report (pretty-printed JSON) to `path`.
 Status WriteReportFile(const std::string& path, const RunMeta& meta,

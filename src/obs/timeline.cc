@@ -140,7 +140,6 @@ Result<QueryTimeline> ReconstructQueryTimeline(const std::vector<Event>& events,
       }
       case EventKind::kMsgDeliver:
       case EventKind::kMsgDrop:
-      case EventKind::kMsgDuplicate:
       case EventKind::kMsgDeadLetter: {
         auto it = msg_loc.find(e.msg_id);
         if (it == msg_loc.end()) {
@@ -179,7 +178,6 @@ Status ValidateMessage(const MessageTrace& m, const char* where) {
   int expected_attempt = 0;
   bool terminal = false;
   for (const Event& e : m.attempts) {
-    if (e.kind == EventKind::kMsgDuplicate) continue;
     if (terminal) {
       return InternalError(tag + ": event after terminal outcome");
     }

@@ -31,7 +31,7 @@ struct MessageTrace {
   int64_t type = 0;        ///< net::MessageType (from the kMsgSend aux)
   double send_ms = 0.0;
   uint64_t bytes = 0;
-  /// kMsgDrop / kMsgDeliver / kMsgDuplicate / kMsgDeadLetter, record order.
+  /// kMsgDrop / kMsgDeliver / kMsgDeadLetter, record order.
   std::vector<Event> attempts;
   bool delivered = false;
   int32_t final_cause = -1;  ///< DeliveryCause of the terminal event

@@ -39,12 +39,10 @@ struct CacheOptions {
 };
 
 /// Mined shortcut routes ((query cell -> entry node) associations promoted
-/// into first-probe hints).
+/// into first-probe hints). The miner's grid, window and promotion threshold
+/// are ShortcutMiner constants.
 struct ShortcutOptions {
   bool enabled = false;
-  int cells_per_dim = 8;      ///< key-space quantization grid per dimension
-  int window = 128;           ///< sliding window of recent observations
-  int promote_threshold = 3;  ///< in-window support needed to promote a cell
 };
 
 /// Admission control / load shedding. A shed is never silent: every dropped

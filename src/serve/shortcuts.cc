@@ -2,16 +2,10 @@
 
 #include <cmath>
 
-#include "common/check.h"
-
 namespace hyperm::serve {
 
 ShortcutMiner::ShortcutMiner(const ShortcutOptions& options)
-    : options_(options) {
-  HM_CHECK_GE(options.cells_per_dim, 1);
-  HM_CHECK_GE(options.window, 1);
-  HM_CHECK_GE(options.promote_threshold, 1);
-}
+    : enabled_(options.enabled) {}
 
 uint64_t ShortcutMiner::CellOf(int layer,
                                const geom::Sphere& key_sphere) const {
@@ -23,7 +17,7 @@ uint64_t ShortcutMiner::CellOf(int layer,
     }
   };
   mix(static_cast<uint64_t>(layer));
-  const double cells = static_cast<double>(options_.cells_per_dim);
+  const double cells = static_cast<double>(kCellsPerDim);
   for (double c : key_sphere.center) {
     // Keys live in [0,1); clamp anyway so an out-of-range center cannot
     // index a phantom cell differently across platforms.
@@ -31,7 +25,7 @@ uint64_t ShortcutMiner::CellOf(int layer,
     if (clamped < 0.0) clamped = 0.0;
     if (clamped > 1.0) clamped = 1.0;
     int cell = static_cast<int>(std::floor(clamped * cells));
-    if (cell >= options_.cells_per_dim) cell = options_.cells_per_dim - 1;
+    if (cell >= kCellsPerDim) cell = kCellsPerDim - 1;
     mix(static_cast<uint64_t>(cell));
   }
   return h;
@@ -39,7 +33,7 @@ uint64_t ShortcutMiner::CellOf(int layer,
 
 overlay::NodeId ShortcutMiner::EntryHint(int layer,
                                          const geom::Sphere& key_sphere) {
-  if (!options_.enabled) return overlay::kInvalidNode;
+  if (!enabled_) return overlay::kInvalidNode;
   const auto it = promoted_.find(CellOf(layer, key_sphere));
   if (it == promoted_.end()) return overlay::kInvalidNode;
   ++stats_.hints;
@@ -49,7 +43,7 @@ overlay::NodeId ShortcutMiner::EntryHint(int layer,
 void ShortcutMiner::Observe(int layer, const geom::Sphere& key_sphere,
                             overlay::NodeId entry_node, bool delivered,
                             bool via_shortcut) {
-  if (!options_.enabled) return;
+  if (!enabled_) return;
   const uint64_t cell = CellOf(layer, key_sphere);
   if (via_shortcut && !delivered) {
     // Stale hint: the association is wrong *now*. Demote it and scrub its
@@ -76,7 +70,7 @@ void ShortcutMiner::Observe(int layer, const geom::Sphere& key_sphere,
   ++stats_.observations;
   window_.emplace_back(cell, entry_node);
   const int support = ++counts_[cell][entry_node];
-  if (window_.size() > static_cast<size_t>(options_.window)) {
+  if (window_.size() > static_cast<size_t>(kWindow)) {
     const auto [old_cell, old_entry] = window_.front();
     window_.pop_front();
     if (old_entry != overlay::kInvalidNode) {
@@ -90,7 +84,7 @@ void ShortcutMiner::Observe(int layer, const geom::Sphere& key_sphere,
       }
     }
   }
-  if (support >= options_.promote_threshold) {
+  if (support >= kPromoteThreshold) {
     auto [it, inserted] = promoted_.emplace(cell, entry_node);
     if (inserted || it->second != entry_node) {
       it->second = entry_node;

@@ -7,7 +7,7 @@
 // association stays sound while the node is up). The miner quantizes the
 // probe's key sphere into a per-layer grid cell and counts (cell, entry)
 // observations over a sliding window; once a pair accumulates
-// promote_threshold in-window observations the cell is promoted and
+// kPromoteThreshold in-window observations the cell is promoted and
 // EntryHint starts answering with the mined node. The executor then opens
 // with one direct hop to the hint instead of the full greedy walk.
 //
@@ -47,6 +47,10 @@ struct ShortcutStats {
 /// fan-out) executions, like the transport underneath.
 class ShortcutMiner : public core::ShortcutProvider {
  public:
+  static constexpr int kCellsPerDim = 8;  ///< key-space grid per dimension
+  static constexpr int kWindow = 128;     ///< recent observations kept
+  static constexpr int kPromoteThreshold = 3;  ///< in-window support to promote
+
   explicit ShortcutMiner(const ShortcutOptions& options);
 
   overlay::NodeId EntryHint(int layer,
@@ -60,10 +64,10 @@ class ShortcutMiner : public core::ShortcutProvider {
 
  private:
   /// Quantizes the sphere's center into a per-layer grid cell id (FNV over
-  /// the layer and the floor(center * cells_per_dim) coordinates).
+  /// the layer and the floor(center * kCellsPerDim) coordinates).
   uint64_t CellOf(int layer, const geom::Sphere& key_sphere) const;
 
-  ShortcutOptions options_;
+  bool enabled_;
   /// Recent (cell, entry) observations, oldest first; evicted pairs give
   /// their support back. kInvalidNode entries are tombstones left by a
   /// demotion scrub.

@@ -1,8 +1,7 @@
 // Recall under packet loss — the transport subsystem's acceptance bar:
 // a Hyper-M deployment over a 20%-lossy MANET with link-layer retries must
-// retain >= 95% of the fault-free recall, and disabling retries must
-// measurably degrade it (showing the loss model has teeth and the ARQ layer
-// is what restores effectiveness).
+// retain >= 95% of the fault-free recall, and seeded fault runs must repeat
+// exactly.
 
 #include <memory>
 #include <vector>
@@ -81,11 +80,10 @@ RecallOutcome MeasureRecall(Bed& bed, int num_queries = 24,
   return outcome;
 }
 
-HyperMOptions LossyOptions(double loss, bool retries_enabled) {
+HyperMOptions LossyOptions(double loss) {
   HyperMOptions options;
   options.net.unreliable = true;
   options.net.faults.loss_rate = loss;
-  options.net.retry.enabled = retries_enabled;
   return options;
 }
 
@@ -95,7 +93,7 @@ TEST(NetRecallTest, RetriesHoldRecallUnderTwentyPercentLoss) {
   EXPECT_GT(baseline.mean_recall, 0.9);  // the fault-free system works
   EXPECT_EQ(baseline.layers_lost, 0);
 
-  Bed lossy = MakeBed(LossyOptions(0.2, /*retries_enabled=*/true));
+  Bed lossy = MakeBed(LossyOptions(0.2));
   const RecallOutcome with_retries = MeasureRecall(lossy);
   // The acceptance bar: loss <= 20% with ARQ keeps >= 95% of fault-free recall.
   EXPECT_GE(with_retries.mean_recall, 0.95 * baseline.mean_recall)
@@ -106,30 +104,10 @@ TEST(NetRecallTest, RetriesHoldRecallUnderTwentyPercentLoss) {
   EXPECT_GT(with_retries.total_latency_ms, 0.0);
 }
 
-TEST(NetRecallTest, DisablingRetriesMeasurablyDegradesRecall) {
-  Bed with_retries_bed = MakeBed(LossyOptions(0.2, /*retries_enabled=*/true));
-  const RecallOutcome with_retries = MeasureRecall(with_retries_bed);
-
-  Bed no_retries_bed = MakeBed(LossyOptions(0.2, /*retries_enabled=*/false));
-  const RecallOutcome no_retries = MeasureRecall(no_retries_bed);
-
-  // Single-attempt delivery over multi-hop routes: publications and lookups
-  // vanish, so recall visibly drops — not a rounding-error amount.
-  EXPECT_LT(no_retries.mean_recall, with_retries.mean_recall - 0.05)
-      << "with retries " << with_retries.mean_recall << " vs without "
-      << no_retries.mean_recall;
-  EXPECT_GT(no_retries.layers_lost + static_cast<int>(
-                no_retries_bed.network->soft_state().retrieves_lost +
-                no_retries_bed.network->soft_state().inserts_lost),
-            0);
-  EXPECT_GT(no_retries_bed.network->transport().counters().dead_letters, 0u);
-  EXPECT_EQ(no_retries_bed.network->transport().counters().retries, 0u);
-}
-
 TEST(NetRecallTest, SeededFaultRunsAreReproducible) {
-  Bed a = MakeBed(LossyOptions(0.15, /*retries_enabled=*/true));
+  Bed a = MakeBed(LossyOptions(0.15));
   const RecallOutcome ra = MeasureRecall(a);
-  Bed b = MakeBed(LossyOptions(0.15, /*retries_enabled=*/true));
+  Bed b = MakeBed(LossyOptions(0.15));
   const RecallOutcome rb = MeasureRecall(b);
   EXPECT_EQ(ra.mean_recall, rb.mean_recall);
   EXPECT_EQ(ra.total_latency_ms, rb.total_latency_ms);

@@ -66,12 +66,13 @@ RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
   HyperMOptions options;
   options.num_threads = num_threads;
   if (explicit_net_options) {
-    // Reliable transport spelled out, with soft-state knobs set: none of it
-    // may perturb the reliable path (no simulator → the knobs are inert).
+    // Reliable transport spelled out, with the knobs it accepts but never
+    // reads set: none of it may perturb the reliable path (soft-state and
+    // fault settings need the simulator, so Build rejects them here).
     options.net = net::NetOptions{};
     options.net.unreliable = false;
-    options.net.summary_ttl_ms = 500.0;
-    options.net.republish_period_ms = 250.0;
+    options.net.retry.adaptive = true;
+    options.net.seed ^= 0x5eed;
   }
   if (radio_channel) {
     // The full stack under the transport: mobile radio field, transmit
@@ -82,7 +83,6 @@ RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
     options.net.unreliable = true;
     options.net.retry.adaptive = true;
     options.net.faults.loss_rate = 0.05;
-    options.net.faults.jitter_ms = 2.0;
     options.net.republish_period_ms = 250.0;
     options.channel.enabled = true;
     options.channel.field.field_size_m = 150.0;
@@ -263,7 +263,7 @@ TEST(NetworkParallelTest, DefaultThreadCountMatchesSequentialResults) {
 }
 
 TEST(NetworkParallelTest, ExplicitReliableTransportIsBitIdentical) {
-  // Spelling out NetOptions (reliable, with soft-state knobs set) must not
+  // Spelling out NetOptions (reliable, with inert knobs set) must not
   // change a single observable — results, traffic, metrics, latencies — at
   // any thread count. This is the transport subsystem's compatibility
   // contract: ReliableTransport == the historical direct-stats behavior.

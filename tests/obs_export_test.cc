@@ -159,18 +159,6 @@ TEST(ExportTest, MetricsFromJsonAcceptsBareMetricsObject) {
   EXPECT_EQ(restored->counters.at("net.hops"), 12u);
 }
 
-TEST(ExportTest, CsvViews) {
-  const std::string metrics_csv = MetricsToCsv(SampleSnapshot());
-  EXPECT_NE(metrics_csv.find("kind,name,value"), std::string::npos);
-  EXPECT_NE(metrics_csv.find("counter,net.hops,12"), std::string::npos);
-  EXPECT_NE(metrics_csv.find("histogram_count,can.route_hops,3"), std::string::npos);
-
-  const std::string spans_csv = SpansToCsv(SampleSpans());
-  EXPECT_NE(spans_csv.find("id,parent,depth,name,start_us,dur_us"),
-            std::string::npos);
-  EXPECT_NE(spans_csv.find("build/publish"), std::string::npos);
-}
-
 TEST(ExportTest, WriteReportFileProducesParseableJson) {
   const std::string path = ::testing::TempDir() + "/obs_export_test_report.json";
   const Status status =

@@ -150,11 +150,10 @@ TEST(SummaryEpochTest, CrashAndRejoinBothBump) {
 TEST(SummaryEpochTest, ExpirySweepBumpsOnlyWhenEntriesExpire) {
   core::HyperMOptions options;
   options.net.unreliable = true;
-  options.net.summary_ttl_ms = 500.0;
-  options.net.expiry_sweep_period_ms = 200.0;
+  options.net.summary_ttl_ms = 500.0;  // swept every 250 ms
   Bed bed = MakeBed(options);
   const uint64_t e0 = bed.network->summary_epoch();
-  // First sweeps find everything fresh: answer-idempotent, no bump.
+  // First sweep finds everything fresh: answer-idempotent, no bump.
   bed.network->AdvanceTo(450.0);
   EXPECT_EQ(bed.network->summary_epoch(), e0);
   // Past the TTL the sweep removes summaries — that can change answers.

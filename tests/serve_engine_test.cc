@@ -211,11 +211,11 @@ TEST(ServeEngineTest, StaleOrWrongHintsCostAirtimeNeverRecall) {
 ShortcutOptions MinerOptions() {
   ShortcutOptions options;
   options.enabled = true;
-  options.cells_per_dim = 4;
-  options.window = 16;
-  options.promote_threshold = 3;
   return options;
 }
+
+static_assert(ShortcutMiner::kPromoteThreshold == 3,
+              "the lifecycle tests below count support up to 3");
 
 TEST(ShortcutMinerTest, PromotesAfterThresholdSupport) {
   ShortcutMiner miner(MinerOptions());
@@ -251,19 +251,26 @@ TEST(ShortcutMinerTest, StaleHintDemotesAndScrubsSupport) {
 }
 
 TEST(ShortcutMinerTest, WindowEvictionDropsOldSupport) {
-  ShortcutOptions options = MinerOptions();
-  options.window = 4;
-  ShortcutMiner miner(options);
+  ShortcutMiner miner(MinerOptions());
   const geom::Sphere hot{Vector(4, 0.25), 0.1};
+  const geom::Sphere warm{Vector(4, 0.55), 0.1};
   const geom::Sphere cold{Vector(4, 0.95), 0.1};
   for (int i = 0; i < 3; ++i) miner.Observe(0, hot, 5, true, false);
   ASSERT_EQ(miner.EntryHint(0, hot), 5);
-  // Four colder observations push every `hot` observation out of the window;
-  // the association stays promoted (demotion is failure-driven), but its
-  // support is gone — verified via the counters having moved on.
-  for (int i = 0; i < 4; ++i) miner.Observe(0, cold, 2, true, false);
+  miner.Observe(0, warm, 7, true, false);
+  miner.Observe(0, warm, 7, true, false);  // support 2, one short
+  // A window's worth of colder observations pushes every `hot` and `warm`
+  // observation out; the hot association stays promoted (demotion is
+  // failure-driven), but its support is gone.
+  for (int i = 0; i < ShortcutMiner::kWindow; ++i) {
+    miner.Observe(0, cold, 2, true, false);
+  }
   EXPECT_EQ(miner.EntryHint(0, cold), 2);
+  EXPECT_EQ(miner.EntryHint(0, hot), 5);
   EXPECT_EQ(miner.stats().promotions, 2u);
+  // Evicted support is given back: one more warm observation counts 1, not 3.
+  miner.Observe(0, warm, 7, true, false);
+  EXPECT_EQ(miner.EntryHint(0, warm), overlay::kInvalidNode);
 }
 
 }  // namespace
