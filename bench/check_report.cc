@@ -1,8 +1,8 @@
 // bench-smoke validator: checks that a bench --json report conforms to the
-// schema documented in obs/export.h (schema_version 1) and — when the
-// instrumentation is compiled in — that it carries a useful amount of data:
-// at least 10 named metrics and a nested span tree covering Build and one
-// query path. Exits 0 on success, 1 with a diagnostic otherwise.
+// schema documented in obs/export.h (schema_version 1) and that it carries a
+// useful amount of data: at least 10 named metrics and a nested span tree
+// covering Build and one query path. Exits 0 on success, 1 with a diagnostic
+// otherwise.
 
 #include <algorithm>
 #include <cmath>
@@ -301,7 +301,6 @@ int Run(const std::string& path, const std::string& baseline_path) {
                  dropped_events->as_number());
   }
 
-#ifndef HYPERM_OBS_DISABLED
   CHECK_REPORT(named >= 10, "expected >= 10 named metrics");
   // Build spans come from HyperMNetwork::Build, which always gauges
   // build.total_items. Channel-only runs (bench_channel --scale) never build
@@ -333,13 +332,8 @@ int Run(const std::string& path, const std::string& baseline_path) {
     CHECK_REPORT(FindSpan(*spans, "query/layer0") != nullptr,
                  "missing per-layer span query/layer0");
   }
-#endif
 
   if (!baseline_path.empty()) {
-#ifdef HYPERM_OBS_DISABLED
-    // Without instrumentation the report carries no metric values to diff.
-    std::printf("check_report: obs disabled, skipping baseline diff\n");
-#else
     Result<obs::Json> baseline_root = LoadJson(baseline_path);
     if (!baseline_root.ok()) {
       std::fprintf(stderr, "check_report: baseline: %s\n",
@@ -362,7 +356,6 @@ int Run(const std::string& path, const std::string& baseline_path) {
       return 1;
     }
     std::printf("check_report: baseline %s matched\n", baseline_path.c_str());
-#endif
   }
 
   std::printf("check_report: %s OK (%zu metrics, %zu spans)\n", path.c_str(),

@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "geom/shapes.h"
 #include "vec/vector.h"
 
 namespace hyperm::cluster {
@@ -22,9 +21,6 @@ struct SphereCluster {
 
   /// Dimensionality of the cluster's space.
   size_t dim() const { return centroid.size(); }
-
-  /// The geometric sphere (centroid, radius).
-  geom::Sphere AsSphere() const { return geom::Sphere{centroid, radius}; }
 };
 
 /// Builds the summary of one group of points: centroid = mean, radius =

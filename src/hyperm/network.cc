@@ -50,9 +50,6 @@ void RecordQueryInfoMetrics(const RangeQueryInfo& info) {
   HM_OBS_COUNTER_ADD("query.levels_detoured", info.layers_detoured);
   HM_OBS_COUNTER_ADD("query.levels_deferred", info.layers_deferred);
   HM_OBS_COUNTER_ADD("query.reissues", info.reissues);
-#ifdef HYPERM_OBS_DISABLED
-  (void)info;
-#endif
 }
 
 // Tracks the number of queries between entry and return for the flight
@@ -295,7 +292,7 @@ void HyperMNetwork::ScheduleExpirySweep(sim::TimeMs period) {
 
 void HyperMNetwork::ScheduleSeriesProbe(sim::TimeMs period) {
   sim_->ScheduleAfter(period, [this, period] {
-    [[maybe_unused]] const sim::TimeMs now = sim_->now();
+    const sim::TimeMs now = sim_->now();
     HM_OBS_SERIES("probe.inflight_queries", now,
                   static_cast<double>(inflight_queries_));
     HM_OBS_SERIES("probe.busy_nodes", now,
@@ -343,9 +340,6 @@ void HyperMNetwork::RepublishTick() {
   }
   HM_OBS_EVENT(.sim_ms = sim_->now(), .kind = obs::EventKind::kRepublishRound,
                .aux = peers_republished);
-#ifdef HYPERM_OBS_DISABLED
-  (void)peers_republished;
-#endif
 }
 
 void HyperMNetwork::AdvanceTo(sim::TimeMs t) {
@@ -598,9 +592,6 @@ Status HyperMNetwork::InsertClusters(int peer_id, size_t layer,
                      obs::Buckets::Exponential(1, 2.0, 12), receipt.routing_hops);
     HM_OBS_HISTOGRAM("overlay.insert_replicas",
                      obs::Buckets::Exponential(1, 2.0, 12), receipt.replicas);
-#ifdef HYPERM_OBS_DISABLED
-    (void)receipt;
-#endif
   }
   return OkStatus();
 }
@@ -625,14 +616,6 @@ Status HyperMNetwork::PublishPeerParallel(
     HM_RETURN_IF_ERROR(InsertClusters(peer_id, layers[t], slots[t]->value()));
   }
   return OkStatus();
-}
-
-Vector HyperMNetwork::ProjectToLevel(const Vector& x, int layer) const {
-  HM_CHECK_GE(layer, 0);
-  HM_CHECK_LT(static_cast<size_t>(layer), levels_.size());
-  Result<wavelet::Pyramid> pyramid = wavelet::DecomposeWith(options_.wavelet_kind, x);
-  HM_CHECK(pyramid.ok()) << pyramid.status().ToString();
-  return wavelet::Project(pyramid.value(), levels_[static_cast<size_t>(layer)]);
 }
 
 double HyperMNetwork::LevelRadiusScale(int layer) const {
@@ -796,9 +779,6 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
         HM_OBS_COUNTER_ADD("knn.radius_unconverged", 1);
       }
     }
-#ifdef HYPERM_OBS_DISABLED
-    (void)out;
-#endif
   }
 
   std::vector<PeerScore> merged = AggregateScores(level_scores, options_.score_policy);

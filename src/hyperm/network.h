@@ -121,7 +121,7 @@ struct RangeQueryInfo {
 };
 
 /// Soft-state bookkeeping, deterministic and independent of the obs layer
-/// (the equivalent net.* obs counters mirror these when obs is compiled in).
+/// (the equivalent net.* obs counters mirror these).
 struct SoftStateCounters {
   uint64_t crashes = 0;            ///< peer crash events applied
   uint64_t rejoins = 0;            ///< peer rejoin events applied
@@ -295,9 +295,6 @@ class HyperMNetwork {
   const wavelet::Level& level(int layer) const;
   const KeyMapper& mapper(int layer) const;
   const Peer& peer(int id) const;
-
-  /// Projects a full-dimensional vector into layer `layer`'s subspace.
-  Vector ProjectToLevel(const Vector& x, int layer) const;
 
   /// Theorem 3.1/4.1 radius threshold for layer `layer`: an original-space
   /// radius `r` becomes `r * LevelRadiusScale(layer)` in the subspace.

@@ -242,6 +242,9 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
     const double max_radius = probe.max_probe_radius;
     double probe_radius = probe.key_sphere.radius;
     overlay::RangeQueryResult last;
+    // The discovered clusters as Eq. 8 sees them, rebuilt once per widening
+    // step; the final step's list feeds the radius solve below.
+    std::vector<geom::ClusterView> views;
     while (true) {
       geom::Sphere probe_sphere{key_center, probe_radius};
       Result<overlay::RangeQueryResult> attempt =
@@ -260,13 +263,13 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
         delivered = false;
         failure = last.outcome;
       }
-      if (probe_radius >= max_radius) break;
-      std::vector<geom::ClusterView> views;
+      views.clear();
       views.reserve(last.matches.size());
       for (const overlay::PublishedCluster& c : last.matches) {
         views.push_back(geom::ClusterView{
             c.sphere.radius, vec::Distance(c.sphere.center, key_center), c.items});
       }
+      if (probe_radius >= max_radius) break;
       if (!views.empty() &&
           geom::ExpectedItems(probe.layer_dim, views, probe_radius) >=
               static_cast<double>(probe.knn_k)) {
@@ -276,12 +279,6 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
     }
 
     // Invert Eq. 8 over the discovered clusters for the per-level radius.
-    std::vector<geom::ClusterView> views;
-    views.reserve(last.matches.size());
-    for (const overlay::PublishedCluster& c : last.matches) {
-      views.push_back(geom::ClusterView{
-          c.sphere.radius, vec::Distance(c.sphere.center, key_center), c.items});
-    }
     double level_radius = probe_radius;
     if (!views.empty()) {
       Result<double> solved = geom::SolveRadiusForCount(
@@ -335,11 +332,11 @@ std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
   // orchestrating thread before the fan-out so the records are identical
   // whether the probes below run serially (unreliable mode) or on pool
   // workers (where the hooks inside RunProbe no-op off the owner thread).
-  [[maybe_unused]] const double plan_ms = sim_ != nullptr ? sim_->now() : 0.0;
+  const double plan_ms = sim_ != nullptr ? sim_->now() : 0.0;
   HM_OBS_EVENT(.sim_ms = plan_ms, .kind = obs::EventKind::kQueryPlan,
                .src = querying_peer,
                .aux = static_cast<int64_t>(plan.probes.size()));
-  for ([[maybe_unused]] const LevelProbe& probe : plan.probes) {
+  for (const LevelProbe& probe : plan.probes) {
     HM_OBS_EVENT(.sim_ms = plan_ms, .kind = obs::EventKind::kProbeIssue,
                  .level = probe.layer, .attempt = 0, .src = querying_peer);
   }

@@ -175,8 +175,6 @@ void EventLog::Arm(size_t capacity) {
   armed_.store(true, std::memory_order_release);
 }
 
-void EventLog::Disarm() { armed_.store(false, std::memory_order_release); }
-
 void EventLog::Record(Event event) {
   if (!enabled()) return;
   if (event.query_id < 0) event.query_id = ctx_query_;

@@ -16,10 +16,6 @@
 // the radio channel, the query executor's serial fan-out), so the log is
 // bit-identical at 1 and 8 pool threads. The buffer is bounded; overflowing
 // events are counted in dropped(), never stored.
-//
-// Compile-time kill switch: HYPERM_OBS_DISABLED turns every HM_OBS_* hook
-// below into a no-op that does not evaluate its arguments, exactly like the
-// trace.h macros. The classes stay available for exporters and tests.
 
 #ifndef HYPERM_OBS_EVENT_LOG_H_
 #define HYPERM_OBS_EVENT_LOG_H_
@@ -175,9 +171,6 @@ class EventLog {
   /// Starts recording; the calling thread becomes the owner. Arming twice
   /// re-anchors the owner thread (and keeps already-recorded events).
   void Arm(size_t capacity = kDefaultCapacity);
-
-  /// Stops recording; buffered events and series stay readable.
-  void Disarm();
 
   /// True when armed *and* called from the owner thread. This is the hot
   /// gate the HM_OBS_EVENT macro checks before evaluating its arguments.
@@ -336,11 +329,7 @@ bool WriteEventsJsonl(const std::string& path, const EventLog& log);
 // Flight-recorder hooks -------------------------------------------------------
 //
 // All feed EventLog::Global(). The enabled() gate runs before argument
-// evaluation, so an un-armed log costs one atomic load per hook. Under
-// HYPERM_OBS_DISABLED every hook compiles to a no-op that does not evaluate
-// its arguments (scope macros still declare their id variable, as -1).
-
-#ifndef HYPERM_OBS_DISABLED
+// evaluation, so an un-armed log costs one atomic load per hook.
 
 /// Records one event. Arguments are designated initializers for obs::Event,
 /// in declaration order, e.g.
@@ -385,20 +374,5 @@ bool WriteEventsJsonl(const std::string& path, const EventLog& log);
                           ? ::hyperm::obs::EventLog::Global().NextMessageId() \
                           : int64_t{-1};                                      \
   ::hyperm::obs::ScopedMessageContext HM_OBS_CONCAT_(hm_obs_mctx_, __LINE__)(var)
-
-#else  // HYPERM_OBS_DISABLED
-
-#define HM_OBS_EVENT(...) ((void)0)
-#define HM_OBS_SERIES(name, sim_ms, value) ((void)0)
-#define HM_OBS_ROOT_SCOPE() ((void)0)
-#define HM_OBS_QUERY_SCOPE(var) \
-  const int64_t var = -1;       \
-  (void)var
-#define HM_OBS_LEVEL_SCOPE(level) ((void)0)
-#define HM_OBS_MSG_SCOPE(var) \
-  const int64_t var = -1;     \
-  (void)var
-
-#endif  // HYPERM_OBS_DISABLED
 
 #endif  // HYPERM_OBS_EVENT_LOG_H_

@@ -21,8 +21,7 @@
 // may open spans.
 //
 // Use the HM_OBS_* macros from trace.h in instrumented code — they cache the
-// handle in a function-local static and compile to nothing under
-// HYPERM_OBS_DISABLED.
+// handle in a function-local static.
 
 #ifndef HYPERM_OBS_METRICS_H_
 #define HYPERM_OBS_METRICS_H_

@@ -9,11 +9,6 @@
 // Span naming convention (DESIGN.md "Observability"): slash-separated path
 // segments mirroring the pipeline, e.g. `build`, `build/publish`,
 // `query/range`, `query/layer0`.
-//
-// Compile-time kill switch: defining HYPERM_OBS_DISABLED (or configuring
-// with -DHYPERM_OBS_DISABLED=ON) turns every HM_OBS_* macro into a no-op
-// that does not evaluate its arguments; the Tracer/MetricsRegistry classes
-// stay available so exporters and tests still compile.
 
 #ifndef HYPERM_OBS_TRACE_H_
 #define HYPERM_OBS_TRACE_H_
@@ -127,13 +122,10 @@ class ScopedTimer {
 //
 // All record into the global registry/tracer and cache the metric handle in a
 // function-local static (registrations are permanent, so handles survive
-// MetricsRegistry::Reset). Under HYPERM_OBS_DISABLED every macro expands to
-// a no-op that does not evaluate its arguments.
+// MetricsRegistry::Reset).
 
 #define HM_OBS_CONCAT_INNER_(a, b) a##b
 #define HM_OBS_CONCAT_(a, b) HM_OBS_CONCAT_INNER_(a, b)
-
-#ifndef HYPERM_OBS_DISABLED
 
 /// Opens a span covering the rest of the enclosing scope.
 #define HM_OBS_SPAN(name) \
@@ -187,17 +179,5 @@ class ScopedTimer {
       ::hyperm::obs::MetricsRegistry::Global().GetHistogram((name), (buckets)); \
   ::hyperm::obs::ScopedTimer HM_OBS_CONCAT_(hm_obs_timer_, __LINE__)(   \
       HM_OBS_CONCAT_(hm_obs_th_, __LINE__))
-
-#else  // HYPERM_OBS_DISABLED
-
-#define HM_OBS_SPAN(name) ((void)0)
-#define HM_OBS_SPAN_COMPLETED(name, duration_us) ((void)0)
-#define HM_OBS_COUNTER_ADD(name, delta) ((void)0)
-#define HM_OBS_GAUGE_SET(name, value) ((void)0)
-#define HM_OBS_HISTOGRAM(name, buckets, value) ((void)0)
-#define HM_OBS_HISTOGRAM_N(name, buckets, value, n) ((void)0)
-#define HM_OBS_TIMER(name, buckets) ((void)0)
-
-#endif  // HYPERM_OBS_DISABLED
 
 #endif  // HYPERM_OBS_TRACE_H_

@@ -19,12 +19,6 @@ AodvRouting::AodvRouting(const manet::ManetTopology* topology,
   on_path_.assign(n, 0);
 }
 
-int AodvRouting::RouteTableSize(int node) const {
-  HM_CHECK_GE(node, 0);
-  HM_CHECK_LT(node, static_cast<int>(table_.size()));
-  return static_cast<int>(table_[static_cast<size_t>(node)].size());
-}
-
 bool AodvRouting::IsOutNeighbor(int node, int next) const {
   const std::vector<int>& out = topology_->neighbors(node);
   return std::binary_search(out.begin(), out.end(), next);

@@ -52,9 +52,6 @@ class AodvRouting : public RoutingProtocol {
   const RoutingCounters& counters() const override { return counters_; }
   const char* name() const override { return "aodv"; }
 
-  /// Cached route entries at `node` (tests inspect soft-state behaviour).
-  int RouteTableSize(int node) const;
-
  private:
   struct Entry {
     int next_hop = -1;

@@ -8,7 +8,9 @@ namespace hyperm::wavelet {
 
 std::string Level::name() const {
   if (kind == Kind::kApproximation) return "A";
-  return "D" + std::to_string(index);
+  std::string name(1, 'D');
+  name += std::to_string(index);
+  return name;
 }
 
 const Vector& Project(const Pyramid& pyramid, const Level& level) {

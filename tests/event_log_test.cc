@@ -27,7 +27,7 @@ TEST_F(EventLogTest, UnarmedRecordsNothingAndSkipsArgumentEvaluation) {
   EventLog& log = EventLog::Global();
   EXPECT_FALSE(log.enabled());
   int evaluations = 0;
-  [[maybe_unused]] auto touch = [&evaluations] {
+  auto touch = [&evaluations] {
     ++evaluations;
     return 3;
   };
@@ -123,7 +123,7 @@ TEST_F(EventLogTest, OffOwnerThreadRecordsNothing) {
   std::thread worker([&log, &worker_evaluations] {
     EXPECT_TRUE(log.armed());
     EXPECT_FALSE(log.enabled());  // armed, but not the owner
-    [[maybe_unused]] auto touch = [&worker_evaluations] {
+    auto touch = [&worker_evaluations] {
       ++worker_evaluations;
       return 1;
     };

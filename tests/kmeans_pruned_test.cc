@@ -231,7 +231,6 @@ TEST(KMeansPrunedTest, MatchesNaiveWhenAClusterEmptiesPartway) {
     options.k = 12;
     options.plus_plus_seeding = false;
     ExpectKernelsAgree(points, options, seed);
-#ifndef HYPERM_OBS_DISABLED
     // The data really exercises a reseed after the first iteration.
     auto reseeds = [&](int max_iterations) {
       obs::MetricsRegistry::Global().Reset();
@@ -245,7 +244,6 @@ TEST(KMeansPrunedTest, MatchesNaiveWhenAClusterEmptiesPartway) {
     EXPECT_EQ(reseeds(1), 0u) << "seed " << seed;
     EXPECT_GT(reseeds(options.max_iterations), 0u) << "seed " << seed;
     obs::MetricsRegistry::Global().Reset();
-#endif
   }
 }
 

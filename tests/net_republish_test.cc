@@ -144,7 +144,6 @@ TEST(NetRepublishTest, CrashDegradesAndRepublishHealsRecall) {
   EXPECT_GE(after, 0.99 * before)
       << "before " << before << " during " << during << " after " << after;
 
-#ifndef HYPERM_OBS_DISABLED
   // The obs layer mirrors the soft-state ledger.
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
   for (const char* name : {"net.crashes", "net.rejoins", "net.summaries_lost",
@@ -153,7 +152,6 @@ TEST(NetRepublishTest, CrashDegradesAndRepublishHealsRecall) {
     ASSERT_NE(it, snap.counters.end()) << name;
     EXPECT_GT(it->second, 0u) << name;
   }
-#endif
 }
 
 }  // namespace

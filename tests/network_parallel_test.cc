@@ -215,9 +215,7 @@ TEST(NetworkParallelTest, BitIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(sequential.range_items.empty());
   EXPECT_FALSE(sequential.knn_items.empty());
   EXPECT_GT(sequential.queries_served, 0u);
-#ifndef HYPERM_OBS_DISABLED
   EXPECT_FALSE(sequential.span_names.empty());
-#endif
 
   const RunCapture two_threads = RunWorkload(2);
   ExpectRunsIdentical(sequential, two_threads);
@@ -226,9 +224,6 @@ TEST(NetworkParallelTest, BitIdenticalAcrossThreadCounts) {
   ExpectRunsIdentical(sequential, eight_threads);
 }
 
-// With the obs kill switch on there is nothing to record; the determinism
-// tests above still run in full.
-#ifndef HYPERM_OBS_DISABLED
 TEST(NetworkParallelTest, PoolMetricsAreRecorded) {
   const RunCapture run = RunWorkload(2);
   const auto tasks = run.metrics.counters.find("pool.tasks");
@@ -253,7 +248,6 @@ TEST(NetworkParallelTest, KnnRadiusSolveMetricsAreRecorded) {
   // Every solve at this shape converges within the default budget.
   EXPECT_EQ(run.metrics.counters.count("knn.radius_unconverged"), 0u);
 }
-#endif
 
 TEST(NetworkParallelTest, DefaultThreadCountMatchesSequentialResults) {
   // num_threads = 0 resolves to hardware concurrency; results still match.

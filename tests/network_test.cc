@@ -541,7 +541,6 @@ TEST(NetworkConfigTest, SingleLayerNetworkWorks) {
   EXPECT_DOUBLE_EQ(Evaluate(*result, oracle.RangeSearch(query, eps)).recall, 1.0);
 }
 
-#ifndef HYPERM_OBS_DISABLED
 // Finds the first recorded span with the given name, or nullptr.
 const obs::SpanRecord* FindSpan(const std::vector<obs::SpanRecord>& spans,
                                 const std::string& name) {
@@ -617,7 +616,6 @@ TEST(NetworkObsTest, QueryAccountingReachesRegistryAndStats) {
   EXPECT_GT(snap.counters.at("build.clusters_published"), 0u);
   obs::Tracer::Global().Reset();
 }
-#endif  // HYPERM_OBS_DISABLED
 
 }  // namespace
 }  // namespace hyperm::core

@@ -161,8 +161,9 @@ TEST(ExportTest, MetricsFromJsonAcceptsBareMetricsObject) {
 
 TEST(ExportTest, WriteReportFileProducesParseableJson) {
   const std::string path = ::testing::TempDir() + "/obs_export_test_report.json";
-  const Status status =
-      WriteReportFile(path, RunMeta{"file_test"}, SampleSnapshot(), SampleSpans());
+  RunMeta meta;
+  meta.bench = "file_test";
+  const Status status = WriteReportFile(path, meta, SampleSnapshot(), SampleSpans());
   ASSERT_TRUE(status.ok()) << status.ToString();
   std::ifstream in(path);
   std::ostringstream buffer;

@@ -90,7 +90,6 @@ TEST(ScopedTimerTest, ObservesElapsedMicroseconds) {
   EXPECT_GE(s.min, 0.0);
 }
 
-#ifndef HYPERM_OBS_DISABLED
 TEST(MacroTest, SpanMacroRecordsIntoGlobalTracer) {
   Tracer::Global().Reset();
   {
@@ -112,7 +111,6 @@ TEST(MacroTest, MetricMacrosRecordIntoGlobalRegistry) {
   EXPECT_EQ(snap.histograms.at("macro.hist").count, 1u);
   MetricsRegistry::Global().Reset();
 }
-#endif  // HYPERM_OBS_DISABLED
 
 }  // namespace
 }  // namespace hyperm::obs

@@ -152,7 +152,9 @@ TEST(ServeEngineTest, CachesAndShortcutsPreserveAnswers) {
           answers.push_back(std::move(sorted));
         });
     EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-    if (serving_on) EXPECT_GT(stats->cache_hits, 0u);
+    if (serving_on) {
+      EXPECT_GT(stats->cache_hits, 0u);
+    }
     return answers;
   };
   const std::vector<std::vector<core::ItemId>> plain = run(false);

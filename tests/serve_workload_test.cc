@@ -34,7 +34,9 @@ TEST(ZipfSamplerTest, ProbabilitiesSumToOneAndDecay) {
   double sum = 0.0;
   for (int i = 0; i < zipf.n(); ++i) {
     sum += zipf.Probability(i);
-    if (i > 0) EXPECT_LT(zipf.Probability(i), zipf.Probability(i - 1));
+    if (i > 0) {
+      EXPECT_LT(zipf.Probability(i), zipf.Probability(i - 1));
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
@@ -71,7 +73,9 @@ TEST(WorkloadTest, ArrivalCountMatchesPoissonRate) {
               5.0 * std::sqrt(expected));
   // Sorted by construction, in range, and strictly inside the window.
   for (size_t i = 0; i < schedule.size(); ++i) {
-    if (i > 0) EXPECT_GE(schedule[i].t_ms, schedule[i - 1].t_ms);
+    if (i > 0) {
+      EXPECT_GE(schedule[i].t_ms, schedule[i - 1].t_ms);
+    }
     EXPECT_GE(schedule[i].t_ms, 0.0);
     EXPECT_LT(schedule[i].t_ms, workload.duration_ms);
     EXPECT_GE(schedule[i].template_id, 0);
