@@ -75,30 +75,14 @@ void HyperMNetwork::PoolRun(size_t n, const std::function<void(size_t)>& fn) {
   HM_OBS_COUNTER_ADD("pool.tasks", n);
 }
 
-void HyperMNetwork::QueryFanOut(size_t n, const std::function<void(size_t)>& fn) {
-  if (sim_ != nullptr) {
-    // The unreliable transport consumes one seeded RNG stream per message in
-    // issue order; racing layer tasks would make the draw sequence depend on
-    // scheduling. Layers still *model* parallel execution (latency is the max
-    // over layers), the walk is just performed sequentially.
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  PoolRun(n, fn);
-}
-
 QueryPlanner HyperMNetwork::MakePlanner() const {
   return QueryPlanner(&levels_, &mappers_, options_.wavelet_kind,
                       num_detail_levels_, options_.score_policy, options_.plan);
 }
 
 QueryExecutor HyperMNetwork::MakeExecutor() {
-  return QueryExecutor(
-      &overlays_, sim_.get(),
-      [this](size_t n, const std::function<void(size_t)>& fn) {
-        QueryFanOut(n, fn);
-      },
-      backbone_.get(), shortcut_provider_);
+  return QueryExecutor(&overlays_, sim_.get(), backbone_.get(),
+                       shortcut_provider_);
 }
 
 QueryPlan HyperMNetwork::CompileRangePlan(const Vector& query,
@@ -120,7 +104,7 @@ Status HyperMNetwork::DrainLevelOutcomes(
     if (!out.status.ok()) return out.status;
     // Final fate of the level after every re-issue round has settled — the
     // flight recorder's per-level verdict (cause mirrors LevelDelivery).
-    HM_OBS_EVENT(.sim_ms = sim_ ? sim_->now() : 0.0,
+    HM_OBS_EVENT(.sim_ms = sim_->now(),
                  .kind = obs::EventKind::kLevelFinal,
                  .level = static_cast<int32_t>(layer),
                  .cause = static_cast<int32_t>(out.delivery),
@@ -149,22 +133,14 @@ Status HyperMNetwork::DrainLevelOutcomes(
 
 Status HyperMNetwork::InitTransport() {
   const net::NetOptions& net_opts = options_.net;
-  if (options_.backbone.enabled &&
-      (!net_opts.unreliable || !options_.channel.enabled)) {
-    return InvalidArgumentError(
-        "Build: backbone.enabled requires net.unreliable and channel.enabled "
-        "(the CDS is elected over the live radio graph)");
-  }
+  sim_ = std::make_unique<sim::Simulator>();
+  published_cache_.assign(
+      peers_.size(),
+      std::vector<std::vector<overlay::PublishedCluster>>(levels_.size()));
   if (!net_opts.unreliable) {
-    if (options_.channel.enabled) {
-      return InvalidArgumentError(
-          "Build: channel.enabled requires net.unreliable (the radio channel "
-          "models per-attempt physics the reliable transport has no seam for)");
-    }
     transport_ = std::make_unique<net::ReliableTransport>(&stats_, net_opts.link);
   } else {
     HM_RETURN_IF_ERROR(net_opts.faults.Validate(num_peers()));
-    sim_ = std::make_unique<sim::Simulator>();
     fault_state_ = std::make_unique<net::FaultState>(num_peers(), net_opts.faults);
     auto unreliable = std::make_unique<net::UnreliableTransport>(
         sim_.get(), &stats_, fault_state_.get(), net_opts);
@@ -178,9 +154,6 @@ Status HyperMNetwork::InitTransport() {
       mobility_->Start();
     }
     transport_ = std::move(unreliable);
-    published_cache_.assign(
-        peers_.size(),
-        std::vector<std::vector<overlay::PublishedCluster>>(levels_.size()));
 
     for (const net::PeerEvent& event : net_opts.faults.peer_events) {
       sim_->ScheduleAt(event.at_ms, [this, event] {
@@ -216,45 +189,45 @@ Status HyperMNetwork::InitTransport() {
         }
       });
     }
-    if (net_opts.republish_period_ms > 0.0) ScheduleRepublish();
-    if (net_opts.summary_ttl_ms > 0.0) {
-      ScheduleExpirySweep(net_opts.summary_ttl_ms / 2.0);
+  }
+  if (net_opts.republish_period_ms > 0.0) ScheduleRepublish();
+  if (net_opts.summary_ttl_ms > 0.0) {
+    ScheduleExpirySweep(net_opts.summary_ttl_ms / 2.0);
+  }
+  if (options_.trace_series_period_ms > 0.0) {
+    ScheduleSeriesProbe(options_.trace_series_period_ms);
+  }
+  if (options_.backbone.enabled) {
+    HM_RETURN_IF_ERROR(options_.backbone.Validate());
+    // Resolve the piggyback defaults: report cadence rides the soft-state
+    // republish period, digest freshness rides the summary TTL.
+    backbone::BackboneOptions resolved = options_.backbone;
+    if (resolved.report_period_ms <= 0.0) {
+      resolved.report_period_ms = net_opts.republish_period_ms > 0.0
+                                      ? net_opts.republish_period_ms
+                                      : 400.0;
     }
-    if (options_.trace_series_period_ms > 0.0) {
-      ScheduleSeriesProbe(options_.trace_series_period_ms);
+    if (resolved.maintenance_period_ms <= 0.0) {
+      resolved.maintenance_period_ms = resolved.report_period_ms;
     }
-    if (options_.backbone.enabled) {
-      HM_RETURN_IF_ERROR(options_.backbone.Validate());
-      // Resolve the piggyback defaults: report cadence rides the soft-state
-      // republish period, digest freshness rides the summary TTL.
-      backbone::BackboneOptions resolved = options_.backbone;
-      if (resolved.report_period_ms <= 0.0) {
-        resolved.report_period_ms = net_opts.republish_period_ms > 0.0
-                                        ? net_opts.republish_period_ms
-                                        : 400.0;
-      }
-      if (resolved.maintenance_period_ms <= 0.0) {
-        resolved.maintenance_period_ms = resolved.report_period_ms;
-      }
-      if (resolved.digest_ttl_ms <= 0.0) {
-        resolved.digest_ttl_ms = net_opts.summary_ttl_ms > 0.0
-                                     ? net_opts.summary_ttl_ms
-                                     : 3.0 * resolved.report_period_ms;
-      }
-      std::vector<int> layer_dims;
-      layer_dims.reserve(levels_.size());
-      for (const wavelet::Level& level : levels_) {
-        layer_dims.push_back(static_cast<int>(level.dim()));
-      }
-      backbone_ = std::make_unique<backbone::BackboneManager>(
-          sim_.get(), transport_.get(), fault_state_.get(),
-          &channel_->topology(), std::move(layer_dims), resolved,
-          [this](int peer, int layer) -> const std::vector<
-              overlay::PublishedCluster>& {
-            return published_cache_[static_cast<size_t>(peer)]
-                                   [static_cast<size_t>(layer)];
-          });
+    if (resolved.digest_ttl_ms <= 0.0) {
+      resolved.digest_ttl_ms = net_opts.summary_ttl_ms > 0.0
+                                   ? net_opts.summary_ttl_ms
+                                   : 3.0 * resolved.report_period_ms;
     }
+    std::vector<int> layer_dims;
+    layer_dims.reserve(levels_.size());
+    for (const wavelet::Level& level : levels_) {
+      layer_dims.push_back(static_cast<int>(level.dim()));
+    }
+    backbone_ = std::make_unique<backbone::BackboneManager>(
+        sim_.get(), transport_.get(), fault_state_.get(),
+        &channel_->topology(), std::move(layer_dims), resolved,
+        [this](int peer, int layer) -> const std::vector<
+            overlay::PublishedCluster>& {
+          return published_cache_[static_cast<size_t>(peer)]
+                                 [static_cast<size_t>(layer)];
+        });
   }
   for (auto& ov : overlays_) {
     ov->set_transport(transport_.get());
@@ -310,7 +283,7 @@ void HyperMNetwork::RepublishTick() {
   const double ttl = options_.net.summary_ttl_ms;
   int peers_republished = 0;
   for (int p = 0; p < num_peers(); ++p) {
-    if (!fault_state_->up(p)) continue;  // crashed peers cannot republish
+    if (!transport_->peer_up(p)) continue;  // crashed peers cannot republish
     bool any = false;
     for (size_t layer = 0; layer < overlays_.size(); ++layer) {
       for (overlay::PublishedCluster cluster :
@@ -342,10 +315,7 @@ void HyperMNetwork::RepublishTick() {
                .aux = peers_republished);
 }
 
-void HyperMNetwork::AdvanceTo(sim::TimeMs t) {
-  if (sim_ == nullptr) return;
-  sim_->RunUntil(t);
-}
+void HyperMNetwork::AdvanceTo(sim::TimeMs t) { sim_->RunUntil(t); }
 
 cluster::KMeansOptions HyperMNetwork::MakeKMeansOptions() const {
   cluster::KMeansOptions kmeans_options;
@@ -386,25 +356,23 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
         "Build: plan.reissue_budget needs a positive plan.heal_window_ms");
   }
   if (!options.net.unreliable) {
-    // The reliable transport has no simulator: it could neither inject these
-    // faults, expire or republish summaries, wait out a heal window nor
-    // sample a time series, so a run would answer as if fault-free.
+    // The reliable transport delivers every message at once: it has no fault
+    // model to inject these with, so a run would answer as if fault-free,
+    // and no seam for a radio channel's per-attempt physics.
     const net::FaultPlan& faults = options.net.faults;
     if (faults.loss_rate != 0.0 || !faults.peer_events.empty() ||
         !faults.partitions.empty()) {
       return InvalidArgumentError("Build: net.faults requires net.unreliable");
     }
-    if (options.net.summary_ttl_ms > 0.0 || options.net.republish_period_ms > 0.0) {
-      return InvalidArgumentError(
-          "Build: net.summary_ttl_ms and net.republish_period_ms require "
-          "net.unreliable");
+    if (options.channel.enabled) {
+      return InvalidArgumentError("Build: channel.enabled requires net.unreliable");
     }
-    if (options.plan.reissue_budget > 0) {
-      return InvalidArgumentError("Build: plan.reissue_budget requires net.unreliable");
-    }
-    if (options.trace_series_period_ms > 0.0) {
-      return InvalidArgumentError("Build: trace_series_period_ms requires net.unreliable");
-    }
+  }
+  if (options.backbone.enabled &&
+      (!options.net.unreliable || !options.channel.enabled)) {
+    return InvalidArgumentError(
+        "Build: backbone.enabled requires net.unreliable and channel.enabled "
+        "(the CDS is elected over the live radio graph)");
   }
 
   HM_OBS_SPAN("build");
@@ -509,51 +477,22 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
   // included, so building under an unreliable plan already loses summaries.
   HM_RETURN_IF_ERROR(net->InitTransport());
 
-  // Cluster + publish every peer (steps i2-i3). One flat (peer, layer) task
-  // list keeps all lanes busy even when peers hold uneven collections; each
-  // task runs k-means on a private RNG stream derived from (base_seed, peer,
-  // layer), so the clustering is bit-identical at any thread count. The
-  // overlay inserts — which mutate shared state and consume cluster ids —
-  // are drained on this thread in peer-major task order.
+  // Cluster + publish every peer (steps i2-i3); a peer's publication hops
+  // are the insert + replicate hops its drain added.
   {
     HM_OBS_SPAN("build/publish");
     net->publication_hops_.assign(static_cast<size_t>(num_peers), 0);
-    const uint64_t base_seed = rng.NextUint64();
-    struct PublishTask {
-      int peer;
-      size_t layer;
+    const auto publish_hops = [&net] {
+      return net->stats_.hops(sim::TrafficClass::kInsert) +
+             net->stats_.hops(sim::TrafficClass::kReplicate);
     };
-    std::vector<PublishTask> tasks;
-    for (int p = 0; p < num_peers; ++p) {
-      for (size_t layer = 0; layer < num_layers; ++layer) {
-        if (!level_points[static_cast<size_t>(p)][layer].empty()) {
-          tasks.push_back(PublishTask{p, layer});
-        }
-      }
-    }
-    // Result<T> is not default-constructible, hence optional slots.
-    std::vector<std::optional<Result<cluster::KMeansResult>>> slots(tasks.size());
-    const cluster::KMeansOptions kmeans_options = net->MakeKMeansOptions();
-    net->PoolRun(tasks.size(), [&](size_t t) {
-      const PublishTask& task = tasks[t];
-      Rng task_rng =
-          SeedStream(base_seed).At(static_cast<uint64_t>(task.peer), task.layer);
-      slots[t].emplace(cluster::KMeans(
-          level_points[static_cast<size_t>(task.peer)][task.layer], kmeans_options,
-          task_rng));
-    });
-    size_t t = 0;
-    for (int p = 0; p < num_peers; ++p) {
-      const uint64_t before = net->stats_.hops(sim::TrafficClass::kInsert) +
-                              net->stats_.hops(sim::TrafficClass::kReplicate);
-      for (; t < tasks.size() && tasks[t].peer == p; ++t) {
-        if (!slots[t]->ok()) return slots[t]->status();
-        HM_RETURN_IF_ERROR(net->InsertClusters(p, tasks[t].layer, slots[t]->value()));
-      }
-      const uint64_t after = net->stats_.hops(sim::TrafficClass::kInsert) +
-                             net->stats_.hops(sim::TrafficClass::kReplicate);
-      net->publication_hops_[static_cast<size_t>(p)] = after - before;
-    }
+    uint64_t before = publish_hops();
+    HM_RETURN_IF_ERROR(net->PublishPeers(
+        0, level_points, rng.NextUint64(), [&](int p) {
+          const uint64_t after = publish_hops();
+          net->publication_hops_[static_cast<size_t>(p)] = after - before;
+          before = after;
+        }));
   }
   // The backbone bootstraps against the freshly published summaries: initial
   // election, member reports, digest build + CDS exchange, periodic timers.
@@ -575,12 +514,10 @@ Status HyperMNetwork::InsertClusters(int peer_id, size_t layer,
     published.owner_peer = peer_id;
     published.items = c.count;
     published.cluster_id = next_cluster_id_++;
-    if (sim_ != nullptr) {
-      if (options_.net.summary_ttl_ms > 0.0) {
-        published.expires_at = sim_->now() + options_.net.summary_ttl_ms;
-      }
-      published_cache_[static_cast<size_t>(peer_id)][layer].push_back(published);
+    if (options_.net.summary_ttl_ms > 0.0) {
+      published.expires_at = sim_->now() + options_.net.summary_ttl_ms;
     }
+    published_cache_[static_cast<size_t>(peer_id)][layer].push_back(published);
     HM_ASSIGN_OR_RETURN(overlay::InsertReceipt receipt,
                         overlays_[layer]->Insert(published, peer_id));
     if (!receipt.delivered) {
@@ -596,24 +533,40 @@ Status HyperMNetwork::InsertClusters(int peer_id, size_t layer,
   return OkStatus();
 }
 
-Status HyperMNetwork::PublishPeerParallel(
-    int peer_id, const std::vector<std::vector<Vector>>& level_points,
-    uint64_t base_seed) {
-  std::vector<size_t> layers;
-  for (size_t layer = 0; layer < levels_.size(); ++layer) {
-    if (!level_points[layer].empty()) layers.push_back(layer);
+Status HyperMNetwork::PublishPeers(
+    int first_peer,
+    const std::vector<std::vector<std::vector<Vector>>>& level_points,
+    uint64_t base_seed, const std::function<void(int)>& after_peer) {
+  // One flat task list keeps all lanes busy even when peers hold uneven
+  // collections.
+  struct PublishTask {
+    size_t index;  // into level_points
+    size_t layer;
+  };
+  std::vector<PublishTask> tasks;
+  for (size_t i = 0; i < level_points.size(); ++i) {
+    for (size_t layer = 0; layer < level_points[i].size(); ++layer) {
+      if (!level_points[i][layer].empty()) tasks.push_back(PublishTask{i, layer});
+    }
   }
-  std::vector<std::optional<Result<cluster::KMeansResult>>> slots(layers.size());
+  // Result<T> is not default-constructible, hence optional slots.
+  std::vector<std::optional<Result<cluster::KMeansResult>>> slots(tasks.size());
   const cluster::KMeansOptions kmeans_options = MakeKMeansOptions();
-  PoolRun(layers.size(), [&](size_t t) {
-    Rng task_rng =
-        SeedStream(base_seed).At(static_cast<uint64_t>(peer_id), layers[t]);
-    slots[t].emplace(
-        cluster::KMeans(level_points[layers[t]], kmeans_options, task_rng));
+  PoolRun(tasks.size(), [&](size_t t) {
+    const PublishTask& task = tasks[t];
+    Rng task_rng = SeedStream(base_seed).At(
+        static_cast<uint64_t>(first_peer) + task.index, task.layer);
+    slots[t].emplace(cluster::KMeans(level_points[task.index][task.layer],
+                                     kmeans_options, task_rng));
   });
-  for (size_t t = 0; t < layers.size(); ++t) {
-    if (!slots[t]->ok()) return slots[t]->status();
-    HM_RETURN_IF_ERROR(InsertClusters(peer_id, layers[t], slots[t]->value()));
+  size_t t = 0;
+  for (size_t i = 0; i < level_points.size(); ++i) {
+    const int peer = first_peer + static_cast<int>(i);
+    for (; t < tasks.size() && tasks[t].index == i; ++t) {
+      if (!slots[t]->ok()) return slots[t]->status();
+      HM_RETURN_IF_ERROR(InsertClusters(peer, tasks[t].layer, slots[t]->value()));
+    }
+    if (after_peer) after_peer(peer);
   }
   return OkStatus();
 }
@@ -640,12 +593,10 @@ Result<std::vector<PeerScore>> HyperMNetwork::ScorePeers(const Vector& query,
     return InvalidArgumentError("ScorePeers: bad querying peer");
   }
   HM_OBS_SPAN("query/score");
-  // Plan, then execute. The planner compiles the Theorem 4.1 probe spheres on
-  // the calling thread (pure wavelet math); the executor fans the per-level
-  // range searches out — they are independent (each level's overlay serves
-  // only its own probe; stats are atomic) — and re-issues deferred levels
-  // when so configured. Scores and info accounting are drained in layer
-  // order below, preserving the sequential merge exactly.
+  // Plan, then execute. The planner compiles the Theorem 4.1 probe spheres
+  // (pure wavelet math); the executor runs the per-level range searches in
+  // level order and re-issues deferred levels when so configured. Scores and
+  // info accounting are drained in layer order below.
   const QueryPlan plan = MakePlanner().PlanRange(query, epsilon);
   std::vector<LevelOutcome> outcomes = MakeExecutor().Execute(plan, querying_peer);
   std::vector<std::unordered_map<int, double>> level_scores;
@@ -722,7 +673,7 @@ Result<std::vector<ItemId>> HyperMNetwork::RangeQuery(const Vector& query,
   stats_.RecordQueryServed();
   std::sort(results.begin(), results.end());
   results.erase(std::unique(results.begin(), results.end()), results.end());
-  HM_OBS_EVENT(.sim_ms = sim_ ? sim_->now() : 0.0,
+  HM_OBS_EVENT(.sim_ms = sim_->now(),
                .kind = obs::EventKind::kQueryDone,
                .query_id = hm_obs_query_id, .src = querying_peer,
                .value = info->latency_ms,
@@ -756,12 +707,11 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   if (info == nullptr) info = &local_info;
   RangeQueryInfo* range_info = &info->range;
 
-  // Plan, then execute: one expanding probe per level (Fig. 5), fanned out
-  // like ScorePeers. Each probe keeps its hop counts and estimated radius in
-  // its own outcome slot; the double-valued knn.level_radius histogram and
-  // the Eq. 8 solver's cost (knn.radius_sweeps, knn.radius_unconverged) are
-  // observed at the ordered drain so observation order never depends on
-  // scheduling.
+  // Plan, then execute: one expanding probe per level (Fig. 5), run like
+  // ScorePeers'. Each probe keeps its hop counts and estimated radius in its
+  // own outcome slot; the knn.level_radius histogram and the Eq. 8 solver's
+  // cost (knn.radius_sweeps, knn.radius_unconverged) are observed at the
+  // ordered drain.
   const QueryPlan plan = MakePlanner().PlanKnn(query, k);
   std::vector<LevelOutcome> outcomes = MakeExecutor().Execute(plan, querying_peer);
   std::vector<std::unordered_map<int, double>> level_scores;
@@ -792,7 +742,7 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   if (merged.empty()) {
     RecordQueryInfoMetrics(*range_info);
     stats_.RecordQueryServed();
-    HM_OBS_EVENT(.sim_ms = sim_ ? sim_->now() : 0.0,
+    HM_OBS_EVENT(.sim_ms = sim_->now(),
                  .kind = obs::EventKind::kQueryDone,
                  .query_id = hm_obs_query_id, .src = querying_peer,
                  .value = range_info->latency_ms);
@@ -847,7 +797,7 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
     result.push_back(item.id);
     if (options.truncate_to_k && result.size() >= static_cast<size_t>(k)) break;
   }
-  HM_OBS_EVENT(.sim_ms = sim_ ? sim_->now() : 0.0,
+  HM_OBS_EVENT(.sim_ms = sim_->now(),
                .kind = obs::EventKind::kQueryDone,
                .query_id = hm_obs_query_id, .src = querying_peer,
                .value = range_info->latency_ms,
@@ -899,16 +849,15 @@ Status HyperMNetwork::RepublishPeer(int peer, Rng& rng) {
       stats_.RecordHop(sim::TrafficClass::kReplicate, 32);
     }
   }
-  if (sim_ != nullptr) {
-    // The fresh publication below recaches; drop the superseded summaries so
-    // republish ticks stop refreshing them.
-    for (auto& per_layer : published_cache_[static_cast<size_t>(peer)]) {
-      per_layer.clear();
-    }
+  // The fresh publication below recaches; drop the superseded summaries so
+  // republish ticks stop refreshing them.
+  for (auto& per_layer : published_cache_[static_cast<size_t>(peer)]) {
+    per_layer.clear();
   }
 
   // Fresh per-layer projections of the peer's current collection.
-  std::vector<std::vector<Vector>> level_points(levels_.size());
+  std::vector<std::vector<std::vector<Vector>>> level_points(
+      1, std::vector<std::vector<Vector>>(levels_.size()));
   Vector item;  // reused across rows; assign() keeps the capacity
   for (size_t r = 0; r < target.item_features().rows(); ++r) {
     const double* row = target.item_features().row(r);
@@ -916,10 +865,10 @@ Status HyperMNetwork::RepublishPeer(int peer, Rng& rng) {
     HM_ASSIGN_OR_RETURN(wavelet::Pyramid pyramid,
                         wavelet::DecomposeWith(options_.wavelet_kind, item));
     for (size_t layer = 0; layer < levels_.size(); ++layer) {
-      level_points[layer].push_back(wavelet::Project(pyramid, levels_[layer]));
+      level_points[0][layer].push_back(wavelet::Project(pyramid, levels_[layer]));
     }
   }
-  return PublishPeerParallel(peer, level_points, rng.NextUint64());
+  return PublishPeers(peer, level_points, rng.NextUint64());
 }
 
 uint64_t HyperMNetwork::publication_hops(int id) const {

@@ -11,6 +11,12 @@
 // the selected peers' local stores. Range queries follow Theorem 4.1's
 // per-level thresholds (no false dismissals); k-NN uses the Fig. 5
 // heuristic with the Eq. 8 radius estimator.
+//
+// Every network owns one sim::Simulator, whatever the transport: soft state,
+// heal-window re-issue, series sampling and the serving layer all run on its
+// clock. Only Build fans work out to the thread pool; queries run on the
+// calling thread, their level probes "in parallel" in simulated time only
+// (a query's latency is the slowest level's).
 
 #ifndef HYPERM_HYPERM_NETWORK_H_
 #define HYPERM_HYPERM_NETWORK_H_
@@ -54,19 +60,21 @@ struct HyperMOptions {
   bool replicate_spheres = true;  ///< false recreates the Fig. 6 failure mode
                                   ///< (ablation only; breaks the range-query
                                   ///< no-false-dismissal guarantee)
-  /// Pool lanes for the parallel build/query fan-outs: 0 picks
-  /// ThreadPool::DefaultNumThreads() (hardware concurrency), 1 runs every
-  /// fan-out inline on the calling thread (the sequential escape hatch).
-  /// Results are bit-identical at any value — per-task RNG streams are
-  /// derived from (seed, peer, layer), never from scheduling order.
+  /// Pool lanes for the Build fan-outs (per-peer decomposition, per
+  /// (peer, layer) k-means): 0 picks ThreadPool::DefaultNumThreads()
+  /// (hardware concurrency), 1 runs every fan-out inline on the calling
+  /// thread. Queries always run on the calling thread. Results are
+  /// bit-identical at any value — per-task RNG streams are derived from
+  /// (seed, peer, layer), never from scheduling order.
   int num_threads = 0;
 
   /// Transport configuration. Default (net.unreliable == false) routes all
   /// overlay and retrieve traffic through a ReliableTransport, which is
   /// bit-identical to the historical direct-stats behavior. Setting
   /// net.unreliable enables the MANET fault model (loss, crash/rejoin,
-  /// partitions, retries, soft-state republish); Build rejects faults or
-  /// soft-state periods without it.
+  /// partitions, retries); Build rejects faults without it. Soft state
+  /// (summary_ttl_ms, republish_period_ms) runs on the network's simulator
+  /// on either transport.
   net::NetOptions net;
 
   /// Physical radio substrate (requires net.unreliable). When
@@ -77,9 +85,8 @@ struct HyperMOptions {
 
   /// Partition-tolerant query planning (detour routing, heal-time re-issue).
   /// All-zero by default, which reproduces the historical query path bit for
-  /// bit. Detours apply to query routing on any transport; re-issue requires
-  /// net.unreliable (the reliable transport has no simulator and nothing to
-  /// heal), and Build rejects a re-issue budget without it.
+  /// bit. Both apply on any transport; on the reliable one no level is ever
+  /// deferred, so a re-issue budget never spends a round.
   QueryPlanOptions plan;
 
   /// Supernode backbone (requires net.unreliable and channel.enabled): CDS
@@ -89,8 +96,7 @@ struct HyperMOptions {
   /// whole pipeline is bit-identical to a backbone-less build.
   backbone::BackboneOptions backbone;
 
-  /// Flight-recorder time-series sampling period (simulated ms; requires
-  /// net.unreliable, Build rejects it otherwise). When > 0, a
+  /// Flight-recorder time-series sampling period (simulated ms). When > 0, a
   /// self-rescheduling probe samples queue occupancy
   /// (probe.busy_nodes), in-flight queries (probe.inflight_queries) and the
   /// live island count (probe.islands) into the global obs::EventLog's ring
@@ -222,9 +228,8 @@ class HyperMNetwork {
 
   /// Installs (or, with nullptr, removes) the mined-shortcut table consulted
   /// by query executors before non-expanding range probes. Borrowed — must
-  /// outlive every subsequent query. Only consulted on simulator-driven
-  /// executions (see core::ShortcutProvider); a stale hint costs airtime,
-  /// never recall.
+  /// outlive every subsequent query. A stale hint costs airtime, never
+  /// recall (see core::ShortcutProvider).
   void set_shortcut_provider(ShortcutProvider* provider) {
     shortcut_provider_ = provider;
   }
@@ -244,23 +249,25 @@ class HyperMNetwork {
   /// introduces; all traffic is recorded in stats().
   Status RepublishPeer(int peer, Rng& rng);
 
-  // Fault simulation (net.unreliable only) -----------------------------------
+  // Simulated time ------------------------------------------------------------
 
-  /// Advances the fault simulation clock to `t` ms, applying every scheduled
-  /// crash/rejoin event, republish tick and TTL expiry sweep with time <= t.
-  /// No-op when the network runs on the reliable transport (no simulator).
+  /// Advances the network's simulator clock to `t` ms, applying every
+  /// scheduled crash/rejoin event, republish tick, TTL expiry sweep and
+  /// series sample with time <= t. Every network owns a simulator, whatever
+  /// the transport.
   void AdvanceTo(sim::TimeMs t);
 
-  /// Current simulated time (0 on the reliable transport).
-  sim::TimeMs now() const { return sim_ ? sim_->now() : 0.0; }
+  /// Current simulated time.
+  sim::TimeMs now() const { return sim_->now(); }
 
   /// True when the network was built with net.unreliable.
-  bool unreliable() const { return sim_ != nullptr; }
+  bool unreliable() const { return options_.net.unreliable; }
 
   /// The transport all overlay/retrieve traffic goes through.
   const net::Transport& transport() const { return *transport_; }
 
-  /// Soft-state / fault bookkeeping (all zero on the reliable transport).
+  /// Soft-state / fault bookkeeping (the fault counters stay zero on the
+  /// reliable transport).
   const SoftStateCounters& soft_state() const { return soft_; }
 
   /// True iff peer `p` is currently up (always true on reliable transports).
@@ -304,18 +311,14 @@ class HyperMNetwork {
   HyperMNetwork() = default;
 
   /// Runs `fn(i)` for i in [0, n) on the pool, recording the fan-out in the
-  /// `pool.tasks` counter and `pool.wall_us` histogram.
+  /// `pool.tasks` counter and `pool.wall_us` histogram. Build-time work only.
   void PoolRun(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Query fan-out: PoolRun on the reliable transport; a plain in-order loop
-  /// on the unreliable one, whose per-message RNG stream is consumed in
-  /// issue order and must not race.
-  void QueryFanOut(size_t n, const std::function<void(size_t)>& fn);
 
   /// Planner over this network's level/mapper tables and plan options.
   QueryPlanner MakePlanner() const;
 
-  /// Executor over this network's overlays, fault simulator and QueryFanOut.
+  /// Executor over this network's overlays, simulator, backbone and
+  /// shortcut provider.
   QueryExecutor MakeExecutor();
 
   /// Retrieve phase of a range or k-NN query (Fig. 3, step 2): one request
@@ -339,8 +342,9 @@ class HyperMNetwork {
       std::vector<LevelOutcome>& outcomes, RangeQueryInfo* info,
       std::vector<std::unordered_map<int, double>>* level_scores);
 
-  /// Wires up the transport (always) and, when net.unreliable, the fault
-  /// simulator: crash/rejoin events, republish ticks, TTL expiry sweeps.
+  /// Wires up the simulator and transport, and schedules the periodic
+  /// events: crash/rejoin (net.unreliable only), republish ticks, TTL expiry
+  /// sweeps and series samples.
   Status InitTransport();
 
   /// One soft-state republish round: every live peer re-inserts its cached
@@ -348,18 +352,24 @@ class HyperMNetwork {
   /// the stored entry in place, losses leave the old entry to expire).
   void RepublishTick();
 
-  /// Self-rescheduling periodic events on the fault simulator.
+  /// Self-rescheduling periodic events on the simulator.
   void ScheduleRepublish();
   void ScheduleExpirySweep(sim::TimeMs period);
   void ScheduleSeriesProbe(sim::TimeMs period);
 
-  /// Clusters and publishes one peer's summaries into all layers (steps
-  /// i2–i3): per-layer k-means fanned out on the pool with RNG streams
-  /// derived from `base_seed`, inserts drained in layer order on the calling
-  /// thread.
-  Status PublishPeerParallel(int peer_id,
-                             const std::vector<std::vector<Vector>>& level_points,
-                             uint64_t base_seed);
+  /// Clusters and publishes the summaries of peers first_peer, first_peer+1,
+  /// ... into all layers (steps i2–i3); `level_points[i][layer]` holds the
+  /// layer projections of peer first_peer + i. One flat (peer, layer) task
+  /// list of k-means runs fans out on the pool, each on the private RNG
+  /// stream SeedStream(base_seed).At(peer, layer), so clustering is
+  /// bit-identical at any thread count. The inserts — which mutate the
+  /// overlays and consume cluster ids — are drained on the calling thread
+  /// in peer-major, layer-minor order; `after_peer(peer)`, when set, runs
+  /// once each peer's inserts are drained.
+  Status PublishPeers(int first_peer,
+                      const std::vector<std::vector<std::vector<Vector>>>& level_points,
+                      uint64_t base_seed,
+                      const std::function<void(int)>& after_peer = {});
 
   /// Drains one (peer, layer) k-means result into the layer's overlay:
   /// key-sphere mapping, cluster-id assignment, replicated inserts. Must run
@@ -381,9 +391,10 @@ class HyperMNetwork {
   std::vector<uint64_t> publication_hops_;  // per peer, set during Build
   uint64_t next_cluster_id_ = 1;
 
-  // Transport + fault machinery. transport_ is always set after Build;
-  // sim_/fault_state_ only when net.unreliable; channel_/mobility_ only when
-  // channel.enabled (the channel must outlive the transport that borrows it).
+  // Clock, transport + fault machinery. sim_ and transport_ are always set
+  // after Build; fault_state_ only when net.unreliable; channel_/mobility_
+  // only when channel.enabled (the channel must outlive the transport that
+  // borrows it).
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::FaultState> fault_state_;
   std::unique_ptr<channel::RadioChannel> channel_;

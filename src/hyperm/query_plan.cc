@@ -157,14 +157,10 @@ QueryPlan QueryPlanner::PlanKnn(const Vector& query, int k) const {
 
 QueryExecutor::QueryExecutor(
     std::vector<std::unique_ptr<can::CanOverlay>>* overlays, sim::Simulator* sim,
-    std::function<void(size_t, const std::function<void(size_t)>&)> fan_out,
     backbone::BackboneManager* backbone, ShortcutProvider* shortcuts)
-    : overlays_(overlays),
-      sim_(sim),
-      fan_out_(std::move(fan_out)),
-      backbone_(backbone),
-      shortcuts_(shortcuts) {
+    : overlays_(overlays), sim_(sim), backbone_(backbone), shortcuts_(shortcuts) {
   HM_CHECK(overlays != nullptr);
+  HM_CHECK(sim != nullptr);
 }
 
 void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
@@ -177,14 +173,12 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
     if (!probe.expanding) {
       // Range probe: one threshold range query, scored against the same
       // sphere the overlay evaluated. (The backbone-first stage, when it
-      // applies, is served plan-wide in Execute before the fan-out; a probe
-      // reaching here runs the full CAN path.) The mined-shortcut stage is
-      // simulator-only: the miner is single-threaded, and on the reliable
-      // transport this probe may be running on a pool worker.
-      const bool mine = shortcuts_ != nullptr && sim_ != nullptr;
+      // applies, is served plan-wide in Execute before the probe loop; a
+      // probe reaching here runs the full CAN path.)
       overlay::NodeId hint =
-          mine ? shortcuts_->EntryHint(probe.layer, probe.key_sphere)
-               : overlay::kInvalidNode;
+          shortcuts_ != nullptr
+              ? shortcuts_->EntryHint(probe.layer, probe.key_sphere)
+              : overlay::kInvalidNode;
       Result<overlay::RangeQueryResult> result =
           hint != overlay::kInvalidNode
               ? overlay.RangeQueryVia(probe.key_sphere, querying_peer, hint)
@@ -225,7 +219,7 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
       out->detours += result.value().route_detours;
       delivered = result.value().delivered;
       failure = result.value().outcome;
-      if (mine) {
+      if (shortcuts_ != nullptr) {
         shortcuts_->Observe(probe.layer, probe.key_sphere,
                             result.value().entry_node, delivered,
                             /*via_shortcut=*/hint != overlay::kInvalidNode);
@@ -328,11 +322,9 @@ void QueryExecutor::MergeReissue(const LevelOutcome& retry, double heal_wait_ms,
 std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
                                                  int querying_peer) {
   std::vector<LevelOutcome> outcomes(plan.probes.size());
-  // Flight recorder: plan emission + round-0 probe issues, stamped on the
-  // orchestrating thread before the fan-out so the records are identical
-  // whether the probes below run serially (unreliable mode) or on pool
-  // workers (where the hooks inside RunProbe no-op off the owner thread).
-  const double plan_ms = sim_ != nullptr ? sim_->now() : 0.0;
+  // Flight recorder: plan emission + round-0 probe issues, stamped before
+  // any probe runs.
+  const double plan_ms = sim_->now();
   HM_OBS_EVENT(.sim_ms = plan_ms, .kind = obs::EventKind::kQueryPlan,
                .src = querying_peer,
                .aux = static_cast<int64_t>(plan.probes.size()));
@@ -347,12 +339,10 @@ std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
   // missing from one level scores zero overall, so nothing is lost). Any
   // fail-soft gate (stale election, partitioned/crashed backbone, lost walk
   // token) refuses the plan and every probe falls through to the full CAN
-  // fan-out below — recall can never be worse than the digest-less path at
-  // the same fault level. Expanding (k-NN) probes never take this stage:
+  // probe loop below — recall can never be worse than the digest-less path
+  // at the same fault level. Expanding (k-NN) probes never take this stage:
   // their widening loop re-derives radii from discovered mass, which the
-  // per-domain digest summaries cannot answer soundly. The serve runs on the
-  // orchestrating thread, so its transport draws and records are identical
-  // at any fan-out thread count.
+  // per-domain digest summaries cannot answer soundly.
   bool backbone_range_plan = backbone_ != nullptr && !plan.probes.empty();
   if (backbone_range_plan) {
     for (size_t i = 0; i < plan.probes.size(); ++i) {
@@ -391,20 +381,22 @@ std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
     }
   }
   if (!backbone_range_plan) {
-    fan_out_(plan.probes.size(), [&](size_t i) {
+    // The levels are independent probes "in parallel" in simulated time (the
+    // query's latency is the slowest level's); on the host they run in level
+    // order, so every transport consumes its message stream in issue order.
+    for (size_t i = 0; i < plan.probes.size(); ++i) {
       HM_OBS_LEVEL_SCOPE(plan.probes[i].layer);
       RunProbe(plan.probes[i], querying_peer, &outcomes[i]);
-    });
+    }
   }
   for (size_t i = 0; i < outcomes.size(); ++i) {
-    HM_OBS_EVENT(.sim_ms = sim_ != nullptr ? sim_->now() : 0.0,
-                 .kind = obs::EventKind::kProbeOutcome,
+    HM_OBS_EVENT(.sim_ms = sim_->now(), .kind = obs::EventKind::kProbeOutcome,
                  .level = plan.probes[i].layer, .attempt = 0,
                  .src = querying_peer,
                  .cause = static_cast<int32_t>(outcomes[i].delivery),
                  .value = outcomes[i].latency_ms);
   }
-  if (sim_ == nullptr || plan.reissue_budget <= 0 || plan.heal_window_ms <= 0.0) {
+  if (plan.reissue_budget <= 0 || plan.heal_window_ms <= 0.0) {
     return outcomes;
   }
   for (int round = 0; round < plan.reissue_budget; ++round) {
@@ -417,9 +409,8 @@ std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
     }
     if (deferred.empty()) break;
     // Let the world turn for one heal window — mobility ticks, partition
-    // windows closing, republishes — then re-probe every deferred level,
-    // serially in level order (the unreliable transport's RNG stream is
-    // consumed in issue order).
+    // windows closing, republishes — then re-probe every deferred level in
+    // level order.
     HM_OBS_EVENT(.sim_ms = sim_->now(), .kind = obs::EventKind::kHealWait,
                  .src = querying_peer, .value = plan.heal_window_ms,
                  .aux = static_cast<int64_t>(deferred.size()));

@@ -4,8 +4,8 @@
 // descriptors — the target key sphere (Theorem 4.1 thresholds for range
 // queries, the Fig. 5 expanding-probe start for k-NN), the score policy and
 // the partition-tolerance budgets — using only the wavelet machinery, so the
-// QueryExecutor that *runs* the plan needs none of it. The executor fans the
-// probes out over the overlays, classifies each level's fate on the delivery
+// QueryExecutor that *runs* the plan needs none of it. The executor runs the
+// probes over the overlays, classifies each level's fate on the delivery
 // outcome lattice
 //
 //     kDelivered  — the probe completed on the primary greedy path
@@ -20,16 +20,16 @@
 // their scores merge into the aggregation instead of silently pruning every
 // candidate under the min-score policy.
 //
-// Determinism: planning is pure math on the calling thread; execution issues
-// exactly the overlay calls the monolithic query loop used to issue, in the
-// same order, through the same fan-out — on a ReliableTransport with zeroed
-// budgets the results are bit-identical to the historical query path at any
-// thread count.
+// Determinism: planning is pure math and execution runs every probe in level
+// order on the calling thread, so each transport's message stream is
+// consumed in the same order at any pool size. The paper's levels are probed
+// "in parallel" in simulated time only: a query's latency is the slowest
+// level's. On a ReliableTransport with zeroed budgets the results are
+// bit-identical to the historical query path.
 
 #ifndef HYPERM_HYPERM_QUERY_PLAN_H_
 #define HYPERM_HYPERM_QUERY_PLAN_H_
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -71,9 +71,8 @@ struct QueryPlanOptions {
 
   /// Re-issue rounds for deferred levels. Each round waits heal_window_ms of
   /// simulated time (mobility ticks, partition windows and republishes run
-  /// meanwhile) and re-probes every level still deferred. Requires an
-  /// unreliable transport (there is no simulator — and nothing to heal — on
-  /// the reliable one); HyperMNetwork::Build rejects it otherwise.
+  /// meanwhile) and re-probes every level still deferred. The reliable
+  /// transport never defers a level, so there it never spends a round.
   int reissue_budget = 0;
 
   /// Simulated wait before each re-issue round. 0 disables re-issue.
@@ -117,8 +116,7 @@ uint64_t PlanSignature(const QueryPlan& plan);
 /// executor consults before the greedy walk of a non-expanding range probe.
 /// Implemented by serve::ShortcutMiner; hyperm only sees this interface
 /// (same dependency-breaking pattern as the BackboneManager hook above).
-/// Only consulted on simulator-driven (serial fan-out) executions — the
-/// miner is single-threaded like the transport under it.
+/// Single-threaded: the executor consults it from the calling thread.
 class ShortcutProvider {
  public:
   virtual ~ShortcutProvider() = default;
@@ -137,8 +135,8 @@ class ShortcutProvider {
                        bool via_shortcut) = 0;
 };
 
-/// Execution outcome of one level probe (slot filled by one fan-out task;
-/// everything order-sensitive is drained on the calling thread).
+/// Execution outcome of one level probe (one slot per probe, drained in level
+/// order by the caller).
 struct LevelOutcome {
   Status status = OkStatus();
   LevelDelivery delivery = LevelDelivery::kDelivered;
@@ -182,36 +180,31 @@ class QueryPlanner {
 };
 
 /// Runs a QueryPlan over the per-level overlays. Borrows everything; the
-/// overlays (and simulator, when present) must outlive the executor.
+/// overlays and simulator must outlive the executor.
 class QueryExecutor {
  public:
-  /// `fan_out(n, fn)` runs fn(0..n-1), parallel or serial per the caller's
-  /// determinism rules (HyperMNetwork::QueryFanOut). `sim` may be null (the
-  /// reliable transport) — re-issue rounds are then skipped. `backbone`, when
-  /// non-null, serves non-expanding range probes backbone-first (digest-pruned
-  /// CDS walk) with full CAN probing as the fail-soft fallback; expanding
-  /// (k-NN) probes always take the CAN path. `shortcuts`, when non-null,
-  /// offers mined entry hints to non-expanding range probes (consulted only
-  /// when `sim` is non-null: the miner is single-threaded) — a stale hint
-  /// costs its airtime and the probe re-runs on the plain greedy walk, so
-  /// recall never depends on the miner's state.
+  /// `sim` is the network's clock: heal-window re-issue rounds advance it.
+  /// `backbone`, when non-null, serves non-expanding range probes
+  /// backbone-first (digest-pruned CDS walk) with full CAN probing as the
+  /// fail-soft fallback; expanding (k-NN) probes always take the CAN path.
+  /// `shortcuts`, when non-null, offers mined entry hints to non-expanding
+  /// range probes — a stale hint costs its airtime and the probe re-runs on
+  /// the plain greedy walk, so recall never depends on the miner's state.
   QueryExecutor(std::vector<std::unique_ptr<can::CanOverlay>>* overlays,
                 sim::Simulator* sim,
-                std::function<void(size_t, const std::function<void(size_t)>&)>
-                    fan_out,
                 backbone::BackboneManager* backbone = nullptr,
                 ShortcutProvider* shortcuts = nullptr);
 
-  /// Executes every probe of `plan` from `querying_peer`, then re-issues
-  /// deferred levels for up to plan.reissue_budget rounds of
-  /// plan.heal_window_ms each. Outcomes are indexed by probe order; a level
-  /// recovered by a re-issue ends kDelivered/kDetoured with its reissues
-  /// count recording the rounds it took.
+  /// Executes every probe of `plan` from `querying_peer` in level order on
+  /// the calling thread, then re-issues deferred levels for up to
+  /// plan.reissue_budget rounds of plan.heal_window_ms each. Outcomes are
+  /// indexed by probe order; a level recovered by a re-issue ends
+  /// kDelivered/kDetoured with its reissues count recording the rounds it
+  /// took.
   std::vector<LevelOutcome> Execute(const QueryPlan& plan, int querying_peer);
 
  private:
-  /// Runs one probe into `out` (fresh slot). Safe to call from fan-out
-  /// workers: touches only the probe's overlay and its own slot.
+  /// Runs one probe into `out` (fresh slot).
   void RunProbe(const LevelProbe& probe, int querying_peer, LevelOutcome* out);
 
   /// Folds a re-issue round's outcome into the level's cumulative one.
@@ -220,7 +213,6 @@ class QueryExecutor {
 
   std::vector<std::unique_ptr<can::CanOverlay>>* overlays_;  // not owned
   sim::Simulator* sim_;                                      // not owned
-  std::function<void(size_t, const std::function<void(size_t)>&)> fan_out_;
   backbone::BackboneManager* backbone_;                      // not owned, may be null
   ShortcutProvider* shortcuts_;                              // not owned, may be null
 };

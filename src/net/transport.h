@@ -19,9 +19,9 @@
 //    deterministic.
 //
 // The unreliable transport is deliberately single-threaded (message ids are
-// consumed in call order); callers fan queries out serially when
-// `reliable()` is false. The reliable transport is thread-safe (it only
-// touches the atomic NetworkStats counters).
+// consumed in call order); every caller sends from the orchestrating thread —
+// query level probes run in level order, and Build's pool fan-outs send
+// nothing. The reliable transport touches only atomic counters.
 
 #ifndef HYPERM_NET_TRANSPORT_H_
 #define HYPERM_NET_TRANSPORT_H_
@@ -138,10 +138,6 @@ class Transport {
   /// lost packets too.
   virtual HopResult SendHop(const Message& message) = 0;
 
-  /// True when delivery is synchronous and infallible (the bit-identical
-  /// legacy behavior). Callers may parallelize sends only when true.
-  virtual bool reliable() const = 0;
-
   /// Availability of `peer` right now (always true for reliable transports).
   virtual bool peer_up(int peer) const { return peer >= 0; }
 
@@ -173,7 +169,6 @@ class ReliableTransport : public Transport {
                              const sim::LinkModel& link = {});
 
   HopResult SendHop(const Message& message) override;
-  bool reliable() const override { return true; }
   TransportCounters counters() const override {
     TransportCounters snapshot;
     snapshot.messages_sent = messages_sent_.load(std::memory_order_relaxed);
@@ -183,8 +178,8 @@ class ReliableTransport : public Transport {
  private:
   sim::NetworkStats* stats_;  // not owned
   sim::LinkModel link_;
-  // Atomic because reliable sends run concurrently on pool workers (query
-  // layer fan-out); everything else in TransportCounters stays zero here.
+  // Relaxed atomic like the NetworkStats counters it sits beside; everything
+  // else in TransportCounters stays zero here.
   std::atomic<uint64_t> messages_sent_{0};
 };
 
@@ -214,7 +209,6 @@ class UnreliableTransport : public Transport {
                       FaultState* state, const NetOptions& options);
 
   HopResult SendHop(const Message& message) override;
-  bool reliable() const override { return false; }
   bool peer_up(int peer) const override { return state_->up(peer); }
   bool ReachableHint(int src, int dst) const override;
   sim::TimeMs now() const override { return sim_->now(); }

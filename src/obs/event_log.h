@@ -13,8 +13,8 @@
 // orchestrating thread — Arm() captures the calling thread as the owner and
 // Record()/context scopes become no-ops on any other thread. All hooks sit
 // on serially-executed simulator-driven paths (the unreliable transport,
-// the radio channel, the query executor's serial fan-out), so the log is
-// bit-identical at 1 and 8 pool threads. The buffer is bounded; overflowing
+// the radio channel, the query executor's in-order probe loop), so the log
+// is bit-identical at 1 and 8 pool threads. The buffer is bounded; overflowing
 // events are counted in dropped(), never stored.
 
 #ifndef HYPERM_OBS_EVENT_LOG_H_

@@ -43,8 +43,8 @@ struct ShortcutStats {
 };
 
 /// The core::ShortcutProvider implementation the serving engine installs on
-/// its network. Single-threaded: only consulted on simulator-driven (serial
-/// fan-out) executions, like the transport underneath.
+/// its network. Single-threaded: the query executor consults it from the
+/// calling thread, like the transport underneath.
 class ShortcutMiner : public core::ShortcutProvider {
  public:
   static constexpr int kCellsPerDim = 8;  ///< key-space grid per dimension

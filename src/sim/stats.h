@@ -45,9 +45,9 @@ struct RadioEnergyModel {
 
 /// Accumulates hop/byte/energy counters per traffic class.
 ///
-/// Thread-safe: counters are relaxed atomics, so pool workers routing
-/// concurrent layer tasks may RecordHop into a shared instance. Totals stay
-/// deterministic across thread counts because hop/byte increments are
+/// Thread-safe: counters are relaxed atomics, so concurrent callers may
+/// RecordHop into a shared instance. Totals stay deterministic in any
+/// recording order because hop/byte increments are
 /// integers and — under the default RadioEnergyModel — the per-hop energy
 /// addends are integer-valued nanojoules, so the double sums commute exactly.
 class NetworkStats {

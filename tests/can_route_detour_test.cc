@@ -34,7 +34,6 @@ class BlockingTransport : public net::Transport {
     result.delivered = true;
     return result;
   }
-  bool reliable() const override { return false; }
   bool ReachableHint(int /*src*/, int dst) const override {
     return !announce_blocks_ || !blocked_.contains(dst);
   }

@@ -154,5 +154,36 @@ TEST(NetRepublishTest, CrashDegradesAndRepublishHealsRecall) {
   }
 }
 
+// Soft state needs a clock, not faults: on the default reliable transport a
+// TTL shorter than the republish period empties the index at the first sweep
+// past it, and the next republish tick restores it — each an epoch bump.
+TEST(NetRepublishTest, ReliableTransportExpiresAndRepublishes) {
+  HyperMOptions options;
+  options.net.summary_ttl_ms = 400.0;        // sweeps every 200 ms
+  options.net.republish_period_ms = 1000.0;
+  Bed bed = MakeBed(options);
+  ASSERT_FALSE(bed.network->unreliable());
+
+  const double fresh = MeasureRecall(bed);
+  EXPECT_GT(fresh, 0.9);
+  const uint64_t built_epoch = bed.network->summary_epoch();
+
+  bed.network->AdvanceTo(700.0);  // the t=600 sweep expires every summary
+  EXPECT_GT(bed.network->soft_state().summaries_expired, 0u);
+  EXPECT_EQ(bed.network->soft_state().republishes, 0u);
+  const uint64_t expired_epoch = bed.network->summary_epoch();
+  EXPECT_GT(expired_epoch, built_epoch);
+  EXPECT_LT(MeasureRecall(bed), 0.3) << "index should have expired";
+
+  bed.network->AdvanceTo(1050.0);  // the t=1000 tick republishes every peer
+  EXPECT_EQ(bed.network->soft_state().republishes,
+            static_cast<uint64_t>(bed.network->num_peers()));
+  EXPECT_GT(bed.network->summary_epoch(), expired_epoch);
+  EXPECT_GE(MeasureRecall(bed), fresh - 1e-12);
+  // Nothing on this transport can lose a message.
+  EXPECT_EQ(bed.network->soft_state().inserts_lost, 0u);
+  EXPECT_EQ(bed.network->soft_state().summaries_lost, 0u);
+}
+
 }  // namespace
 }  // namespace hyperm::core

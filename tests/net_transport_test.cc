@@ -137,7 +137,6 @@ TEST(ReliableTransportTest, RecordsExactlyOneHopPerMessage) {
   EXPECT_EQ(transport.counters().messages_sent, 1u);
   EXPECT_EQ(transport.counters().retries, 0u);
   EXPECT_EQ(transport.counters().dead_letters, 0u);
-  EXPECT_TRUE(transport.reliable());
   EXPECT_TRUE(transport.peer_up(12345));
 }
 

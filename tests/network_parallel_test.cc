@@ -42,12 +42,13 @@ struct RunCapture {
   std::vector<std::string> span_names;  // sorted multiset of span names
 };
 
-RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
-                       bool radio_channel = false, bool csma_aodv = false) {
-  obs::MetricsRegistry::Global().Reset();
-  obs::Tracer::Global().Reset();
+struct Deployment {
+  data::Dataset dataset;
+  std::unique_ptr<HyperMNetwork> network;
+};
 
-  Rng rng(606);
+// The shared bed: 500 Markov items over 16 peers, built with `options`.
+Deployment Deploy(const HyperMOptions& options, Rng& rng) {
   data::MarkovOptions data_options;
   data_options.count = 500;
   data_options.dim = 64;
@@ -62,13 +63,24 @@ RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
   Result<data::PeerAssignment> assignment =
       data::AssignByInterest(dataset.value(), assign_options, rng);
   EXPECT_TRUE(assignment.ok());
+  Result<std::unique_ptr<HyperMNetwork>> net =
+      HyperMNetwork::Build(dataset.value(), assignment.value(), options, rng);
+  EXPECT_TRUE(net.ok()) << net.status().ToString();
+  return Deployment{std::move(dataset).value(), std::move(net).value()};
+}
 
+RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
+                       bool radio_channel = false, bool csma_aodv = false) {
+  obs::MetricsRegistry::Global().Reset();
+  obs::Tracer::Global().Reset();
+
+  Rng rng(606);
   HyperMOptions options;
   options.num_threads = num_threads;
   if (explicit_net_options) {
     // Reliable transport spelled out, with the knobs it accepts but never
-    // reads set: none of it may perturb the reliable path (soft-state and
-    // fault settings need the simulator, so Build rejects them here).
+    // reads set: none of it may perturb the reliable path (fault settings
+    // need the unreliable transport, so Build rejects them here).
     options.net = net::NetOptions{};
     options.net.unreliable = false;
     options.net.retry.adaptive = true;
@@ -97,14 +109,12 @@ RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
       options.channel.routing.kind = route::RoutingOptions::Kind::kAodv;
     }
   }
-  Result<std::unique_ptr<HyperMNetwork>> net =
-      HyperMNetwork::Build(dataset.value(), assignment.value(), options, rng);
-  EXPECT_TRUE(net.ok()) << net.status().ToString();
-  HyperMNetwork& network = *net.value();
+  const Deployment deployment = Deploy(options, rng);
+  HyperMNetwork& network = *deployment.network;
 
   RunCapture cap;
-  const Vector& q1 = dataset.value().items[7];
-  const Vector& q2 = dataset.value().items[123];
+  const Vector& q1 = deployment.dataset.items[7];
+  const Vector& q2 = deployment.dataset.items[123];
 
   Result<std::vector<PeerScore>> scores = network.ScorePeers(q1, 0.8, 0);
   EXPECT_TRUE(scores.ok());
@@ -232,6 +242,31 @@ TEST(NetworkParallelTest, PoolMetricsAreRecorded) {
   const auto wall = run.metrics.histograms.find("pool.wall_us");
   ASSERT_NE(wall, run.metrics.histograms.end());
   EXPECT_GT(wall->second.count, 0u);
+}
+
+uint64_t PoolTasks() {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  const auto it = snap.counters.find("pool.tasks");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// Only Build fans out to the pool: queries run their level probes in order
+// on the calling thread, so at any lane count they add no pool tasks.
+TEST(NetworkParallelTest, QueriesStayOffThePool) {
+  obs::MetricsRegistry::Global().Reset();
+  Rng rng(606);
+  HyperMOptions options;
+  options.num_threads = 4;
+  const Deployment deployment = Deploy(options, rng);
+  HyperMNetwork& network = *deployment.network;
+  const uint64_t built = PoolTasks();
+  ASSERT_GT(built, 0u);
+  for (int q = 0; q < 6; ++q) {
+    const Vector& center = deployment.dataset.items[static_cast<size_t>(q * 71)];
+    EXPECT_TRUE(network.RangeQuery(center, 0.8, q).ok());
+    EXPECT_TRUE(network.KnnQuery(center, 5, KnnOptions{}, q).ok());
+  }
+  EXPECT_EQ(PoolTasks(), built);
 }
 
 // The k-NN query's Eq. 8 solves are recorded at the ordered drain: at most

@@ -72,47 +72,56 @@ TEST(NetworkBuildTest, RejectsBadInput) {
 }
 
 TEST(NetworkBuildTest, RejectsSimulatorSettingsOnReliableTransport) {
-  // The reliable transport has no simulator, so faults, soft-state periods,
-  // heal-window re-issue and series sampling would be ignored and the run
-  // would answer as if fault-free. Each one alone must be refused.
+  // The reliable transport has no fault model, so a fault setting would be
+  // ignored and the run would answer as if fault-free. Each one alone must
+  // be refused.
   data::Dataset good;
   good.items.push_back(Vector(8, 1.0));
   good.items.push_back(Vector(8, 0.5));
   const data::PeerAssignment assignment = {{0}, {1}};
-  std::vector<std::pair<const char*, HyperMOptions>> cases;
-  const auto add = [&cases](const char* name, auto set) {
+  std::vector<std::pair<const char*, HyperMOptions>> faults;
+  const auto add = [](auto& cases, const char* name, auto set) {
     HyperMOptions options;
     set(options);
     cases.emplace_back(name, options);
   };
-  add("loss_rate", [](HyperMOptions& o) { o.net.faults.loss_rate = 0.1; });
-  add("peer_events", [](HyperMOptions& o) {
+  add(faults, "loss_rate", [](HyperMOptions& o) { o.net.faults.loss_rate = 0.1; });
+  add(faults, "peer_events", [](HyperMOptions& o) {
     o.net.faults.peer_events.push_back(net::PeerEvent{100.0, 1, false});
   });
-  add("partitions", [](HyperMOptions& o) {
+  add(faults, "partitions", [](HyperMOptions& o) {
     o.net.faults.partitions.push_back(net::Partition{0.0, 100.0, {0}});
   });
-  add("summary_ttl_ms", [](HyperMOptions& o) { o.net.summary_ttl_ms = 500.0; });
-  add("republish_period_ms",
-      [](HyperMOptions& o) { o.net.republish_period_ms = 250.0; });
-  add("reissue_budget", [](HyperMOptions& o) {
-    o.plan.reissue_budget = 2;
-    o.plan.heal_window_ms = 100.0;
-  });
-  add("trace_series_period_ms",
-      [](HyperMOptions& o) { o.trace_series_period_ms = 50.0; });
-  for (const auto& [name, options] : cases) {
+  for (const auto& [name, options] : faults) {
     Rng rng(1);
     Result<std::unique_ptr<HyperMNetwork>> net =
         HyperMNetwork::Build(good, assignment, options, rng);
     ASSERT_FALSE(net.ok()) << name;
     EXPECT_EQ(net.status().code(), StatusCode::kInvalidArgument) << name;
-    // The same setting is accepted once the simulator exists.
+    // The same setting is accepted on the unreliable transport.
     HyperMOptions unreliable = options;
     unreliable.net.unreliable = true;
     Rng unreliable_rng(1);
     EXPECT_TRUE(HyperMNetwork::Build(good, assignment, unreliable, unreliable_rng).ok())
         << name;
+  }
+  // Every network owns a simulator, so the clock-driven settings run on the
+  // reliable transport too.
+  std::vector<std::pair<const char*, HyperMOptions>> clocked;
+  add(clocked, "summary_ttl_ms", [](HyperMOptions& o) { o.net.summary_ttl_ms = 500.0; });
+  add(clocked, "republish_period_ms",
+      [](HyperMOptions& o) { o.net.republish_period_ms = 250.0; });
+  add(clocked, "reissue_budget", [](HyperMOptions& o) {
+    o.plan.reissue_budget = 2;
+    o.plan.heal_window_ms = 100.0;
+  });
+  add(clocked, "trace_series_period_ms",
+      [](HyperMOptions& o) { o.trace_series_period_ms = 50.0; });
+  for (const auto& [name, options] : clocked) {
+    Rng rng(1);
+    Result<std::unique_ptr<HyperMNetwork>> net =
+        HyperMNetwork::Build(good, assignment, options, rng);
+    EXPECT_TRUE(net.ok()) << name << ": " << net.status().ToString();
   }
   // A negative loss rate is malformed on either transport.
   HyperMOptions negative_loss;

@@ -28,7 +28,9 @@ struct Bed {
   std::unique_ptr<core::HyperMNetwork> network;
 };
 
-Bed MakeBed(bool with_channel = true) {
+// `with_channel` needs `unreliable`; a bed with neither runs on the default
+// reliable transport.
+Bed MakeBed(bool with_channel = true, bool unreliable = true) {
   Rng rng(4242);
   data::MarkovOptions data_options;
   data_options.count = 128;
@@ -46,7 +48,7 @@ Bed MakeBed(bool with_channel = true) {
   EXPECT_TRUE(assignment.ok());
   bed.assignment = std::move(assignment).value();
   core::HyperMOptions options;
-  options.net.unreliable = true;
+  options.net.unreliable = unreliable;
   if (with_channel) {
     options.channel.enabled = true;
     options.channel.field.field_size_m = 200.0;
@@ -125,6 +127,39 @@ TEST(ServeEngineTest, ShedsAreNeverSilent) {
   EXPECT_EQ(shed_events, stats->shed);
   EXPECT_EQ(admit_events, stats->admitted);
   obs::EventLog::Global().Reset();
+}
+
+// The default (reliable-transport) network serves on its own clock too:
+// dispatch advances it to every arrival, so a time-to-answer is the query's
+// simulated latency (never negative) and the deadline separates the answers
+// that beat it from those that did not.
+TEST(ServeEngineTest, ReliableTransportServesOnTheNetworkClock) {
+  Bed bed = MakeBed(/*with_channel=*/false, /*unreliable=*/false);
+  ASSERT_FALSE(bed.network->unreliable());
+  ServeOptions serve = BaseServeOptions();
+  // This bed's range queries answer in 37–73 ms of LinkModel hop time.
+  serve.deadline_ms = 55.0;
+  const std::vector<QueryTemplate> templates = MakeTemplates(
+      bed.dataset.items, serve.workload, serve.range_epsilon, serve.knn_k);
+  const std::vector<Arrival> schedule =
+      GenerateArrivals(serve.workload, bed.network->num_peers());
+  ASSERT_FALSE(schedule.empty());
+  const double start_ms = bed.network->now();
+  ServeEngine engine(bed.network.get(), serve);
+  Result<ServeStats> stats = engine.Run(templates, schedule);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->completed, schedule.size());
+  EXPECT_GE(bed.network->now(), start_ms + schedule.back().t_ms);
+  uint64_t within = 0;
+  for (double t2a : stats->t2a_ms) {
+    EXPECT_GE(t2a, 0.0);
+    if (t2a <= serve.deadline_ms) ++within;
+  }
+  EXPECT_EQ(stats->deadline_met, within);
+  // The deadline sits inside this bed's latency range: some answers beat it
+  // and some miss it.
+  EXPECT_GT(stats->deadline_met, 0u);
+  EXPECT_LT(stats->deadline_met, stats->completed);
 }
 
 // Caches + shortcuts must never change an answer — only its cost. Serve the
