@@ -70,7 +70,6 @@ std::unique_ptr<ChannelBed> BuildBed(bool paper, double speed_m_per_s,
   }
   bed->assignment = std::move(assignment).value();
   core::HyperMOptions options;
-  options.net.unreliable = true;
   options.net.retry.adaptive = true;
   options.net.summary_ttl_ms = 1500.0;
   options.net.republish_period_ms = 400.0;

@@ -79,7 +79,6 @@ std::unique_ptr<PartitionBed> BuildBed(bool paper, double speed_m_per_s,
   }
   bed->assignment = std::move(assignment).value();
   core::HyperMOptions options;
-  options.net.unreliable = true;
   options.net.retry.adaptive = true;
   options.net.summary_ttl_ms = 1500.0;
   options.net.republish_period_ms = 400.0;
@@ -224,7 +223,6 @@ void RunScaleDeployment(int num_peers, int num_items, int num_queries,
     std::exit(1);
   }
   core::HyperMOptions options;
-  options.net.unreliable = true;
   options.net.retry.adaptive = true;
   options.net.summary_ttl_ms = 1500.0;
   options.net.republish_period_ms = 400.0;

@@ -74,7 +74,6 @@ std::unique_ptr<ServeBed> BuildBed(bool paper) {
   }
   bed->assignment = std::move(assignment).value();
   core::HyperMOptions options;
-  options.net.unreliable = true;
   options.net.retry.adaptive = true;
   // Static summaries: no TTL churn and no republish floods — the capacity
   // the ladder saturates is query airtime, nothing else. (The result

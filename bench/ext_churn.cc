@@ -62,7 +62,6 @@ int RunFaultSweep(bool paper) {
   for (const double loss : {0.0, 0.05, 0.1, 0.2}) {
     for (const int crashes : {0, 4}) {
       core::HyperMOptions options;
-      options.net.unreliable = true;
       options.net.faults.loss_rate = loss;
       options.net.summary_ttl_ms = 2000.0;      // sweeps every 1000 ms
       options.net.republish_period_ms = 1000.0;

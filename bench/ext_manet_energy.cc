@@ -154,7 +154,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       core::HyperMOptions sweep_options;
-      sweep_options.net.unreliable = true;
       sweep_options.net.retry.adaptive = true;
       // Republish slowly enough that soft-state refresh stays well under the
       // radio's capacity; otherwise the transmit queues never drain and the

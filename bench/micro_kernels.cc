@@ -3,7 +3,8 @@
 // Eqs. 5-8, CAN greedy routing and zone flooding, and peer-local range
 // retrieval. These quantify the "could be done offline / negligible" claims
 // the paper makes about local computation. BM_DomainDigest* time the supernode
-// backbone's per-tick domain digest maintenance.
+// backbone's per-tick domain digest maintenance; BM_TransportSendHop times
+// the transport every overlay message goes through.
 //
 // With --json=<path> the binary additionally runs one small instrumented
 // end-to-end sample (Build + range + k-NN query) and writes the global
@@ -24,6 +25,10 @@
 #include "geom/radius_estimator.h"
 #include "geom/sphere_volume.h"
 #include "hyperm/peer.h"
+#include "net/fault_plan.h"
+#include "net/transport.h"
+#include "sim/simulator.h"
+#include "sim/stats.h"
 #include "vec/matrix.h"
 #include "vec/vector.h"
 #include "wavelet/haar.h"
@@ -247,6 +252,33 @@ void BM_CanFlood(benchmark::State& state) {
       static_cast<double>(matches), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_CanFlood)->Args({2, 256})->Args({4, 256});
+
+// One UnreliableTransport::SendHop on the free channel (no radio channel
+// installed): the per-message cost every overlay hop and retrieve exchange
+// pays. Args: {loss_percent}. At 0 every message is delivered on its first
+// attempt, as in the paper configuration; at 20 the time includes retries,
+// and tx_per_hop counts the transmissions each message took.
+void BM_TransportSendHop(benchmark::State& state) {
+  constexpr int kPeers = 16;
+  net::NetOptions options;
+  options.faults.loss_rate = static_cast<double>(state.range(0)) / 100.0;
+  sim::Simulator sim;
+  sim::NetworkStats stats;
+  net::FaultState faults(kPeers, options.faults);
+  net::UnreliableTransport transport(&sim, &stats, &faults, options);
+  int src = 0;
+  for (auto _ : state) {
+    const net::HopResult r = transport.SendHop({net::MessageType::kQueryFlood, src,
+                                                (src + 1) % kPeers, 64,
+                                                sim::TrafficClass::kQuery});
+    benchmark::DoNotOptimize(r);
+    src = (src + 1) % kPeers;
+  }
+  state.counters["tx_per_hop"] =
+      benchmark::Counter(static_cast<double>(transport.counters().messages_sent),
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_TransportSendHop)->Arg(0)->Arg(20);
 
 // Domain digest maintenance at serve_manet's shape: four wavelet levels of
 // dims {1, 1, 2, 4}, 2048-bit digests with 24 cells per axis, `members`

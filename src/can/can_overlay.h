@@ -40,7 +40,7 @@ struct RouteResult {
   overlay::NodeId destination = overlay::kInvalidNode;
   int hops = 0;
 
-  /// False when an unreliable transport exhausted its retries on some hop;
+  /// False when the transport exhausted its retries on some hop;
   /// `destination` is then kInvalidNode. Always true without a transport.
   bool delivered = true;
   double latency_ms = 0.0;  ///< accumulated per-hop link latency

@@ -1,4 +1,5 @@
-// The physical radio substrate beneath the unreliable transport.
+// The physical radio substrate beneath the transport
+// (net::UnreliableTransport), installed when channel.enabled.
 //
 // The paper's setting is a room-scale ad-hoc radio network, but the overlay
 // model above treats every overlay hop as one free physical transmission

@@ -137,58 +137,54 @@ Status HyperMNetwork::InitTransport() {
   published_cache_.assign(
       peers_.size(),
       std::vector<std::vector<overlay::PublishedCluster>>(levels_.size()));
-  if (!net_opts.unreliable) {
-    transport_ = std::make_unique<net::ReliableTransport>(&stats_, net_opts.link);
-  } else {
-    HM_RETURN_IF_ERROR(net_opts.faults.Validate(num_peers()));
-    fault_state_ = std::make_unique<net::FaultState>(num_peers(), net_opts.faults);
-    auto unreliable = std::make_unique<net::UnreliableTransport>(
-        sim_.get(), &stats_, fault_state_.get(), net_opts);
-    if (options_.channel.enabled) {
-      HM_ASSIGN_OR_RETURN(
-          channel_,
-          channel::RadioChannel::Create(num_peers(), options_.channel, &stats_));
-      unreliable->set_channel(channel_.get());
-      mobility_ = std::make_unique<channel::MobilityProcess>(sim_.get(),
-                                                             channel_.get());
-      mobility_->Start();
-    }
-    transport_ = std::move(unreliable);
+  HM_RETURN_IF_ERROR(net_opts.faults.Validate(num_peers()));
+  fault_state_ = std::make_unique<net::FaultState>(num_peers(), net_opts.faults);
+  auto transport = std::make_unique<net::UnreliableTransport>(
+      sim_.get(), &stats_, fault_state_.get(), net_opts);
+  if (options_.channel.enabled) {
+    HM_ASSIGN_OR_RETURN(
+        channel_,
+        channel::RadioChannel::Create(num_peers(), options_.channel, &stats_));
+    transport->set_channel(channel_.get());
+    mobility_ = std::make_unique<channel::MobilityProcess>(sim_.get(),
+                                                           channel_.get());
+    mobility_->Start();
+  }
+  transport_ = std::move(transport);
 
-    for (const net::PeerEvent& event : net_opts.faults.peer_events) {
-      sim_->ScheduleAt(event.at_ms, [this, event] {
-        // Fault events can fire inside a query's heal-window RunUntil; their
-        // flight-recorder events are epoch bookkeeping, not part of that
-        // query's causal chain.
-        HM_OBS_ROOT_SCOPE();
-        // Either direction changes query answers (a down peer neither serves
-        // summaries nor answers retrieves) and leaves state the next
-        // republish tick will repair — epoch-bump now, and again at the tick.
-        ++summary_epoch_;
-        summaries_dirty_ = true;
-        if (event.up) {
-          fault_state_->SetUp(event.peer, true);
-          ++soft_.rejoins;
-          HM_OBS_COUNTER_ADD("net.rejoins", 1);
-          HM_OBS_EVENT(.sim_ms = sim_->now(),
-                       .kind = obs::EventKind::kPeerRejoin, .src = event.peer);
-        } else {
-          fault_state_->SetUp(event.peer, false);
-          ++soft_.crashes;
-          HM_OBS_COUNTER_ADD("net.crashes", 1);
-          // A crash wipes the node's volatile summary store. Its zone and
-          // its local item collection survive; its share of the distributed
-          // index does not — republish ticks by the owners repair it.
-          int lost = 0;
-          for (auto& ov : overlays_) lost += ov->ClearNode(event.peer);
-          soft_.summaries_lost += static_cast<uint64_t>(lost);
-          HM_OBS_COUNTER_ADD("net.summaries_lost", lost);
-          HM_OBS_EVENT(.sim_ms = sim_->now(),
-                       .kind = obs::EventKind::kPeerCrash, .src = event.peer,
-                       .aux = lost);
-        }
-      });
-    }
+  for (const net::PeerEvent& event : net_opts.faults.peer_events) {
+    sim_->ScheduleAt(event.at_ms, [this, event] {
+      // Fault events can fire inside a query's heal-window RunUntil; their
+      // flight-recorder events are epoch bookkeeping, not part of that
+      // query's causal chain.
+      HM_OBS_ROOT_SCOPE();
+      // Either direction changes query answers (a down peer neither serves
+      // summaries nor answers retrieves) and leaves state the next
+      // republish tick will repair — epoch-bump now, and again at the tick.
+      ++summary_epoch_;
+      summaries_dirty_ = true;
+      if (event.up) {
+        fault_state_->SetUp(event.peer, true);
+        ++soft_.rejoins;
+        HM_OBS_COUNTER_ADD("net.rejoins", 1);
+        HM_OBS_EVENT(.sim_ms = sim_->now(),
+                     .kind = obs::EventKind::kPeerRejoin, .src = event.peer);
+      } else {
+        fault_state_->SetUp(event.peer, false);
+        ++soft_.crashes;
+        HM_OBS_COUNTER_ADD("net.crashes", 1);
+        // A crash wipes the node's volatile summary store. Its zone and
+        // its local item collection survive; its share of the distributed
+        // index does not — republish ticks by the owners repair it.
+        int lost = 0;
+        for (auto& ov : overlays_) lost += ov->ClearNode(event.peer);
+        soft_.summaries_lost += static_cast<uint64_t>(lost);
+        HM_OBS_COUNTER_ADD("net.summaries_lost", lost);
+        HM_OBS_EVENT(.sim_ms = sim_->now(),
+                     .kind = obs::EventKind::kPeerCrash, .src = event.peer,
+                     .aux = lost);
+      }
+    });
   }
   if (net_opts.republish_period_ms > 0.0) ScheduleRepublish();
   if (net_opts.summary_ttl_ms > 0.0) {
@@ -355,23 +351,9 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
     return InvalidArgumentError(
         "Build: plan.reissue_budget needs a positive plan.heal_window_ms");
   }
-  if (!options.net.unreliable) {
-    // The reliable transport delivers every message at once: it has no fault
-    // model to inject these with, so a run would answer as if fault-free,
-    // and no seam for a radio channel's per-attempt physics.
-    const net::FaultPlan& faults = options.net.faults;
-    if (faults.loss_rate != 0.0 || !faults.peer_events.empty() ||
-        !faults.partitions.empty()) {
-      return InvalidArgumentError("Build: net.faults requires net.unreliable");
-    }
-    if (options.channel.enabled) {
-      return InvalidArgumentError("Build: channel.enabled requires net.unreliable");
-    }
-  }
-  if (options.backbone.enabled &&
-      (!options.net.unreliable || !options.channel.enabled)) {
+  if (options.backbone.enabled && !options.channel.enabled) {
     return InvalidArgumentError(
-        "Build: backbone.enabled requires net.unreliable and channel.enabled "
+        "Build: backbone.enabled requires channel.enabled "
         "(the CDS is elected over the live radio graph)");
   }
 
@@ -474,7 +456,7 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
 
   // Transport + fault machinery. From here on, every overlay hop and
   // retrieve exchange is a message through net->transport_ — publication
-  // included, so building under an unreliable plan already loses summaries.
+  // included, so building under a lossy fault plan already loses summaries.
   HM_RETURN_IF_ERROR(net->InitTransport());
 
   // Cluster + publish every peer (steps i2-i3); a peer's publication hops
@@ -840,9 +822,9 @@ Status HyperMNetwork::RepublishPeer(int peer, Rng& rng) {
   ++summary_epoch_;  // unpublish + fresh clustering changes answers
 
   // Unpublish: every replica holder processes one removal message. Removals
-  // stay direct (always delivered) even under an unreliable transport — a
-  // lost unpublish would just leave a stale entry, and TTL expiry is the
-  // fault model's real cleanup mechanism.
+  // stay direct (always delivered) whatever the fault plan — a lost
+  // unpublish would just leave a stale entry, and TTL expiry is the fault
+  // model's real cleanup mechanism.
   for (auto& overlay : overlays_) {
     const int removed = overlay->RemoveByOwner(peer);
     for (int i = 0; i < removed; ++i) {

@@ -68,32 +68,32 @@ struct HyperMOptions {
   /// (seed, peer, layer), never from scheduling order.
   int num_threads = 0;
 
-  /// Transport configuration. Default (net.unreliable == false) routes all
-  /// overlay and retrieve traffic through a ReliableTransport, which is
-  /// bit-identical to the historical direct-stats behavior. Setting
-  /// net.unreliable enables the MANET fault model (loss, crash/rejoin,
-  /// partitions, retries); Build rejects faults without it. Soft state
-  /// (summary_ttl_ms, republish_period_ms) runs on the network's simulator
-  /// on either transport.
+  /// Transport configuration. All overlay and retrieve traffic goes through
+  /// one net::UnreliableTransport: the fault model (loss, crash/rejoin,
+  /// partitions) with link-level retries. The default empty fault plan
+  /// delivers every message on its first attempt. Soft state
+  /// (summary_ttl_ms, republish_period_ms) runs on the network's simulator.
+  /// net.unreliable is inert (see net::NetOptions).
   net::NetOptions net;
 
-  /// Physical radio substrate (requires net.unreliable). When
-  /// channel.enabled, overlay hops ride queued multi-hop radio paths over a
-  /// mobile unit-disk topology and radio islands make peers unreachable;
-  /// when disabled (default) the transport keeps the free-channel LinkModel.
+  /// Physical radio substrate. When channel.enabled, overlay hops ride
+  /// queued multi-hop radio paths over a mobile unit-disk topology and radio
+  /// islands make peers unreachable; when disabled (default) the transport
+  /// keeps the free-channel LinkModel.
   channel::ChannelOptions channel;
 
   /// Partition-tolerant query planning (detour routing, heal-time re-issue).
   /// All-zero by default, which reproduces the historical query path bit for
-  /// bit. Both apply on any transport; on the reliable one no level is ever
-  /// deferred, so a re-issue budget never spends a round.
+  /// bit. Without faults or a channel no level is ever deferred, so a
+  /// re-issue budget never spends a round.
   QueryPlanOptions plan;
 
-  /// Supernode backbone (requires net.unreliable and channel.enabled): CDS
-  /// election over the radio graph, per-domain Bloom digests, and a
-  /// backbone-first stage for non-expanding range probes. Disabled by
-  /// default, in which case nothing backbone-related is constructed and the
-  /// whole pipeline is bit-identical to a backbone-less build.
+  /// Supernode backbone (requires channel.enabled; Build rejects it
+  /// otherwise): CDS election over the radio graph, per-domain Bloom
+  /// digests, and a backbone-first stage for non-expanding range probes.
+  /// Disabled by default, in which case nothing backbone-related is
+  /// constructed and the whole pipeline is bit-identical to a backbone-less
+  /// build.
   backbone::BackboneOptions backbone;
 
   /// Flight-recorder time-series sampling period (simulated ms). When > 0, a
@@ -260,17 +260,20 @@ class HyperMNetwork {
   /// Current simulated time.
   sim::TimeMs now() const { return sim_->now(); }
 
-  /// True when the network was built with net.unreliable.
+  /// The inert net.unreliable field as set. The library never branches on
+  /// it; it stays only because perfbench/driver.cc reads it to choose its
+  /// clock and ledger mode, and goes with the next change to the benchmark.
   bool unreliable() const { return options_.net.unreliable; }
 
   /// The transport all overlay/retrieve traffic goes through.
   const net::Transport& transport() const { return *transport_; }
 
-  /// Soft-state / fault bookkeeping (the fault counters stay zero on the
-  /// reliable transport).
+  /// Soft-state / fault bookkeeping (the fault counters stay zero without
+  /// faults).
   const SoftStateCounters& soft_state() const { return soft_; }
 
-  /// True iff peer `p` is currently up (always true on reliable transports).
+  /// True iff peer `p` is currently up: in range and not crashed by a fault
+  /// plan event.
   bool peer_up(int p) const { return transport_->peer_up(p); }
 
   /// The physical radio channel, or nullptr when channel.enabled is false.
@@ -342,9 +345,9 @@ class HyperMNetwork {
       std::vector<LevelOutcome>& outcomes, RangeQueryInfo* info,
       std::vector<std::unordered_map<int, double>>* level_scores);
 
-  /// Wires up the simulator and transport, and schedules the periodic
-  /// events: crash/rejoin (net.unreliable only), republish ticks, TTL expiry
-  /// sweeps and series samples.
+  /// Wires up the simulator, fault state and transport (and the radio
+  /// channel when enabled), and schedules the periodic events: crash/rejoin,
+  /// republish ticks, TTL expiry sweeps and series samples.
   Status InitTransport();
 
   /// One soft-state republish round: every live peer re-inserts its cached
@@ -391,10 +394,10 @@ class HyperMNetwork {
   std::vector<uint64_t> publication_hops_;  // per peer, set during Build
   uint64_t next_cluster_id_ = 1;
 
-  // Clock, transport + fault machinery. sim_ and transport_ are always set
-  // after Build; fault_state_ only when net.unreliable; channel_/mobility_
-  // only when channel.enabled (the channel must outlive the transport that
-  // borrows it).
+  // Clock, transport + fault machinery. sim_, fault_state_ and transport_
+  // are always set after Build; channel_/mobility_ only when
+  // channel.enabled (the channel must outlive the transport that borrows
+  // it).
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::FaultState> fault_state_;
   std::unique_ptr<channel::RadioChannel> channel_;

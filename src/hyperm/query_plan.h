@@ -24,8 +24,8 @@
 // order on the calling thread, so each transport's message stream is
 // consumed in the same order at any pool size. The paper's levels are probed
 // "in parallel" in simulated time only: a query's latency is the slowest
-// level's. On a ReliableTransport with zeroed budgets the results are
-// bit-identical to the historical query path.
+// level's. Without faults or a channel, and with zeroed budgets, the
+// results are bit-identical to the historical query path.
 
 #ifndef HYPERM_HYPERM_QUERY_PLAN_H_
 #define HYPERM_HYPERM_QUERY_PLAN_H_
@@ -71,8 +71,8 @@ struct QueryPlanOptions {
 
   /// Re-issue rounds for deferred levels. Each round waits heal_window_ms of
   /// simulated time (mobility ticks, partition windows and republishes run
-  /// meanwhile) and re-probes every level still deferred. The reliable
-  /// transport never defers a level, so there it never spends a round.
+  /// meanwhile) and re-probes every level still deferred. Without faults or
+  /// a channel no level is deferred, so there it never spends a round.
   int reissue_budget = 0;
 
   /// Simulated wait before each re-issue round. 0 disables re-issue.

@@ -1,4 +1,5 @@
-// Fault injection plan for the unreliable transport.
+// Fault injection plan for the transport (net::UnreliableTransport), which
+// every network sends through.
 //
 // The paper's setting is a MANET (conference room, train car): radio links
 // drop packets, peers crash mid-query and come back, and the room can split
@@ -41,7 +42,8 @@ struct Partition {
 };
 
 /// Declarative fault schedule for one run. Default-constructed plans inject
-/// nothing (but still route messages through the unreliable machinery).
+/// nothing: every message is delivered on its first attempt (the paper's
+/// fault-free network), through the same transport as a faulty run.
 struct FaultPlan {
   double loss_rate = 0.0;  ///< P(one physical transmission is lost)
   std::vector<PeerEvent> peer_events;

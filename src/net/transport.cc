@@ -16,21 +16,6 @@ static_assert(static_cast<int>(DeliveryOutcome::kLostPartition) == 3);
 static_assert(static_cast<int>(DeliveryOutcome::kLostUnreachable) == 4);
 static_assert(static_cast<int>(DeliveryOutcome::kLostMac) == 5);
 
-ReliableTransport::ReliableTransport(sim::NetworkStats* stats,
-                                     const sim::LinkModel& link)
-    : stats_(stats), link_(link) {
-  HM_CHECK(stats != nullptr);
-}
-
-HopResult ReliableTransport::SendHop(const Message& message) {
-  // Exactly the RecordHop call the overlays used to make inline — no obs
-  // metrics on this path, so reliable-mode runs stay bit-identical to the
-  // pre-transport code (metrics snapshots included).
-  stats_->RecordHop(message.cls, message.bytes);
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  return HopResult{true, link_.HopMs(message.bytes)};
-}
-
 UnreliableTransport::UnreliableTransport(sim::Simulator* sim,
                                          sim::NetworkStats* stats,
                                          FaultState* state,
@@ -82,8 +67,12 @@ HopResult UnreliableTransport::SendHop(const Message& message) {
   const int attempts = MaxAttempts();
   for (int attempt = 0; attempt < attempts; ++attempt) {
     // One independent randomness stream per physical transmission: the draw
-    // sequence depends only on (seed, issue order), never on timing.
-    Rng draw = msg_streams_.Next();
+    // sequence depends only on (seed, issue order), never on timing. The
+    // stream's one draw is the loss Bernoulli. A loss-free plan builds no
+    // stream; loss_rate_ is fixed for the transport's lifetime, so no draw
+    // sequence changes.
+    const bool loss_draw =
+        loss_rate_ > 0.0 && msg_streams_.Next().Bernoulli(loss_rate_);
     // The radio transmits — energy and traffic are spent — before fate
     // (crash, partition, loss) decides whether anything arrives. With a
     // physical channel the attempt is one queued transmission per radio hop
@@ -135,7 +124,7 @@ HopResult UnreliableTransport::SendHop(const Message& message) {
       HM_OBS_COUNTER_ADD("net.dropped_mac", 1);
       result.outcome = DeliveryOutcome::kLostMac;
       lost = true;
-    } else if (draw.Bernoulli(loss_rate_)) {
+    } else if (loss_draw) {
       ++counters_.dropped_loss;
       HM_OBS_COUNTER_ADD("net.dropped_loss", 1);
       result.outcome = DeliveryOutcome::kLostLoss;

@@ -2,31 +2,25 @@
 //
 // Every overlay hop in the system — greedy routing forwards, replication and
 // query flood edges, retrieve requests and responses — is one typed message
-// with a payload byte size, sent through a Transport. Two implementations:
+// with a payload byte size, sent through a Transport. Every network sends
+// through one implementation, UnreliableTransport, the MANET model: each
+// physical transmission can be lost, blocked by a partition, or addressed to
+// a crashed peer (per a seeded FaultPlan); deliveries take LinkModel time (or
+// the radio channel's queued airtime); a link-level ack/retry policy
+// (RetryPolicy) retransmits with exponential backoff until delivery or the
+// dead-letter budget is exhausted. Per-message randomness derives from
+// MixSeed(seed, msg_id), never from wall clock or scheduling, so runs are
+// deterministic. With the default (empty) FaultPlan and no channel every
+// message is delivered on its first attempt after one RecordHop and one
+// LinkModel hop time, which is the paper's fault-free network.
 //
-//  * ReliableTransport — the default. Synchronous, infallible, zero
-//    machinery: SendHop records the hop into NetworkStats exactly as the
-//    overlays did before this layer existed, so all results, traffic counts
-//    and obs metrics stay bit-identical to the pre-transport code paths.
-//
-//  * UnreliableTransport — the MANET model. Each physical transmission can
-//    be lost, blocked by a partition, or addressed to a crashed peer (per a
-//    seeded FaultPlan); deliveries take LinkModel time (or the radio
-//    channel's queued airtime); a link-level ack/retry policy (RetryPolicy)
-//    retransmits with exponential backoff until delivery or the dead-letter
-//    budget is exhausted. Per-message randomness derives from
-//    MixSeed(seed, msg_id), never from wall clock or scheduling, so runs are
-//    deterministic.
-//
-// The unreliable transport is deliberately single-threaded (message ids are
-// consumed in call order); every caller sends from the orchestrating thread —
-// query level probes run in level order, and Build's pool fan-outs send
-// nothing. The reliable transport touches only atomic counters.
+// The transport is deliberately single-threaded (message ids are consumed in
+// call order); every caller sends from the orchestrating thread — query
+// level probes run in level order, and Build's pool fan-outs send nothing.
 
 #ifndef HYPERM_NET_TRANSPORT_H_
 #define HYPERM_NET_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -82,8 +76,7 @@ struct HopResult {
   DeliveryOutcome outcome = DeliveryOutcome::kDelivered;
 };
 
-/// Running totals a transport exposes for benches and tests. The reliable
-/// transport leaves everything but messages_sent at zero.
+/// Running totals a transport exposes for benches and tests.
 struct TransportCounters {
   uint64_t messages_sent = 0;   ///< physical transmissions (retries included)
   uint64_t retries = 0;         ///< retransmissions after an ack timeout
@@ -127,7 +120,8 @@ class PhysicalChannel {
   virtual ChannelTransmission Transmit(const Message& message, sim::TimeMs now) = 0;
 };
 
-/// Abstract message transport. See file comment for the two implementations.
+/// Abstract message transport: the seam the overlays send through.
+/// UnreliableTransport is the implementation; tests substitute fakes.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -138,55 +132,32 @@ class Transport {
   /// lost packets too.
   virtual HopResult SendHop(const Message& message) = 0;
 
-  /// Availability of `peer` right now (always true for reliable transports).
+  /// Availability of `peer` right now (by default any non-negative id).
   virtual bool peer_up(int peer) const { return peer >= 0; }
 
   /// Best-effort reachability hint: false when the transport already *knows*
   /// a send from `src` to `dst` cannot be delivered right now (crashed peer,
   /// active partition window, different radio island). True is not a delivery
-  /// promise — losses and retries still apply. Reliable transports always
-  /// return true. Detour routing consults this to skip doomed neighbours
-  /// without burning a transmission.
+  /// promise — losses and retries still apply. The default returns true.
+  /// Detour routing consults this to skip doomed neighbours without burning
+  /// a transmission.
   virtual bool ReachableHint(int src, int dst) const {
     (void)src;
     (void)dst;
     return true;
   }
 
-  /// Current simulated time (0 for transports without a simulator).
-  virtual sim::TimeMs now() const { return 0.0; }
-
   /// Snapshot of the transport's running totals.
   virtual TransportCounters counters() const = 0;
 };
 
-/// Default transport: synchronous, infallible, stats-only. SendHop performs
-/// exactly the NetworkStats::RecordHop call the overlays used to make
-/// inline, so every downstream number is unchanged.
-class ReliableTransport : public Transport {
- public:
-  explicit ReliableTransport(sim::NetworkStats* stats,
-                             const sim::LinkModel& link = {});
-
-  HopResult SendHop(const Message& message) override;
-  TransportCounters counters() const override {
-    TransportCounters snapshot;
-    snapshot.messages_sent = messages_sent_.load(std::memory_order_relaxed);
-    return snapshot;
-  }
-
- private:
-  sim::NetworkStats* stats_;  // not owned
-  sim::LinkModel link_;
-  // Relaxed atomic like the NetworkStats counters it sits beside; everything
-  // else in TransportCounters stays zero here.
-  std::atomic<uint64_t> messages_sent_{0};
-};
-
-/// Unreliable-transport configuration (one member of HyperMOptions).
+/// Transport configuration (one member of HyperMOptions).
 struct NetOptions {
-  /// false: ReliableTransport, today's exact behavior. true: the MANET model
-  /// below, driven by a per-network sim::Simulator.
+  /// Inert: every network sends through UnreliableTransport whatever its
+  /// value, and the library reads it only in HyperMNetwork::unreliable().
+  /// It stays because the benchmark driver (perfbench/driver.cc) sets it and
+  /// reads unreliable() back to pick its clock and ledger mode; it goes with
+  /// the next change to the benchmark.
   bool unreliable = false;
   FaultPlan faults;
   RetryPolicy retry;
@@ -211,7 +182,6 @@ class UnreliableTransport : public Transport {
   HopResult SendHop(const Message& message) override;
   bool peer_up(int peer) const override { return state_->up(peer); }
   bool ReachableHint(int src, int dst) const override;
-  sim::TimeMs now() const override { return sim_->now(); }
   TransportCounters counters() const override { return counters_; }
 
   /// Installs the physical radio substrate (not owned; must outlive the

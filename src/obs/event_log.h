@@ -12,7 +12,7 @@
 // Determinism contract (DESIGN.md §12): events are recorded only from the
 // orchestrating thread — Arm() captures the calling thread as the owner and
 // Record()/context scopes become no-ops on any other thread. All hooks sit
-// on serially-executed simulator-driven paths (the unreliable transport,
+// on serially-executed simulator-driven paths (the transport,
 // the radio channel, the query executor's in-order probe loop), so the log
 // is bit-identical at 1 and 8 pool threads. The buffer is bounded; overflowing
 // events are counted in dropped(), never stored.
@@ -41,7 +41,7 @@ enum class EventKind : int32_t {
   kHealWait,        ///< executor parks for the heal window; value=window ms
   kLevelFinal,      ///< merged per-level outcome; cause=LevelDelivery, aux=reissues
   kQueryDone,       ///< query finished; aux=result count
-  // net transport (unreliable mode only; reliable mode stays uninstrumented)
+  // net transport (every network; one kMsgSend per logical message)
   kMsgSend,         ///< logical message enters SendHop; aux=MessageType, value=bytes
   kMsgDeliver,      ///< delivered; attempt=tx attempt, value=accumulated latency ms
   kMsgDrop,         ///< one attempt lost; cause=DeliveryCause, value=retry wait ms

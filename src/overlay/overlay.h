@@ -48,8 +48,8 @@ struct InsertReceipt {
   int routing_hops = 0;  ///< greedy hops from origin to the centroid owner
   int replicas = 0;      ///< additional zones the sphere was replicated into
 
-  /// False when an unreliable transport lost the publication before it
-  /// reached the centroid owner (always true on reliable transports).
+  /// False when the transport lost the publication before it reached the
+  /// centroid owner (always true without faults or a radio channel).
   bool delivered = true;
   double latency_ms = 0.0;  ///< accumulated link latency along the route
 };
@@ -61,8 +61,8 @@ struct RangeQueryResult {
   int flood_hops = 0;                     ///< zone-flood edges traversed
   int nodes_visited = 0;                  ///< overlay nodes that evaluated the query
 
-  /// False when the unreliable transport lost the initial routing phase; the
-  /// flood never started and `matches` is empty.
+  /// False when the transport lost the initial routing phase; the flood
+  /// never started and `matches` is empty.
   bool delivered = true;
   double latency_ms = 0.0;  ///< time until the slowest flood branch answered
 

@@ -70,7 +70,6 @@ Bed MakeBed(const HyperMOptions& options) {
 // backbone toggle is the only thing tests vary on top of this.
 HyperMOptions RadioOptions(double speed_m_per_s, bool backbone_on) {
   HyperMOptions options;
-  options.net.unreliable = true;
   options.net.summary_ttl_ms = 1500.0;
   options.net.republish_period_ms = 400.0;
   options.channel.enabled = true;
@@ -109,7 +108,6 @@ TEST(BackboneNetworkTest, DisabledBackboneIsNotConstructed) {
 
 TEST(BackboneNetworkTest, BackboneRequiresRadioChannel) {
   HyperMOptions options;
-  options.net.unreliable = true;  // but no channel
   options.backbone.enabled = true;
   Rng rng(1);
   data::MarkovOptions data_options;

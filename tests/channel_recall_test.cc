@@ -73,7 +73,6 @@ double MeasureRecall(Bed& bed, int num_queries = 16, double epsilon = 0.8) {
 
 HyperMOptions ChannelOptionsFor(double speed_m_per_s) {
   HyperMOptions options;
-  options.net.unreliable = true;
   options.net.retry.adaptive = true;  // exercise Jacobson ARQ end to end
   options.net.summary_ttl_ms = 1500.0;
   options.net.republish_period_ms = 400.0;

@@ -10,6 +10,7 @@
 // window and a re-issue budget of 2, so the second round crosses the
 // partition's end and every deferred level heals.
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "data/peer_assignment.h"
 #include "hyperm/network.h"
 #include "obs/event_log.h"
+#include "obs/metrics.h"
 #include "obs/timeline.h"
 
 namespace hyperm::core {
@@ -69,7 +71,6 @@ HyperMOptions HealingOptions(int num_threads = 0) {
   options.num_layers = 3;
   options.clusters_per_peer = 6;
   options.num_threads = num_threads;
-  options.net.unreliable = true;
   net::Partition split;
   split.start_ms = kSplitStartMs;
   split.end_ms = kSplitEndMs;
@@ -235,6 +236,80 @@ TEST_F(FlightRecorderTest, LogIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(retrieved_1, retrieved_8);
   ASSERT_GT(jsonl_1.size(), 100u);  // a real log, not two empty trailers
   EXPECT_EQ(jsonl_1, jsonl_8);
+}
+
+// ROADMAP invariant 2 on default options: with loss, a crash/rejoin and a
+// partition window, every logical message ends in exactly one recorded
+// outcome, the per-cause drop events match the transport's counters, and
+// every query's causal chain is complete. The recorder is armed before Build
+// so the log covers the same sends as the cumulative counters.
+TEST_F(FlightRecorderTest, AccountingClosesOnDefaultNetwork) {
+  HyperMOptions options;
+  options.net.faults.loss_rate = 0.2;
+  options.net.faults.peer_events = {{150.0, 5, /*up=*/false},
+                                    {650.0, 5, /*up=*/true}};
+  options.net.faults.partitions.push_back(
+      net::Partition{300.0, 500.0, {0, 1, 2}});
+  obs::MetricsRegistry::Global().Reset();
+  obs::EventLog::Global().Arm();
+  Bed bed = MakeBed(options);
+  for (int q = 0; q < 16; ++q) {
+    bed.network->AdvanceTo(50.0 * (q + 1));
+    const Vector& center = bed.dataset.items[static_cast<size_t>(q * 23)];
+    const int peer = q % kNumPeers;
+    EXPECT_TRUE(bed.network->RangeQuery(center, kEpsilon, peer).ok());
+    EXPECT_TRUE(bed.network->KnnQuery(center, 5, KnnOptions{}, peer).ok());
+  }
+
+  const obs::EventLog& log = obs::EventLog::Global();
+  ASSERT_EQ(log.dropped(), 0u);
+  uint64_t sends = 0, delivers = 0, drops = 0, dead_letters = 0;
+  std::array<uint64_t, 6> drops_by_cause{};
+  for (const obs::Event& event : log.events()) {
+    switch (event.kind) {
+      case obs::EventKind::kMsgSend: ++sends; break;
+      case obs::EventKind::kMsgDeliver: ++delivers; break;
+      case obs::EventKind::kMsgDeadLetter: ++dead_letters; break;
+      case obs::EventKind::kMsgDrop:
+        ++drops;
+        ASSERT_GE(event.cause, 1);
+        ASSERT_LT(event.cause, 6);
+        ++drops_by_cause[static_cast<size_t>(event.cause)];
+        break;
+      default: break;
+    }
+  }
+  const net::TransportCounters counters = bed.network->transport().counters();
+  ASSERT_GT(sends, 0u);
+  EXPECT_EQ(sends, delivers + dead_letters);
+  EXPECT_EQ(dead_letters, counters.dead_letters);
+  EXPECT_EQ(counters.messages_sent, delivers + drops);  // free channel
+  EXPECT_EQ(drops_by_cause[1], counters.dropped_loss);
+  EXPECT_EQ(drops_by_cause[2], counters.dropped_down);
+  EXPECT_EQ(drops_by_cause[3], counters.dropped_partition);
+  EXPECT_EQ(drops_by_cause[4], counters.dropped_unreachable);
+  EXPECT_EQ(drops_by_cause[5], counters.dropped_mac);
+  // Every fault in the plan bit.
+  EXPECT_GT(counters.dropped_loss, 0u);
+  EXPECT_GT(counters.dropped_down, 0u);
+  EXPECT_GT(counters.dropped_partition, 0u);
+  EXPECT_EQ(bed.network->soft_state().crashes, 1u);
+  EXPECT_EQ(bed.network->soft_state().rejoins, 1u);
+
+  const obs::MetricsSnapshot metrics = obs::MetricsRegistry::Global().Snapshot();
+  const auto messages = metrics.counters.find("net.messages");
+  ASSERT_NE(messages, metrics.counters.end());
+  EXPECT_EQ(messages->second, counters.messages_sent);
+
+  const std::vector<int64_t> ids = obs::QueryIdsInLog(log.events());
+  EXPECT_EQ(ids.size(), 32u);
+  for (int64_t id : ids) {
+    Result<obs::QueryTimeline> timeline =
+        obs::ReconstructQueryTimeline(log.events(), id);
+    ASSERT_TRUE(timeline.ok()) << id << ": " << timeline.status().ToString();
+    const Status chain = obs::ValidateCausalChain(timeline.value());
+    EXPECT_TRUE(chain.ok()) << id << ": " << chain.ToString();
+  }
 }
 
 }  // namespace

@@ -82,7 +82,6 @@ RecallOutcome MeasureRecall(Bed& bed, int num_queries = 24,
 
 HyperMOptions LossyOptions(double loss) {
   HyperMOptions options;
-  options.net.unreliable = true;
   options.net.faults.loss_rate = loss;
   return options;
 }

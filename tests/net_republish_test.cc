@@ -70,7 +70,6 @@ double MeasureRecall(Bed& bed, int num_queries = 12, double epsilon = 0.8) {
 TEST(NetRepublishTest, TtlAloneDecaysTheIndex) {
   // TTL but no republish: the whole distributed index evaporates.
   HyperMOptions options;
-  options.net.unreliable = true;
   options.net.summary_ttl_ms = 1000.0;
   options.net.republish_period_ms = 0.0;
   Bed bed = MakeBed(options);
@@ -87,7 +86,6 @@ TEST(NetRepublishTest, TtlAloneDecaysTheIndex) {
 
 TEST(NetRepublishTest, RepublishSustainsTheIndexPastItsTtl) {
   HyperMOptions options;
-  options.net.unreliable = true;
   options.net.summary_ttl_ms = 1000.0;
   options.net.republish_period_ms = 500.0;
   Bed bed = MakeBed(options);
@@ -105,7 +103,6 @@ TEST(NetRepublishTest, CrashDegradesAndRepublishHealsRecall) {
   obs::MetricsRegistry::Global().Reset();
 
   HyperMOptions options;
-  options.net.unreliable = true;
   options.net.summary_ttl_ms = 3000.0;       // sweeps every 1500 ms
   options.net.republish_period_ms = 2000.0;
   options.net.faults.peer_events = {
@@ -154,7 +151,7 @@ TEST(NetRepublishTest, CrashDegradesAndRepublishHealsRecall) {
   }
 }
 
-// Soft state needs a clock, not faults: on the default reliable transport a
+// Soft state needs a clock, not faults: on the default fault-free network a
 // TTL shorter than the republish period empties the index at the first sweep
 // past it, and the next republish tick restores it — each an epoch bump.
 TEST(NetRepublishTest, ReliableTransportExpiresAndRepublishes) {
@@ -162,7 +159,6 @@ TEST(NetRepublishTest, ReliableTransportExpiresAndRepublishes) {
   options.net.summary_ttl_ms = 400.0;        // sweeps every 200 ms
   options.net.republish_period_ms = 1000.0;
   Bed bed = MakeBed(options);
-  ASSERT_FALSE(bed.network->unreliable());
 
   const double fresh = MeasureRecall(bed);
   EXPECT_GT(fresh, 0.9);
@@ -180,7 +176,7 @@ TEST(NetRepublishTest, ReliableTransportExpiresAndRepublishes) {
             static_cast<uint64_t>(bed.network->num_peers()));
   EXPECT_GT(bed.network->summary_epoch(), expired_epoch);
   EXPECT_GE(MeasureRecall(bed), fresh - 1e-12);
-  // Nothing on this transport can lose a message.
+  // Without faults nothing can lose a message.
   EXPECT_EQ(bed.network->soft_state().inserts_lost, 0u);
   EXPECT_EQ(bed.network->soft_state().summaries_lost, 0u);
 }

@@ -1,4 +1,4 @@
-// Unit tests of the unreliable-transport subsystem: fault plans, retry
+// Unit tests of the transport subsystem: fault plans, retry
 // policy arithmetic, transport delivery semantics and their determinism.
 
 #include <cmath>
@@ -124,25 +124,8 @@ TEST(LinkModelTest, HopMsClampsNonPositiveBandwidth) {
   EXPECT_DOUBLE_EQ(link.HopMs(125.0), link.hop_overhead_ms + 1.0);
 }
 
-TEST(ReliableTransportTest, RecordsExactlyOneHopPerMessage) {
-  sim::NetworkStats stats;
-  ReliableTransport transport(&stats);
-  const Message message{MessageType::kQueryFlood, 0, 1, 100,
-                        sim::TrafficClass::kQuery};
-  const HopResult result = transport.SendHop(message);
-  EXPECT_TRUE(result.delivered);
-  EXPECT_GT(result.latency_ms, 0.0);
-  EXPECT_EQ(stats.hops(sim::TrafficClass::kQuery), 1u);
-  EXPECT_EQ(stats.bytes(sim::TrafficClass::kQuery), 100u);
-  EXPECT_EQ(transport.counters().messages_sent, 1u);
-  EXPECT_EQ(transport.counters().retries, 0u);
-  EXPECT_EQ(transport.counters().dead_letters, 0u);
-  EXPECT_TRUE(transport.peer_up(12345));
-}
-
 NetOptions LossyOptions(double loss) {
   NetOptions options;
-  options.unreliable = true;
   options.faults.loss_rate = loss;
   return options;
 }
@@ -212,11 +195,36 @@ TEST(UnreliableTransportTest, LossFreePlanDeliversEverything) {
   EXPECT_EQ(outcome.counters.dead_letters, 0u);
   EXPECT_EQ(outcome.counters.retries, 0u);
   EXPECT_EQ(outcome.counters.messages_sent, 200u);
+
+  // The default (empty) plan is the fault-free network: one message is one
+  // recorded hop of its class and bytes, delivered after one LinkModel hop.
+  const NetOptions options;
+  sim::Simulator sim;
+  sim::NetworkStats stats;
+  FaultState state(2, options.faults);
+  UnreliableTransport transport(&sim, &stats, &state, options);
+  const HopResult result = transport.SendHop(
+      {MessageType::kQueryFlood, 0, 1, 100, sim::TrafficClass::kQuery});
+  EXPECT_TRUE(result.delivered);
+  EXPECT_EQ(result.outcome, DeliveryOutcome::kDelivered);
+  EXPECT_GT(result.latency_ms, 0.0);
+  EXPECT_DOUBLE_EQ(result.latency_ms, options.link.HopMs(100.0));
+  EXPECT_EQ(stats.hops(sim::TrafficClass::kQuery), 1u);
+  EXPECT_EQ(stats.bytes(sim::TrafficClass::kQuery), 100u);
+  EXPECT_EQ(stats.hops(sim::TrafficClass::kInsert), 0u);
+  EXPECT_EQ(transport.counters().messages_sent, 1u);
+  EXPECT_EQ(transport.counters().retries, 0u);
+  EXPECT_EQ(transport.counters().dead_letters, 0u);
+  // Peers are known only in range: no id outside [0, num_peers) is up.
+  EXPECT_TRUE(transport.peer_up(0));
+  EXPECT_TRUE(transport.peer_up(1));
+  EXPECT_FALSE(transport.peer_up(2));
+  EXPECT_FALSE(transport.peer_up(-1));
+  EXPECT_FALSE(transport.peer_up(12345));
 }
 
 TEST(UnreliableTransportTest, DownPeersAndPartitionsBlockDelivery) {
   NetOptions options;
-  options.unreliable = true;
   sim::Simulator sim;
   sim::NetworkStats stats;
   FaultState state(4, options.faults);
@@ -245,7 +253,6 @@ TEST(UnreliableTransportTest, DownPeersAndPartitionsBlockDelivery) {
 
 TEST(UnreliableTransportTest, FailedAttemptsChargeEnergyAndLatency) {
   NetOptions options;
-  options.unreliable = true;
   options.faults.loss_rate = 1.0;  // nothing ever arrives
   sim::Simulator sim;
   sim::NetworkStats stats;
@@ -302,7 +309,6 @@ TEST(RttEstimatorTest, TimeoutNeverBelowConfiguredFloor) {
 
 TEST(UnreliableTransportTest, AdaptiveModeTrainsPerDestinationEstimators) {
   NetOptions options;
-  options.unreliable = true;
   options.retry.adaptive = true;
   sim::Simulator sim;
   sim::NetworkStats stats;
@@ -328,7 +334,6 @@ TEST(UnreliableTransportTest, AdaptiveModeTrainsPerDestinationEstimators) {
 
 TEST(UnreliableTransportTest, AdaptiveTimeoutsDriveFailedAttemptLatency) {
   NetOptions options;
-  options.unreliable = true;
   options.faults.loss_rate = 1.0;  // nothing arrives: all waits are timeouts
   options.retry.adaptive = true;
   sim::Simulator sim;

@@ -69,30 +69,40 @@ Deployment Deploy(const HyperMOptions& options, Rng& rng) {
   return Deployment{std::move(dataset).value(), std::move(net).value()};
 }
 
-RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
-                       bool radio_channel = false, bool csma_aodv = false) {
+// Which deployment RunWorkload builds. The defaults are the paper's
+// fault-free configuration.
+struct WorkloadConfig {
+  // NetOptions spelled out with knobs that a fault-free run never reads:
+  // adaptive ARQ (no attempt fails, so no timeout is charged) and another
+  // per-message seed (no draw decides anything at loss 0).
+  bool explicit_net_options = false;
+  // Sets the inert net.unreliable field.
+  bool unreliable_flag = false;
+  // The full stack under the transport: mobile radio field, transmit
+  // queues, adaptive ARQ, loss and republish ticks.
+  bool radio_channel = false;
+  // With radio_channel: CSMA/CA MAC and AODV routing instead of the legacy
+  // MAC and the BFS oracle.
+  bool csma_aodv = false;
+};
+
+RunCapture RunWorkload(int num_threads, const WorkloadConfig& config = {}) {
   obs::MetricsRegistry::Global().Reset();
   obs::Tracer::Global().Reset();
 
   Rng rng(606);
   HyperMOptions options;
   options.num_threads = num_threads;
-  if (explicit_net_options) {
-    // Reliable transport spelled out, with the knobs it accepts but never
-    // reads set: none of it may perturb the reliable path (fault settings
-    // need the unreliable transport, so Build rejects them here).
+  if (config.explicit_net_options) {
     options.net = net::NetOptions{};
-    options.net.unreliable = false;
     options.net.retry.adaptive = true;
     options.net.seed ^= 0x5eed;
   }
-  if (radio_channel) {
-    // The full stack under the transport: mobile radio field, transmit
-    // queues, adaptive ARQ. Per-message RNG streams are consumed in issue
-    // order and queue state advances with the (single-threaded) simulator,
-    // so every observable must stay bit-identical at any thread count.
+  if (config.radio_channel) {
+    // Per-message RNG streams are consumed in issue order and queue state
+    // advances with the (single-threaded) simulator, so every observable
+    // must stay bit-identical at any thread count.
     options.net = net::NetOptions{};
-    options.net.unreliable = true;
     options.net.retry.adaptive = true;
     options.net.faults.loss_rate = 0.05;
     options.net.republish_period_ms = 250.0;
@@ -101,7 +111,7 @@ RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
     options.channel.field.radio_range_m = 70.0;
     options.channel.speed_m_per_s = 10.0;
     options.channel.tick_ms = 50.0;
-    if (csma_aodv) {
+    if (config.csma_aodv) {
       // The realistic underlay: CSMA/CA backoff draws come from per-node
       // SeedStream RNGs and AODV floods run on the simulator thread, so the
       // whole stack stays deterministic regardless of the pool size.
@@ -109,6 +119,7 @@ RunCapture RunWorkload(int num_threads, bool explicit_net_options = false,
       options.channel.routing.kind = route::RoutingOptions::Kind::kAodv;
     }
   }
+  options.net.unreliable = config.unreliable_flag;
   const Deployment deployment = Deploy(options, rng);
   HyperMNetwork& network = *deployment.network;
 
@@ -291,28 +302,44 @@ TEST(NetworkParallelTest, DefaultThreadCountMatchesSequentialResults) {
   ExpectRunsIdentical(sequential, defaulted);
 }
 
-TEST(NetworkParallelTest, ExplicitReliableTransportIsBitIdentical) {
-  // Spelling out NetOptions (reliable, with inert knobs set) must not
-  // change a single observable — results, traffic, metrics, latencies — at
-  // any thread count. This is the transport subsystem's compatibility
-  // contract: ReliableTransport == the historical direct-stats behavior.
+// Options that no fault-free run reads, and the net.unreliable field in any
+// configuration, must not change a single observable — results, traffic,
+// metrics, latencies — at any thread count: every network sends through the
+// same transport.
+TEST(NetworkParallelTest, InertNetOptionsAreBitIdentical) {
   const RunCapture implicit_seq = RunWorkload(1);
-  const RunCapture explicit_seq = RunWorkload(1, /*explicit_net_options=*/true);
+  EXPECT_GT(implicit_seq.metrics.counters.count("net.messages"), 0u);
+  const RunCapture explicit_seq = RunWorkload(1, {.explicit_net_options = true});
   ExpectRunsIdentical(implicit_seq, explicit_seq);
-  const RunCapture explicit_par = RunWorkload(8, /*explicit_net_options=*/true);
+  const RunCapture explicit_par = RunWorkload(8, {.explicit_net_options = true});
   ExpectRunsIdentical(implicit_seq, explicit_par);
-  // The reliable path never reports faults.
+  // A fault-free run never reports faults.
   EXPECT_EQ(explicit_seq.range_info.layers_lost, 0);
+
+  // The flag set on a fault-free run.
+  for (int lanes : {1, 8}) {
+    SCOPED_TRACE(lanes);
+    ExpectRunsIdentical(implicit_seq,
+                        RunWorkload(lanes, {.unreliable_flag = true}));
+  }
+
+  // The flag set and unset on the radio channel with loss and republish.
+  const RunCapture radio_seq = RunWorkload(1, {.radio_channel = true});
+  EXPECT_GT(radio_seq.transport_messages, 0u);
+  for (int lanes : {1, 8}) {
+    SCOPED_TRACE(lanes);
+    ExpectRunsIdentical(
+        radio_seq,
+        RunWorkload(lanes, {.unreliable_flag = true, .radio_channel = true}));
+  }
 }
 
 TEST(NetworkParallelTest, RadioChannelRunsBitIdenticalAcrossThreadCounts) {
-  const RunCapture sequential =
-      RunWorkload(1, /*explicit_net_options=*/false, /*radio_channel=*/true);
+  const RunCapture sequential = RunWorkload(1, {.radio_channel = true});
   EXPECT_FALSE(sequential.scores.empty());
   EXPECT_FALSE(sequential.range_items.empty());
   EXPECT_GT(sequential.transport_messages, 0u);
-  const RunCapture eight_threads =
-      RunWorkload(8, /*explicit_net_options=*/false, /*radio_channel=*/true);
+  const RunCapture eight_threads = RunWorkload(8, {.radio_channel = true});
   ExpectRunsIdentical(sequential, eight_threads);
 }
 
@@ -320,15 +347,13 @@ TEST(NetworkParallelTest, CsmaAodvRunsBitIdenticalAcrossThreadCounts) {
   // Non-default underlay (CSMA/CA MAC + AODV routing): backoff, collision
   // and discovery randomness all live in dedicated per-node streams, so the
   // swap must not reintroduce thread-count sensitivity.
-  const RunCapture sequential = RunWorkload(
-      1, /*explicit_net_options=*/false, /*radio_channel=*/true,
-      /*csma_aodv=*/true);
+  const RunCapture sequential =
+      RunWorkload(1, {.radio_channel = true, .csma_aodv = true});
   EXPECT_FALSE(sequential.scores.empty());
   EXPECT_FALSE(sequential.range_items.empty());
   EXPECT_GT(sequential.transport_messages, 0u);
-  const RunCapture eight_threads = RunWorkload(
-      8, /*explicit_net_options=*/false, /*radio_channel=*/true,
-      /*csma_aodv=*/true);
+  const RunCapture eight_threads =
+      RunWorkload(8, {.radio_channel = true, .csma_aodv = true});
   ExpectRunsIdentical(sequential, eight_threads);
 }
 

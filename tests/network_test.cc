@@ -71,42 +71,35 @@ TEST(NetworkBuildTest, RejectsBadInput) {
   EXPECT_FALSE(HyperMNetwork::Build(good, {{5}}, {}, rng).ok());  // bad index
 }
 
-TEST(NetworkBuildTest, RejectsSimulatorSettingsOnReliableTransport) {
-  // The reliable transport has no fault model, so a fault setting would be
-  // ignored and the run would answer as if fault-free. Each one alone must
-  // be refused.
+TEST(NetworkBuildTest, AcceptsSimulatorSettingsOnDefaultTransport) {
+  // Every network sends through the fault-model transport, so each fault
+  // setting and the radio channel build on default options — no switch to
+  // set first.
   data::Dataset good;
   good.items.push_back(Vector(8, 1.0));
   good.items.push_back(Vector(8, 0.5));
   const data::PeerAssignment assignment = {{0}, {1}};
-  std::vector<std::pair<const char*, HyperMOptions>> faults;
+  std::vector<std::pair<const char*, HyperMOptions>> simulated;
   const auto add = [](auto& cases, const char* name, auto set) {
     HyperMOptions options;
     set(options);
     cases.emplace_back(name, options);
   };
-  add(faults, "loss_rate", [](HyperMOptions& o) { o.net.faults.loss_rate = 0.1; });
-  add(faults, "peer_events", [](HyperMOptions& o) {
+  add(simulated, "loss_rate", [](HyperMOptions& o) { o.net.faults.loss_rate = 0.1; });
+  add(simulated, "peer_events", [](HyperMOptions& o) {
     o.net.faults.peer_events.push_back(net::PeerEvent{100.0, 1, false});
   });
-  add(faults, "partitions", [](HyperMOptions& o) {
+  add(simulated, "partitions", [](HyperMOptions& o) {
     o.net.faults.partitions.push_back(net::Partition{0.0, 100.0, {0}});
   });
-  for (const auto& [name, options] : faults) {
+  add(simulated, "channel.enabled", [](HyperMOptions& o) { o.channel.enabled = true; });
+  for (const auto& [name, options] : simulated) {
     Rng rng(1);
     Result<std::unique_ptr<HyperMNetwork>> net =
         HyperMNetwork::Build(good, assignment, options, rng);
-    ASSERT_FALSE(net.ok()) << name;
-    EXPECT_EQ(net.status().code(), StatusCode::kInvalidArgument) << name;
-    // The same setting is accepted on the unreliable transport.
-    HyperMOptions unreliable = options;
-    unreliable.net.unreliable = true;
-    Rng unreliable_rng(1);
-    EXPECT_TRUE(HyperMNetwork::Build(good, assignment, unreliable, unreliable_rng).ok())
-        << name;
+    EXPECT_TRUE(net.ok()) << name << ": " << net.status().ToString();
   }
-  // Every network owns a simulator, so the clock-driven settings run on the
-  // reliable transport too.
+  // Every network owns a simulator, so the clock-driven settings build too.
   std::vector<std::pair<const char*, HyperMOptions>> clocked;
   add(clocked, "summary_ttl_ms", [](HyperMOptions& o) { o.net.summary_ttl_ms = 500.0; });
   add(clocked, "republish_period_ms",
@@ -123,12 +116,23 @@ TEST(NetworkBuildTest, RejectsSimulatorSettingsOnReliableTransport) {
         HyperMNetwork::Build(good, assignment, options, rng);
     EXPECT_TRUE(net.ok()) << name << ": " << net.status().ToString();
   }
-  // A negative loss rate is malformed on either transport.
+  // A negative loss rate is malformed.
   HyperMOptions negative_loss;
   negative_loss.net.faults.loss_rate = -0.1;
   Rng rng(1);
-  EXPECT_FALSE(HyperMNetwork::Build(good, assignment, negative_loss, rng).ok());
-  // A heal window without a re-issue budget does nothing on either transport.
+  Result<std::unique_ptr<HyperMNetwork>> malformed =
+      HyperMNetwork::Build(good, assignment, negative_loss, rng);
+  ASSERT_FALSE(malformed.ok());
+  EXPECT_EQ(malformed.status().code(), StatusCode::kInvalidArgument);
+  // The backbone's CDS is elected over the radio graph: without the channel
+  // it is the one transport-related setting Build refuses.
+  HyperMOptions backbone_only;
+  backbone_only.backbone.enabled = true;
+  Result<std::unique_ptr<HyperMNetwork>> no_radio =
+      HyperMNetwork::Build(good, assignment, backbone_only, rng);
+  ASSERT_FALSE(no_radio.ok());
+  EXPECT_EQ(no_radio.status().code(), StatusCode::kInvalidArgument);
+  // A heal window without a re-issue budget is accepted; it does nothing.
   HyperMOptions window_only;
   window_only.plan.heal_window_ms = 100.0;
   EXPECT_TRUE(HyperMNetwork::Build(good, assignment, window_only, rng).ok());

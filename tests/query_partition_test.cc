@@ -63,7 +63,6 @@ HyperMOptions BaseOptions() {
   HyperMOptions options;
   options.num_layers = 3;
   options.clusters_per_peer = 6;
-  options.net.unreliable = true;
   // FaultPlan defaults: loss_rate 0, no jitter — only the partition bites.
   return options;
 }

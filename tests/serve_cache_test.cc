@@ -105,7 +105,6 @@ Bed MakeBed(const core::HyperMOptions& options) {
 
 TEST(SummaryEpochTest, QueriesDoNotBumpTheEpoch) {
   core::HyperMOptions options;
-  options.net.unreliable = true;
   Bed bed = MakeBed(options);
   const uint64_t before = bed.network->summary_epoch();
   Result<std::vector<core::ItemId>> r =
@@ -116,7 +115,6 @@ TEST(SummaryEpochTest, QueriesDoNotBumpTheEpoch) {
 
 TEST(SummaryEpochTest, InsertAndRepublishBump) {
   core::HyperMOptions options;
-  options.net.unreliable = true;
   Bed bed = MakeBed(options);
   const uint64_t e0 = bed.network->summary_epoch();
   ASSERT_TRUE(bed.network
@@ -133,7 +131,6 @@ TEST(SummaryEpochTest, InsertAndRepublishBump) {
 
 TEST(SummaryEpochTest, CrashAndRejoinBothBump) {
   core::HyperMOptions options;
-  options.net.unreliable = true;
   options.net.faults.peer_events.push_back(
       net::PeerEvent{/*at_ms=*/100.0, /*peer=*/1, /*up=*/false});
   options.net.faults.peer_events.push_back(
@@ -149,7 +146,6 @@ TEST(SummaryEpochTest, CrashAndRejoinBothBump) {
 
 TEST(SummaryEpochTest, ExpirySweepBumpsOnlyWhenEntriesExpire) {
   core::HyperMOptions options;
-  options.net.unreliable = true;
   options.net.summary_ttl_ms = 500.0;  // swept every 250 ms
   Bed bed = MakeBed(options);
   const uint64_t e0 = bed.network->summary_epoch();
@@ -163,7 +159,6 @@ TEST(SummaryEpochTest, ExpirySweepBumpsOnlyWhenEntriesExpire) {
 
 TEST(SummaryEpochTest, RepublishTickRepairBumpsViaDirtyFlag) {
   core::HyperMOptions options;
-  options.net.unreliable = true;
   options.net.republish_period_ms = 300.0;
   options.net.faults.peer_events.push_back(
       net::PeerEvent{/*at_ms=*/100.0, /*peer=*/2, /*up=*/false});

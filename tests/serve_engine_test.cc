@@ -28,9 +28,9 @@ struct Bed {
   std::unique_ptr<core::HyperMNetwork> network;
 };
 
-// `with_channel` needs `unreliable`; a bed with neither runs on the default
-// reliable transport.
-Bed MakeBed(bool with_channel = true, bool unreliable = true) {
+// A bed without the channel runs on the default fault-free free-channel
+// transport.
+Bed MakeBed(bool with_channel = true) {
   Rng rng(4242);
   data::MarkovOptions data_options;
   data_options.count = 128;
@@ -48,7 +48,6 @@ Bed MakeBed(bool with_channel = true, bool unreliable = true) {
   EXPECT_TRUE(assignment.ok());
   bed.assignment = std::move(assignment).value();
   core::HyperMOptions options;
-  options.net.unreliable = unreliable;
   if (with_channel) {
     options.channel.enabled = true;
     options.channel.field.field_size_m = 200.0;
@@ -129,13 +128,12 @@ TEST(ServeEngineTest, ShedsAreNeverSilent) {
   obs::EventLog::Global().Reset();
 }
 
-// The default (reliable-transport) network serves on its own clock too:
+// The default (fault-free, free-channel) network serves on its own clock too:
 // dispatch advances it to every arrival, so a time-to-answer is the query's
 // simulated latency (never negative) and the deadline separates the answers
 // that beat it from those that did not.
 TEST(ServeEngineTest, ReliableTransportServesOnTheNetworkClock) {
-  Bed bed = MakeBed(/*with_channel=*/false, /*unreliable=*/false);
-  ASSERT_FALSE(bed.network->unreliable());
+  Bed bed = MakeBed(/*with_channel=*/false);
   ServeOptions serve = BaseServeOptions();
   // This bed's range queries answer in 37–73 ms of LinkModel hop time.
   serve.deadline_ms = 55.0;

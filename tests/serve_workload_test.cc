@@ -123,7 +123,6 @@ TEST(WorkloadTest, ServingIsByteIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(assignment.ok());
     core::HyperMOptions options;
     options.num_threads = num_threads;
-    options.net.unreliable = true;
     options.channel.enabled = true;
     options.channel.field.field_size_m = 200.0;
     options.channel.field.radio_range_m = 80.0;
