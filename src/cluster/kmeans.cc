@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "obs/trace.h"
 #include "vec/matrix.h"
 
 namespace hyperm::cluster {
@@ -594,9 +593,6 @@ Result<KMeansResult> KMeans(const std::vector<Vector>& points,
                             const KMeansOptions& options, Rng& rng) {
   if (points.empty()) return InvalidArgumentError("KMeans: no points");
   if (options.k < 1) return InvalidArgumentError("KMeans: k must be >= 1");
-  HM_OBS_TIMER("kmeans.wall_us", obs::Buckets::Exponential(1, 4.0, 14));
-  HM_OBS_COUNTER_ADD("kmeans.runs", 1);
-  HM_OBS_COUNTER_ADD("kmeans.points", points.size());
   const int k = std::min<int>(options.k, static_cast<int>(points.size()));
   const size_t dim = points.front().size();
   for (const Vector& p : points) {
@@ -631,6 +627,7 @@ Result<KMeansResult> KMeans(const std::vector<Vector>& points,
   std::vector<char>* dirty = bounded ? &b.dirty : nullptr;
 
   int iterations = 0;
+  int reseeds = 0;
   for (; iterations < options.max_iterations; ++iterations) {
     // With k-means++ seeding the bounded kernel's first assignment came out
     // of the seeding sweep.
@@ -649,7 +646,7 @@ Result<KMeansResult> KMeans(const std::vector<Vector>& points,
         }
       }
       const std::vector<size_t> moved = ReseedEmptyClusters(s, sums, dirty);
-      HM_OBS_COUNTER_ADD("kmeans.reseeds", moved.size());
+      reseeds += static_cast<int>(moved.size());
       changed = changed || !moved.empty();
       if (bounded) {
         // A reseeded point changed cluster outside the assignment step, so
@@ -713,7 +710,7 @@ Result<KMeansResult> KMeans(const std::vector<Vector>& points,
     result.clusters[c].radius = std::sqrt(max_sq[c]);
   }
   result.iterations = iterations;
-  HM_OBS_HISTOGRAM("kmeans.iterations", obs::Buckets::Linear(0, 64, 32), iterations);
+  result.reseeds = reseeds;
   return result;
 }
 

@@ -14,6 +14,7 @@
 #include "cluster/sphere_cluster.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "obs/trace.h"
 #include "vec/vector.h"
 
 namespace hyperm::cluster {
@@ -38,6 +39,7 @@ struct KMeansResult {
   std::vector<int> assignments;         ///< per-point index into `clusters`
   double inertia = 0.0;                 ///< sum of squared distances to centroids
   int iterations = 0;                   ///< Lloyd iterations executed
+  int reseeds = 0;                      ///< empty clusters refilled
 };
 
 /// Clusters `points` into at most `options.k` sphere summaries.
@@ -47,8 +49,26 @@ struct KMeansResult {
 /// always non-empty and their counts sum to |points|.
 /// Returns InvalidArgument on empty input, k < 1, points of unequal
 /// dimensionality or a non-finite coordinate.
+///
+/// Records nothing, so pool tasks may run it (DESIGN.md §8); the caller
+/// reports the run through RecordKMeansRun on its own thread.
 Result<KMeansResult> KMeans(const std::vector<Vector>& points,
                             const KMeansOptions& options, Rng& rng);
+
+/// Records one finished run into the global registry: the kmeans.runs,
+/// kmeans.points and kmeans.reseeds counters, the kmeans.iterations
+/// histogram, and `wall_us` (the caller's measurement of the KMeans call)
+/// into the kmeans.wall_us histogram. kmeans.reseeds is registered by the
+/// first run that reseeds, so reports of runs without one do not list it.
+inline void RecordKMeansRun(const KMeansResult& result, double wall_us) {
+  HM_OBS_COUNTER_ADD("kmeans.runs", 1);
+  HM_OBS_COUNTER_ADD("kmeans.points", result.assignments.size());
+  if (result.reseeds > 0) HM_OBS_COUNTER_ADD("kmeans.reseeds", result.reseeds);
+  HM_OBS_HISTOGRAM("kmeans.iterations", obs::Buckets::Linear(0, 64, 32),
+                   result.iterations);
+  HM_OBS_HISTOGRAM("kmeans.wall_us", obs::Buckets::Exponential(1, 4.0, 14),
+                   wall_us);
+}
 
 namespace internal {
 

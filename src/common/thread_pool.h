@@ -8,12 +8,11 @@
 // (disjoint writes + an ordered drain on the calling thread) rather than
 // from the scheduler.
 //
-// Contract for ParallelFor tasks:
-//   * tasks must only write state no other task touches (their own slot),
-//     or mutate explicitly thread-safe sinks (atomic NetworkStats counters,
-//     obs counters/histograms);
-//   * tasks must not open tracer spans (the span tracer is owned by the
-//     calling thread; see obs/trace.h and DESIGN.md §8);
+// Contract for ParallelFor tasks (DESIGN.md §8):
+//   * tasks are pure: they read shared inputs and write only state no other
+//     task touches (their own slot). They record nothing — no metrics,
+//     spans, flight-recorder events or traffic; those sinks are not
+//     thread-safe, and the caller records at its ordered drain;
 //   * tasks must not throw (the codebase reports errors via Status values
 //     stored into the task's slot).
 //

@@ -1,6 +1,7 @@
 #include "data/peer_assignment.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "cluster/kmeans.h"
 #include "common/check.h"
@@ -17,6 +18,21 @@ std::vector<int> SamplePeers(int num_peers, int count, Rng& rng) {
   return all;
 }
 
+// Clusters the items into `k` interest classes and records the run's
+// kmeans.* metrics (KMeans itself records nothing).
+Result<cluster::KMeansResult> InterestClasses(const std::vector<Vector>& items, int k,
+                                              Rng& rng) {
+  cluster::KMeansOptions options;
+  options.k = k;
+  const auto start = std::chrono::steady_clock::now();
+  Result<cluster::KMeansResult> classes = cluster::KMeans(items, options, rng);
+  const double wall_us = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  if (classes.ok()) cluster::RecordKMeansRun(classes.value(), wall_us);
+  return classes;
+}
+
 }  // namespace
 
 Result<PeerAssignment> AssignByInterest(const Dataset& dataset,
@@ -29,10 +45,9 @@ Result<PeerAssignment> AssignByInterest(const Dataset& dataset,
     return InvalidArgumentError("AssignByInterest: bad class/peer options");
   }
 
-  cluster::KMeansOptions kmeans_options;
-  kmeans_options.k = options.num_interest_classes;
-  HM_ASSIGN_OR_RETURN(cluster::KMeansResult classes,
-                      cluster::KMeans(dataset.items, kmeans_options, rng));
+  HM_ASSIGN_OR_RETURN(
+      cluster::KMeansResult classes,
+      InterestClasses(dataset.items, options.num_interest_classes, rng));
 
   // Bucket item indices by interest class.
   std::vector<std::vector<int>> class_members(classes.clusters.size());
@@ -84,10 +99,8 @@ Result<std::vector<int>> SelectSkewedSubset(const Dataset& dataset, int keep_cla
   if (keep_classes < 1 || keep_classes > num_interest_classes) {
     return InvalidArgumentError("SelectSkewedSubset: bad keep_classes");
   }
-  cluster::KMeansOptions kmeans_options;
-  kmeans_options.k = num_interest_classes;
   HM_ASSIGN_OR_RETURN(cluster::KMeansResult classes,
-                      cluster::KMeans(dataset.items, kmeans_options, rng));
+                      InterestClasses(dataset.items, num_interest_classes, rng));
 
   // Keep the `keep_classes` most populated clusters (a deterministic way to
   // "select only a fixed number of clusters" that maximises the skew).

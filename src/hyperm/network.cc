@@ -1,6 +1,7 @@
 #include "hyperm/network.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -100,7 +101,6 @@ Status HyperMNetwork::DrainLevelOutcomes(
   level_scores->reserve(outcomes.size());
   for (size_t layer = 0; layer < outcomes.size(); ++layer) {
     LevelOutcome& out = outcomes[layer];
-    HM_OBS_SPAN_COMPLETED("query/layer" + std::to_string(layer), out.wall_us);
     if (!out.status.ok()) return out.status;
     // Final fate of the level after every re-issue round has settled — the
     // flight recorder's per-level verdict (cause mirrors LevelDelivery).
@@ -531,22 +531,34 @@ Status HyperMNetwork::PublishPeers(
       if (!level_points[i][layer].empty()) tasks.push_back(PublishTask{i, layer});
     }
   }
-  // Result<T> is not default-constructible, hence optional slots.
-  std::vector<std::optional<Result<cluster::KMeansResult>>> slots(tasks.size());
+  // A task writes only its slot: the clustering and its wall time. Metrics
+  // and overlay inserts happen at the ordered drain below. Result<T> is not
+  // default-constructible, hence the optional.
+  struct PublishSlot {
+    std::optional<Result<cluster::KMeansResult>> result;
+    double wall_us = 0.0;
+  };
+  std::vector<PublishSlot> slots(tasks.size());
   const cluster::KMeansOptions kmeans_options = MakeKMeansOptions();
   PoolRun(tasks.size(), [&](size_t t) {
     const PublishTask& task = tasks[t];
     Rng task_rng = SeedStream(base_seed).At(
         static_cast<uint64_t>(first_peer) + task.index, task.layer);
-    slots[t].emplace(cluster::KMeans(level_points[task.index][task.layer],
-                                     kmeans_options, task_rng));
+    const auto start = std::chrono::steady_clock::now();
+    slots[t].result.emplace(cluster::KMeans(level_points[task.index][task.layer],
+                                            kmeans_options, task_rng));
+    slots[t].wall_us = std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
   });
   size_t t = 0;
   for (size_t i = 0; i < level_points.size(); ++i) {
     const int peer = first_peer + static_cast<int>(i);
     for (; t < tasks.size() && tasks[t].index == i; ++t) {
-      if (!slots[t]->ok()) return slots[t]->status();
-      HM_RETURN_IF_ERROR(InsertClusters(peer, tasks[t].layer, slots[t]->value()));
+      const Result<cluster::KMeansResult>& clustered = *slots[t].result;
+      if (!clustered.ok()) return clustered.status();
+      cluster::RecordKMeansRun(clustered.value(), slots[t].wall_us);
+      HM_RETURN_IF_ERROR(InsertClusters(peer, tasks[t].layer, clustered.value()));
     }
     if (after_peer) after_peer(peer);
   }

@@ -16,7 +16,10 @@
 // heal-window re-issue, series sampling and the serving layer all run on its
 // clock. Only Build fans work out to the thread pool; queries run on the
 // calling thread, their level probes "in parallel" in simulated time only
-// (a query's latency is the slowest level's).
+// (a query's latency is the slowest level's). Pool tasks are pure: a task
+// reads shared inputs and writes only its own slot, and every effect —
+// overlay inserts, cluster ids, traffic, metrics, spans, events — happens
+// at the ordered drain on the calling thread (DESIGN.md §8).
 
 #ifndef HYPERM_HYPERM_NETWORK_H_
 #define HYPERM_HYPERM_NETWORK_H_
@@ -337,7 +340,7 @@ class HyperMNetwork {
                 RangeQueryInfo* info);
 
   /// Drains executor outcomes in layer order on the calling thread: emits
-  /// the per-layer spans and kLevelFinal flight-recorder events, folds
+  /// the kLevelFinal flight-recorder events, folds
   /// traffic + delivery-fate accounting into `info` (ignored when null) and
   /// moves the per-level score maps out. Returns the first failed level's
   /// status.
@@ -365,10 +368,11 @@ class HyperMNetwork {
   /// layer projections of peer first_peer + i. One flat (peer, layer) task
   /// list of k-means runs fans out on the pool, each on the private RNG
   /// stream SeedStream(base_seed).At(peer, layer), so clustering is
-  /// bit-identical at any thread count. The inserts — which mutate the
-  /// overlays and consume cluster ids — are drained on the calling thread
-  /// in peer-major, layer-minor order; `after_peer(peer)`, when set, runs
-  /// once each peer's inserts are drained.
+  /// bit-identical at any thread count. A task keeps its result and its
+  /// wall time in its own slot; the kmeans.* metrics and the inserts — which
+  /// mutate the overlays and consume cluster ids — are drained on the
+  /// calling thread in peer-major, layer-minor order; `after_peer(peer)`,
+  /// when set, runs once each peer's inserts are drained.
   Status PublishPeers(int first_peer,
                       const std::vector<std::vector<std::vector<Vector>>>& level_points,
                       uint64_t base_seed,

@@ -1,15 +1,16 @@
 #include "hyperm/query_plan.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "backbone/manager.h"
 #include "common/check.h"
 #include "geom/radius_estimator.h"
 #include "obs/event_log.h"
+#include "obs/trace.h"
 #include "vec/vector.h"
 
 namespace hyperm::core {
@@ -23,11 +24,10 @@ static_assert(static_cast<int>(LevelDelivery::kLost) == 3);
 
 namespace {
 
-double ElapsedUs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
-                                                   start)
-      .count();
-}
+// Host-time span of one level's work. Level spans are disjoint and in issue
+// order; perfbench's ledger charges every span named query/layer* to one
+// bucket.
+std::string LayerSpanName(int layer) { return "query/layer" + std::to_string(layer); }
 
 // Maps an undelivered probe's transport cause onto the level lattice: causes
 // a heal window can plausibly fix become kDeferred, dead ends kLost.
@@ -165,7 +165,7 @@ QueryExecutor::QueryExecutor(
 
 void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
                              LevelOutcome* out) {
-  const auto start = std::chrono::steady_clock::now();
+  HM_OBS_SPAN(LayerSpanName(probe.layer));
   can::CanOverlay& overlay = *(*overlays_)[static_cast<size_t>(probe.layer)];
   bool delivered = true;
   net::DeliveryOutcome failure = net::DeliveryOutcome::kDelivered;
@@ -294,7 +294,6 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
   } else {
     out->delivery = ClassifyFailure(failure);
   }
-  out->wall_us = ElapsedUs(start);
 }
 
 void QueryExecutor::MergeReissue(const LevelOutcome& retry, double heal_wait_ms,
@@ -303,7 +302,6 @@ void QueryExecutor::MergeReissue(const LevelOutcome& retry, double heal_wait_ms,
   out->routing_hops += retry.routing_hops;
   out->flood_hops += retry.flood_hops;
   out->detours += retry.detours;
-  out->wall_us += retry.wall_us;
   // A re-issued level answered only after the heal wait plus its re-probe.
   out->latency_ms += heal_wait_ms + retry.latency_ms;
   ++out->reissues;
@@ -354,18 +352,23 @@ std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
     }
   }
   if (backbone_range_plan) {
-    const auto serve_start = std::chrono::steady_clock::now();
-    std::vector<geom::Sphere> key_spheres;
-    key_spheres.reserve(plan.probes.size());
-    for (const LevelProbe& probe : plan.probes) {
-      key_spheres.push_back(probe.key_sphere);
-    }
     std::vector<backbone::ProbeServeResult> served;
-    if (backbone_->ServeRangePlan(
-            key_spheres, querying_peer,
-            /*conjunctive=*/plan.score_policy != ScorePolicy::kSum, &served)) {
-      const double serve_us = ElapsedUs(serve_start);
+    {
+      // One walk serves every level, so its host time is charged to the
+      // levels as a whole.
+      HM_OBS_SPAN("query/layers");
+      std::vector<geom::Sphere> key_spheres;
+      key_spheres.reserve(plan.probes.size());
+      for (const LevelProbe& probe : plan.probes) {
+        key_spheres.push_back(probe.key_sphere);
+      }
+      backbone_range_plan = backbone_->ServeRangePlan(
+          key_spheres, querying_peer,
+          /*conjunctive=*/plan.score_policy != ScorePolicy::kSum, &served);
+    }
+    if (backbone_range_plan) {
       for (size_t i = 0; i < plan.probes.size(); ++i) {
+        HM_OBS_SPAN(LayerSpanName(plan.probes[i].layer));
         outcomes[i].routing_hops = served[i].walk_messages;
         outcomes[i].flood_hops = served[i].descend_messages;
         outcomes[i].latency_ms = served[i].latency_ms;
@@ -373,11 +376,7 @@ std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
             plan.probes[i].layer_dim, served[i].matches,
             plan.probes[i].key_sphere);
         outcomes[i].delivery = LevelDelivery::kDelivered;
-        outcomes[i].wall_us = serve_us;
       }
-      backbone_range_plan = true;
-    } else {
-      backbone_range_plan = false;
     }
   }
   if (!backbone_range_plan) {

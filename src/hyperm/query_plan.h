@@ -147,7 +147,6 @@ struct LevelOutcome {
   int flood_hops = 0;
   int detours = 0;   ///< alternate-neighbour forwards the level's routes took
   int reissues = 0;  ///< re-issue rounds this level went through
-  double wall_us = 0.0;
   double latency_ms = 0.0;  ///< simulated; includes heal-window waits
 };
 
@@ -200,7 +199,9 @@ class QueryExecutor {
   /// plan.reissue_budget rounds of plan.heal_window_ms each. Outcomes are
   /// indexed by probe order; a level recovered by a re-issue ends
   /// kDelivered/kDetoured with its reissues count recording the rounds it
-  /// took.
+  /// took. Every probe run, re-issues included, is one query/layerN span;
+  /// a backbone-served plan is one query/layers span for the walk plus one
+  /// query/layerN span per level's scoring.
   std::vector<LevelOutcome> Execute(const QueryPlan& plan, int querying_peer);
 
  private:

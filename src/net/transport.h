@@ -14,9 +14,10 @@
 // message is delivered on its first attempt after one RecordHop and one
 // LinkModel hop time, which is the paper's fault-free network.
 //
-// The transport is deliberately single-threaded (message ids are consumed in
-// call order); every caller sends from the orchestrating thread — query
-// level probes run in level order, and Build's pool fan-outs send nothing.
+// The transport and the sim::NetworkStats it records into are single-threaded
+// (message ids are consumed in call order, counters are plain values); every
+// caller sends from the orchestrating thread — query level probes run in
+// level order, and Build's pool tasks send nothing (DESIGN.md §8).
 
 #ifndef HYPERM_NET_TRANSPORT_H_
 #define HYPERM_NET_TRANSPORT_H_

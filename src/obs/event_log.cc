@@ -169,10 +169,9 @@ std::vector<TimeSeries::Point> TimeSeries::Points() const {
 }
 
 void EventLog::Arm(size_t capacity) {
-  owner_ = std::this_thread::get_id();
   capacity_ = capacity > 0 ? capacity : 1;
   events_.reserve(events_.size() < capacity_ ? capacity_ : events_.size());
-  armed_.store(true, std::memory_order_release);
+  armed_ = true;
 }
 
 void EventLog::Record(Event event) {
@@ -196,8 +195,7 @@ TimeSeries& EventLog::Series(const std::string& name, size_t capacity) {
 }
 
 void EventLog::Reset() {
-  armed_.store(false, std::memory_order_release);
-  owner_ = std::thread::id{};
+  armed_ = false;
   capacity_ = kDefaultCapacity;
   dropped_ = 0;
   events_.clear();

@@ -9,22 +9,19 @@
 // timeline reconstruction API (timeline.h) replays into a per-query,
 // per-level history.
 //
-// Determinism contract (DESIGN.md §12): events are recorded only from the
-// orchestrating thread — Arm() captures the calling thread as the owner and
-// Record()/context scopes become no-ops on any other thread. All hooks sit
-// on serially-executed simulator-driven paths (the transport,
-// the radio channel, the query executor's in-order probe loop), so the log
-// is bit-identical at 1 and 8 pool threads. The buffer is bounded; overflowing
-// events are counted in dropped(), never stored.
+// Determinism contract (DESIGN.md §12): every hook sits on a serially
+// executed simulator-driven path (the transport, the radio channel, the
+// query executor's in-order probe loop) on the orchestrating thread; pool
+// tasks record nothing (DESIGN.md §8), so the log is bit-identical at 1 and
+// 8 pool threads. The log itself is not thread-safe. The buffer is bounded;
+// overflowing events are counted in dropped(), never stored.
 
 #ifndef HYPERM_OBS_EVENT_LOG_H_
 #define HYPERM_OBS_EVENT_LOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.h"  // for HM_OBS_CONCAT_
@@ -155,11 +152,7 @@ class TimeSeries {
   std::vector<Point> ring_;
 };
 
-/// The flight recorder. Single-writer by contract: Arm() captures the
-/// calling thread as the owner, and every mutating entry point (Record, the
-/// context scopes, Series sampling) silently no-ops on other threads — pool
-/// workers touching an instrumented path record nothing, which is exactly
-/// what keeps the log deterministic across thread counts.
+/// The flight recorder. Single writer: only the orchestrating thread records.
 class EventLog {
  public:
   static constexpr size_t kDefaultCapacity = size_t{1} << 18;
@@ -168,19 +161,14 @@ class EventLog {
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
 
-  /// Starts recording; the calling thread becomes the owner. Arming twice
-  /// re-anchors the owner thread (and keeps already-recorded events).
+  /// Starts recording. Arming twice keeps already-recorded events.
   void Arm(size_t capacity = kDefaultCapacity);
 
-  /// True when armed *and* called from the owner thread. This is the hot
-  /// gate the HM_OBS_EVENT macro checks before evaluating its arguments.
-  bool enabled() const {
-    return armed_.load(std::memory_order_acquire) &&
-           std::this_thread::get_id() == owner_;
-  }
-  bool armed() const { return armed_.load(std::memory_order_acquire); }
+  /// True when armed. This is the hot gate the HM_OBS_EVENT macro checks
+  /// before evaluating its arguments.
+  bool enabled() const { return armed_; }
 
-  /// Appends one event (owner thread only). Unset (-1) causal ids are
+  /// Appends one event when armed. Unset (-1) causal ids are
   /// filled from the ambient context scopes. Past capacity the event is
   /// counted in dropped() and discarded.
   void Record(Event event);
@@ -198,8 +186,8 @@ class EventLog {
   TimeSeries& Series(const std::string& name, size_t capacity = 1024);
   const std::map<std::string, TimeSeries>& series() const { return series_; }
 
-  /// Fresh causal ids. Deterministic: only ever drawn on the owner thread
-  /// behind enabled() checks, in program order.
+  /// Fresh causal ids. Deterministic: only ever drawn behind enabled()
+  /// checks, in program order.
   int64_t NextQueryId() { return next_query_id_++; }
   int64_t NextMessageId() { return next_msg_id_++; }
 
@@ -220,8 +208,7 @@ class EventLog {
   friend class ScopedLevelContext;
   friend class ScopedMessageContext;
 
-  std::atomic<bool> armed_{false};
-  std::thread::id owner_{};
+  bool armed_ = false;
   size_t capacity_ = kDefaultCapacity;
   uint64_t dropped_ = 0;
   std::vector<Event> events_;
@@ -234,8 +221,7 @@ class EventLog {
 };
 
 /// RAII guards installing one causal id into the ambient context for the
-/// enclosing scope. No-ops off the owner thread (a worker constructing one
-/// neither reads nor writes the context).
+/// enclosing scope. No-ops while the log is disarmed.
 class ScopedQueryContext {
  public:
   explicit ScopedQueryContext(int64_t query_id, EventLog& log = EventLog::Global())
@@ -329,7 +315,7 @@ bool WriteEventsJsonl(const std::string& path, const EventLog& log);
 // Flight-recorder hooks -------------------------------------------------------
 //
 // All feed EventLog::Global(). The enabled() gate runs before argument
-// evaluation, so an un-armed log costs one atomic load per hook.
+// evaluation, so an un-armed log costs one load per hook.
 
 /// Records one event. Arguments are designated initializers for obs::Event,
 /// in declaration order, e.g.

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -48,7 +49,12 @@ void Histogram::Observe(double value) { ObserveN(value, 1); }
 
 void Histogram::ObserveN(double value, uint64_t n) {
   if (n == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
+  snap_.count += n;
+  if (std::isnan(value)) {
+    // Every comparison with NaN is false, so no bucket search may see it.
+    snap_.overflow += n;
+    return;
+  }
   if (value < snap_.edges.front()) {
     snap_.underflow += n;
   } else if (value >= snap_.edges.back()) {
@@ -58,24 +64,12 @@ void Histogram::ObserveN(double value, uint64_t n) {
     const auto it = std::upper_bound(snap_.edges.begin(), snap_.edges.end(), value);
     snap_.counts[static_cast<size_t>(it - snap_.edges.begin()) - 1] += n;
   }
-  snap_.count += n;
   snap_.sum += value * static_cast<double>(n);
   snap_.min = std::min(snap_.min, value);
   snap_.max = std::max(snap_.max, value);
 }
 
-HistogramSnapshot Histogram::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snap_;
-}
-
-uint64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snap_.count;
-}
-
 void Histogram::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   std::fill(snap_.counts.begin(), snap_.counts.end(), uint64_t{0});
   snap_.underflow = 0;
   snap_.overflow = 0;
@@ -137,28 +131,24 @@ bool MetricsSnapshot::Merge(const MetricsSnapshot& other) {
 }
 
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
   return *slot;
 }
 
 Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
 Histogram& MetricsRegistry::GetHistogram(const std::string& name, const Buckets& buckets) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>(buckets);
   return *slot;
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
   for (const auto& [name, counter] : counters_) snap.counters[name] = counter->value();
   for (const auto& [name, gauge] : gauges_) snap.gauges[name] = gauge->value();
@@ -169,7 +159,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 }
 
 void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();

@@ -11,14 +11,11 @@
 // `subsystem.quantity[_unit]` — e.g. `can.route_hops`, `kmeans.wall_us`,
 // `net.bytes_per_message`.
 //
-// Thread-safety: registration is mutex-guarded, counter/gauge updates are
-// relaxed atomics and histogram updates take a per-histogram mutex, so pool
-// workers (common/thread_pool.h) may bump metrics concurrently. Metric
-// *values* stay deterministic across thread counts as long as concurrent
-// observations are integer-valued (integer sums commute exactly in double);
-// wall-clock timings are nondeterministic run to run anyway. The span
-// tracer (trace.h) remains single-threaded — only the orchestrating thread
-// may open spans.
+// Thread-safety: none. The registry, its metrics and the span tracer
+// (trace.h) are written only by the orchestrating thread. Pool tasks
+// (common/thread_pool.h) record nothing: they write their own result slot,
+// and the caller records at the ordered drain (DESIGN.md §8), so metric
+// values are identical at any thread count.
 //
 // Use the HM_OBS_* macros from trace.h in instrumented code — they cache the
 // handle in a function-local static.
@@ -26,43 +23,35 @@
 #ifndef HYPERM_OBS_METRICS_H_
 #define HYPERM_OBS_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace hyperm::obs {
 
-/// Monotone event count. Thread-safe (relaxed atomic).
+/// Monotone event count.
 class Counter {
  public:
-  void Add(uint64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Add(uint64_t delta = 1) { value_ += delta; }
+  uint64_t value() const { return value_; }
+  void Reset() { value_ = 0; }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
-/// Last-write-wins instantaneous value. Thread-safe (relaxed atomic).
+/// Last-write-wins instantaneous value.
 class Gauge {
  public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(double delta) {
-    double current = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(current, current + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
+  void Set(double value) { value_ = value; }
+  double value() const { return value_; }
+  void Reset() { value_ = 0.0; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Bucket layout of a histogram: ascending edges e0 < e1 < ... < en define
@@ -104,14 +93,15 @@ struct HistogramSnapshot {
 };
 
 /// Fixed-bucket histogram with explicit underflow/overflow buckets.
-/// Thread-safe: observations and snapshots take a per-histogram mutex.
 class Histogram {
  public:
   explicit Histogram(const Buckets& buckets);
 
+  /// A NaN observation lands in the overflow bucket and leaves sum, min and
+  /// max as they are.
   void Observe(double value);
 
-  /// Records `n` observations of the same value under one lock — the hot
+  /// Records `n` observations of the same value in one update — the hot
   /// transmit path batches its per-hop observations per message. For
   /// integer-valued `value` (all batched call sites) the resulting snapshot
   /// is bit-identical to `n` repeated Observe calls: count/bucket updates
@@ -119,12 +109,11 @@ class Histogram {
   /// `n` exact integer additions while the sum stays below 2^53.
   void ObserveN(double value, uint64_t n);
 
-  HistogramSnapshot Snapshot() const;
-  uint64_t count() const;
+  HistogramSnapshot Snapshot() const { return snap_; }
+  uint64_t count() const { return snap_.count; }
   void Reset();
 
  private:
-  mutable std::mutex mu_;   // guards snap_
   HistogramSnapshot snap_;  // doubles as live state
 };
 
@@ -176,7 +165,6 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
  private:
-  mutable std::mutex mutex_;  // guards the maps, not the metric values
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

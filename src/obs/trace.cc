@@ -40,23 +40,6 @@ void Tracer::End(int id) {
   span.duration_us = NowUs() - span.start_us;
 }
 
-int Tracer::AddCompleted(std::string name, double duration_us) {
-  if (spans_.size() >= capacity_) {
-    ++dropped_;
-    return -1;
-  }
-  const int id = static_cast<int>(spans_.size());
-  SpanRecord span;
-  span.name = std::move(name);
-  span.id = id;
-  span.parent = open_.empty() ? -1 : static_cast<int32_t>(open_.back());
-  span.depth = static_cast<int32_t>(open_.size());
-  span.start_us = NowUs() - duration_us;
-  span.duration_us = duration_us;
-  spans_.push_back(std::move(span));
-  return id;
-}
-
 void Tracer::Reset() {
   HM_CHECK(open_.empty()) << "Reset with open spans";
   spans_.clear();

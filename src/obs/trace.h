@@ -9,6 +9,10 @@
 // Span naming convention (DESIGN.md "Observability"): slash-separated path
 // segments mirroring the pipeline, e.g. `build`, `build/publish`,
 // `query/range`, `query/layer0`.
+//
+// Thread-safety: none; only the orchestrating thread opens spans. A pool
+// task (common/thread_pool.h) neither opens spans nor records metrics
+// (DESIGN.md §8).
 
 #ifndef HYPERM_OBS_TRACE_H_
 #define HYPERM_OBS_TRACE_H_
@@ -32,9 +36,8 @@ struct SpanRecord {
   double duration_us = -1.0;  ///< -1 while the span is open
 };
 
-/// Records nested spans into a bounded buffer. Single-threaded by design
-/// (matches the simulator); spans must be ended in LIFO order, which the
-/// ScopedSpan RAII guard guarantees.
+/// Records nested spans into a bounded buffer. Spans must be ended in LIFO
+/// order, which the ScopedSpan RAII guard guarantees.
 class Tracer {
  public:
   Tracer();
@@ -45,13 +48,6 @@ class Tracer {
 
   /// Closes the span (no-op for id < 0). Must be the innermost open span.
   void End(int id);
-
-  /// Records an already-finished span of the given duration, nested under the
-  /// innermost open span. This is how parallel fan-outs keep the trace tree
-  /// deterministic: workers measure their own wall time, and the orchestrating
-  /// thread records one completed span per task at fan-in, in task order.
-  /// Returns the span id, or -1 when the buffer is full.
-  int AddCompleted(std::string name, double duration_us);
 
   /// All recorded spans in start order. Open spans have duration_us == -1.
   const std::vector<SpanRecord>& spans() const { return spans_; }
@@ -131,11 +127,6 @@ class ScopedTimer {
 #define HM_OBS_SPAN(name) \
   ::hyperm::obs::ScopedSpan HM_OBS_CONCAT_(hm_obs_span_, __LINE__)((name))
 
-/// Records an already-finished span of `duration_us` microseconds (measured
-/// elsewhere, e.g. by a pool worker) under the innermost open span.
-#define HM_OBS_SPAN_COMPLETED(name, duration_us) \
-  ((void)::hyperm::obs::Tracer::Global().AddCompleted((name), (duration_us)))
-
 /// counter `name` += delta.
 #define HM_OBS_COUNTER_ADD(name, delta)                                 \
   do {                                                                  \
@@ -161,7 +152,7 @@ class ScopedTimer {
     hm_obs_h.Observe(static_cast<double>(value));                       \
   } while (0)
 
-/// histogram `name` observes `value` `n` times (one lock; see
+/// histogram `name` observes `value` `n` times (one update; see
 /// Histogram::ObserveN for the bit-identity contract).
 #define HM_OBS_HISTOGRAM_N(name, buckets, value, n)                      \
   do {                                                                   \

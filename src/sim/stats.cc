@@ -34,26 +34,6 @@ std::string TrafficClassName(TrafficClass cls) {
   return "unknown";
 }
 
-NetworkStats::NetworkStats(const NetworkStats& other) : model_(other.model_) {
-  *this = other;
-}
-
-NetworkStats& NetworkStats::operator=(const NetworkStats& other) {
-  if (this == &other) return *this;
-  model_ = other.model_;
-  for (size_t i = 0; i < kNumClasses; ++i) {
-    hops_[i].store(other.hops_[i].load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    bytes_[i].store(other.bytes_[i].load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    energy_nj_[i].store(other.energy_nj_[i].load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  }
-  queries_served_.store(other.queries_served_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  return *this;
-}
-
 void NetworkStats::RecordHop(TrafficClass cls, uint64_t bytes) {
   RecordHops(cls, bytes, 1);
 }
@@ -61,70 +41,54 @@ void NetworkStats::RecordHop(TrafficClass cls, uint64_t bytes) {
 void NetworkStats::RecordHops(TrafficClass cls, uint64_t bytes, uint64_t count) {
   if (count == 0) return;
   const size_t i = Index(cls);
-  hops_[i].fetch_add(count, std::memory_order_relaxed);
-  bytes_[i].fetch_add(bytes * count, std::memory_order_relaxed);
-  const double delta_nj =
-      model_.HopEnergyNanojoules(bytes) * static_cast<double>(count);
-  double current = energy_nj_[i].load(std::memory_order_relaxed);
-  while (!energy_nj_[i].compare_exchange_weak(current, current + delta_nj,
-                                              std::memory_order_relaxed)) {
-  }
+  hops_[i] += count;
+  bytes_[i] += bytes * count;
+  energy_nj_[i] += model_.HopEnergyNanojoules(bytes) * static_cast<double>(count);
   HM_OBS_COUNTER_ADD("net.hops", count);
   HM_OBS_HISTOGRAM_N("net.bytes_per_message",
                      obs::Buckets::Exponential(16, 2.0, 16), bytes, count);
 }
 
-uint64_t NetworkStats::hops(TrafficClass cls) const {
-  return hops_[Index(cls)].load(std::memory_order_relaxed);
-}
+uint64_t NetworkStats::hops(TrafficClass cls) const { return hops_[Index(cls)]; }
 
 uint64_t NetworkStats::total_hops() const {
   uint64_t total = 0;
-  for (const auto& h : hops_) total += h.load(std::memory_order_relaxed);
+  for (uint64_t h : hops_) total += h;
   return total;
 }
 
-uint64_t NetworkStats::bytes(TrafficClass cls) const {
-  return bytes_[Index(cls)].load(std::memory_order_relaxed);
-}
+uint64_t NetworkStats::bytes(TrafficClass cls) const { return bytes_[Index(cls)]; }
 
 uint64_t NetworkStats::total_bytes() const {
   uint64_t total = 0;
-  for (const auto& b : bytes_) total += b.load(std::memory_order_relaxed);
+  for (uint64_t b : bytes_) total += b;
   return total;
 }
 
 double NetworkStats::energy_millijoules(TrafficClass cls) const {
-  return energy_nj_[Index(cls)].load(std::memory_order_relaxed) * 1e-6;
+  return energy_nj_[Index(cls)] * 1e-6;
 }
 
 double NetworkStats::total_energy_millijoules() const {
   double total = 0.0;
-  for (const auto& e : energy_nj_) total += e.load(std::memory_order_relaxed);
+  for (double e : energy_nj_) total += e;
   return total * 1e-6;
 }
 
 void NetworkStats::Reset() {
-  for (auto& h : hops_) h.store(0, std::memory_order_relaxed);
-  for (auto& b : bytes_) b.store(0, std::memory_order_relaxed);
-  for (auto& e : energy_nj_) e.store(0.0, std::memory_order_relaxed);
-  queries_served_.store(0, std::memory_order_relaxed);
+  hops_.fill(0);
+  bytes_.fill(0);
+  energy_nj_.fill(0.0);
+  queries_served_ = 0;
 }
 
 void NetworkStats::Merge(const NetworkStats& other) {
   for (size_t i = 0; i < kNumClasses; ++i) {
-    hops_[i].fetch_add(other.hops_[i].load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    bytes_[i].fetch_add(other.bytes_[i].load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    const double delta = other.energy_nj_[i].load(std::memory_order_relaxed);
-    double current = energy_nj_[i].load(std::memory_order_relaxed);
-    while (!energy_nj_[i].compare_exchange_weak(current, current + delta,
-                                                std::memory_order_relaxed)) {
-    }
+    hops_[i] += other.hops_[i];
+    bytes_[i] += other.bytes_[i];
+    energy_nj_[i] += other.energy_nj_[i];
   }
-  queries_served_.fetch_add(other.queries_served_.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
+  queries_served_ += other.queries_served_;
 }
 
 std::string NetworkStats::Summary() const {
@@ -133,10 +97,9 @@ std::string NetworkStats::Summary() const {
      << " energy_mJ=" << total_energy_millijoules()
      << " served=" << queries_served();
   for (size_t i = 0; i < kNumClasses; ++i) {
-    const uint64_t h = hops_[i].load(std::memory_order_relaxed);
-    if (h == 0) continue;
-    os << " " << TrafficClassName(static_cast<TrafficClass>(i)) << "=" << h << "/"
-       << bytes_[i].load(std::memory_order_relaxed) << "B";
+    if (hops_[i] == 0) continue;
+    os << " " << TrafficClassName(static_cast<TrafficClass>(i)) << "=" << hops_[i]
+       << "/" << bytes_[i] << "B";
   }
   return os.str();
 }

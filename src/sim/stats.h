@@ -9,7 +9,6 @@
 #define HYPERM_SIM_STATS_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -45,20 +44,13 @@ struct RadioEnergyModel {
 
 /// Accumulates hop/byte/energy counters per traffic class.
 ///
-/// Thread-safe: counters are relaxed atomics, so concurrent callers may
-/// RecordHop into a shared instance. Totals stay deterministic in any
-/// recording order because hop/byte increments are
-/// integers and — under the default RadioEnergyModel — the per-hop energy
-/// addends are integer-valued nanojoules, so the double sums commute exactly.
+/// Not thread-safe: every sender is the orchestrating thread (pool tasks
+/// send nothing; DESIGN.md §8). Copyable; the multi-run benches pass
+/// NetworkStats by value when aggregating results.
 class NetworkStats {
  public:
   NetworkStats() = default;
   explicit NetworkStats(RadioEnergyModel model) : model_(model) {}
-
-  // Copyable (relaxed snapshot of the counters); many call sites pass
-  // NetworkStats by value when aggregating multi-run results.
-  NetworkStats(const NetworkStats& other);
-  NetworkStats& operator=(const NetworkStats& other);
 
   /// Records one hop (one physical transmission) of `bytes` payload.
   void RecordHop(TrafficClass cls, uint64_t bytes);
@@ -66,16 +58,15 @@ class NetworkStats {
   /// Records `count` hops of identical payload size in one accounting
   /// update — the radio channel batches a multi-hop route's bookkeeping per
   /// message instead of per hop. Totals are bit-identical to `count`
-  /// RecordHop calls under the integer-nanojoule contract documented on the
-  /// class (the energy addend `count * delta` equals `count` exact integer
-  /// additions while the running sum stays below 2^53).
+  /// RecordHop calls while the per-hop energy is integer-valued nanojoules,
+  /// as under the default RadioEnergyModel (the energy addend
+  /// `count * delta` equals `count` exact integer additions while the running
+  /// sum stays below 2^53).
   void RecordHops(TrafficClass cls, uint64_t bytes, uint64_t count);
 
   /// Bumps the served-query counter (range/k-NN/point queries answered).
-  void RecordQueryServed() { queries_served_.fetch_add(1, std::memory_order_relaxed); }
-  uint64_t queries_served() const {
-    return queries_served_.load(std::memory_order_relaxed);
-  }
+  void RecordQueryServed() { ++queries_served_; }
+  uint64_t queries_served() const { return queries_served_; }
 
   /// Hops recorded for one class / all classes.
   uint64_t hops(TrafficClass cls) const;
@@ -104,10 +95,10 @@ class NetworkStats {
  private:
   static constexpr size_t kNumClasses = static_cast<size_t>(TrafficClass::kCount_);
   RadioEnergyModel model_;
-  std::array<std::atomic<uint64_t>, kNumClasses> hops_{};
-  std::array<std::atomic<uint64_t>, kNumClasses> bytes_{};
-  std::array<std::atomic<double>, kNumClasses> energy_nj_{};
-  std::atomic<uint64_t> queries_served_{0};
+  std::array<uint64_t, kNumClasses> hops_{};
+  std::array<uint64_t, kNumClasses> bytes_{};
+  std::array<double, kNumClasses> energy_nj_{};
+  uint64_t queries_served_ = 0;
 };
 
 }  // namespace hyperm::sim

@@ -1,6 +1,6 @@
 // Unit tests of the flight recorder core (obs/event_log.h): bounded buffer
-// with counted-not-stored overflow, ambient causal-context fill, owner-thread
-// gating, time-series rings, JSONL export stability, Reset semantics.
+// with counted-not-stored overflow, ambient causal-context fill, time-series
+// rings, JSONL export stability, Reset semantics.
 //
 // Tests drive EventLog::Global() through the macros (the exact production
 // path) and Reset() it around each test — the log is process-global state.
@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -115,29 +114,6 @@ TEST_F(EventLogTest, RootScopeShadowsAmbientContext) {
   EXPECT_EQ(log.events()[1].level, 1);
 }
 
-TEST_F(EventLogTest, OffOwnerThreadRecordsNothing) {
-  EventLog& log = EventLog::Global();
-  log.Arm();
-  HM_OBS_EVENT(.sim_ms = 1.0, .kind = EventKind::kMsgSend);
-  int worker_evaluations = 0;
-  std::thread worker([&log, &worker_evaluations] {
-    EXPECT_TRUE(log.armed());
-    EXPECT_FALSE(log.enabled());  // armed, but not the owner
-    auto touch = [&worker_evaluations] {
-      ++worker_evaluations;
-      return 1;
-    };
-    HM_OBS_EVENT(.sim_ms = 2.0, .kind = EventKind::kMsgDrop, .src = touch());
-    HM_OBS_SERIES("probe.worker", 2.0, 1.0);
-    HM_OBS_QUERY_SCOPE(worker_qid);
-    EXPECT_EQ(worker_qid, -1);  // ids are only drawn on the owner thread
-  });
-  worker.join();
-  EXPECT_EQ(worker_evaluations, 0);
-  ASSERT_EQ(log.events().size(), 1u);
-  EXPECT_EQ(log.series().count("probe.worker"), 0u);
-}
-
 TEST_F(EventLogTest, TimeSeriesRingOverwritesOldestAndCountsTotal) {
   TimeSeries series(/*capacity=*/3);
   for (int i = 0; i < 5; ++i) {
@@ -191,7 +167,7 @@ TEST_F(EventLogTest, ResetClearsEverythingAndDisarms) {
   HM_OBS_SERIES("probe.x", 1.0, 1.0);
   EXPECT_EQ(log.dropped(), 1u);
   log.Reset();
-  EXPECT_FALSE(log.armed());
+  EXPECT_FALSE(log.enabled());
   EXPECT_TRUE(log.events().empty());
   EXPECT_TRUE(log.series().empty());
   EXPECT_EQ(log.dropped(), 0u);

@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "data/markov_generator.h"
 #include "data/peer_assignment.h"
-#include "obs/metrics.h"
 
 namespace hyperm::cluster {
 namespace {
@@ -31,6 +30,7 @@ KMeansResult RunKMeans(const std::vector<Vector>& points, KMeansOptions options,
 // Exact (bitwise, via ==) equality of every output field.
 void ExpectIdentical(const KMeansResult& a, const KMeansResult& b) {
   EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.reseeds, b.reseeds);
   EXPECT_EQ(a.assignments, b.assignments);
   EXPECT_EQ(a.inertia, b.inertia);
   ASSERT_EQ(a.clusters.size(), b.clusters.size());
@@ -233,17 +233,12 @@ TEST(KMeansPrunedTest, MatchesNaiveWhenAClusterEmptiesPartway) {
     ExpectKernelsAgree(points, options, seed);
     // The data really exercises a reseed after the first iteration.
     auto reseeds = [&](int max_iterations) {
-      obs::MetricsRegistry::Global().Reset();
       KMeansOptions capped = options;
       capped.max_iterations = max_iterations;
-      RunKMeans(points, capped, /*pruned=*/true, seed);
-      const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-      const auto it = snap.counters.find("kmeans.reseeds");
-      return it == snap.counters.end() ? uint64_t{0} : it->second;
+      return RunKMeans(points, capped, /*pruned=*/true, seed).reseeds;
     };
-    EXPECT_EQ(reseeds(1), 0u) << "seed " << seed;
-    EXPECT_GT(reseeds(options.max_iterations), 0u) << "seed " << seed;
-    obs::MetricsRegistry::Global().Reset();
+    EXPECT_EQ(reseeds(1), 0) << "seed " << seed;
+    EXPECT_GT(reseeds(options.max_iterations), 0) << "seed " << seed;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -243,6 +244,25 @@ TEST(NetworkParallelTest, BitIdenticalAcrossThreadCounts) {
 
   const RunCapture eight_threads = RunWorkload(8);
   ExpectRunsIdentical(sequential, eight_threads);
+
+  // Build's k-means tasks record nothing on their lanes; the drain records
+  // every run, so the kmeans.* metrics match at every lane count.
+  const std::map<std::string, uint64_t>& counters = sequential.metrics.counters;
+  ASSERT_GT(counters.at("kmeans.runs"), 1u);  // interest classes + Build's tasks
+  const obs::HistogramSnapshot& iterations =
+      sequential.metrics.histograms.at("kmeans.iterations");
+  EXPECT_EQ(iterations.count, counters.at("kmeans.runs"));
+  for (const RunCapture* run : {&two_threads, &eight_threads}) {
+    for (const char* name : {"kmeans.runs", "kmeans.points", "kmeans.reseeds"}) {
+      ASSERT_EQ(run->metrics.counters.count(name), counters.count(name)) << name;
+      if (counters.count(name) == 1) {
+        EXPECT_EQ(run->metrics.counters.at(name), counters.at(name)) << name;
+      }
+    }
+    const obs::HistogramSnapshot& lane = run->metrics.histograms.at("kmeans.iterations");
+    EXPECT_EQ(lane.counts, iterations.counts);
+    EXPECT_EQ(lane.sum, iterations.sum);
+  }
 }
 
 TEST(NetworkParallelTest, PoolMetricsAreRecorded) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -610,6 +611,53 @@ TEST(NetworkObsTest, BuildAndQueriesEmitNestedSpans) {
     }
   }
   EXPECT_TRUE(knn_layer_found);
+  obs::Tracer::Global().Reset();
+}
+
+// Level probes run one after another on the calling thread, each inside its
+// own query/layerN span: the spans of one query are disjoint, in level order,
+// children of the query's scoring span, and together no longer than it.
+void ExpectSerialLevelSpans(const std::vector<obs::SpanRecord>& spans,
+                            const obs::SpanRecord& parent, int num_layers) {
+  std::vector<const obs::SpanRecord*> levels;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.name.rfind("query/layer", 0) == 0 && s.parent == parent.id) {
+      levels.push_back(&s);
+    }
+  }
+  ASSERT_EQ(levels.size(), static_cast<size_t>(num_layers)) << parent.name;
+  constexpr double kClockSlackUs = 1e-3;  // rounding of start + duration
+  double sum_us = 0.0;
+  double prev_end_us = parent.start_us;
+  for (int layer = 0; layer < num_layers; ++layer) {
+    const obs::SpanRecord& s = *levels[static_cast<size_t>(layer)];
+    EXPECT_EQ(s.name, "query/layer" + std::to_string(layer)) << parent.name;
+    EXPECT_EQ(s.depth, parent.depth + 1) << s.name;
+    ASSERT_GE(s.duration_us, 0.0) << s.name;
+    EXPECT_GE(s.start_us + kClockSlackUs, prev_end_us) << parent.name << " " << s.name;
+    prev_end_us = s.start_us + s.duration_us;
+    sum_us += s.duration_us;
+  }
+  EXPECT_LE(prev_end_us, parent.start_us + parent.duration_us + kClockSlackUs)
+      << parent.name;
+  EXPECT_LE(sum_us, parent.duration_us + kClockSlackUs) << parent.name;
+}
+
+TEST(NetworkObsTest, LevelSpansAreDisjointAndInLevelOrder) {
+  obs::Tracer::Global().Reset();
+  TestBed bed = MakeTestBed();
+  obs::Tracer::Global().Reset();
+  const Vector& query = bed.dataset.items[10];
+  ASSERT_TRUE(bed.network->RangeQuery(query, 0.5, 0, -1).ok());
+  ASSERT_TRUE(bed.network->KnnQuery(query, 5, KnnOptions{}, 1).ok());
+
+  const std::vector<obs::SpanRecord>& spans = obs::Tracer::Global().spans();
+  const obs::SpanRecord* score = FindSpan(spans, "query/score");
+  ASSERT_NE(score, nullptr);
+  ExpectSerialLevelSpans(spans, *score, bed.network->num_layers());
+  const obs::SpanRecord* knn = FindSpan(spans, "query/knn");
+  ASSERT_NE(knn, nullptr);
+  ExpectSerialLevelSpans(spans, *knn, bed.network->num_layers());
   obs::Tracer::Global().Reset();
 }
 

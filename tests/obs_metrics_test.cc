@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 namespace hyperm::obs {
 namespace {
@@ -20,8 +21,7 @@ TEST(CounterTest, AddsAndResets) {
 TEST(GaugeTest, LastWriteWins) {
   Gauge g;
   g.Set(3.5);
-  g.Add(1.0);
-  EXPECT_DOUBLE_EQ(g.value(), 4.5);
+  EXPECT_DOUBLE_EQ(g.value(), 3.5);
   g.Set(-1.0);
   EXPECT_DOUBLE_EQ(g.value(), -1.0);
 }
@@ -69,6 +69,24 @@ TEST(HistogramTest, UnderflowAndOverflowAreExplicit) {
   EXPECT_EQ(s.count, 3u);
   EXPECT_DOUBLE_EQ(s.min, -0.001);
   EXPECT_DOUBLE_EQ(s.max, 100.0);
+}
+
+// NaN compares false against every edge, so a bucket search would run past
+// the last inner bucket; it is counted as overflow and leaves sum, min and
+// max alone.
+TEST(HistogramTest, NanLandsInOverflow) {
+  Histogram h(Buckets::Linear(0.0, 10.0, 5));
+  h.Observe(4.0);
+  h.Observe(std::numeric_limits<double>::quiet_NaN());
+  h.ObserveN(std::numeric_limits<double>::quiet_NaN(), 3);
+  const HistogramSnapshot s = h.Snapshot();
+  EXPECT_EQ(s.count, 5u);
+  EXPECT_EQ(s.overflow, 4u);
+  EXPECT_EQ(s.underflow, 0u);
+  EXPECT_EQ(s.counts, (std::vector<uint64_t>{0, 0, 1, 0, 0}));
+  EXPECT_DOUBLE_EQ(s.sum, 4.0);
+  EXPECT_DOUBLE_EQ(s.min, 4.0);
+  EXPECT_DOUBLE_EQ(s.max, 4.0);
 }
 
 TEST(HistogramTest, EmptySnapshot) {
