@@ -186,27 +186,44 @@ void BM_SquaredDistanceBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SquaredDistanceBatch)->Args({1000, 64})->Args({1000, 512});
 
-// Peer-local range retrieval (Peer::RangeSearch over the bounded scan
-// kernel). Args: {dim, near}. A near query sits on a stored row with the
-// median row distance as radius, so half the rows match and are summed in
-// full; a far query is the same ball shifted by 1 in every coordinate, so no
-// row matches and most 4-row blocks are dropped after their first columns.
+// Rows for the peer-local scans: `markov` selects the Markov traces the
+// perfbench workloads store (8 families), else white noise in [-1, 1]^dim.
+// White noise spreads a distance evenly over all wavelet levels, so the
+// coarse filter prunes least there; Markov traces keep most of it in the
+// coarse levels.
+std::vector<Vector> PeerRows(size_t rows, size_t dim, bool markov, uint64_t seed) {
+  Rng rng(seed);
+  if (markov) {
+    data::MarkovOptions options;
+    options.count = static_cast<int>(rows);
+    options.dim = static_cast<int>(dim);
+    options.num_families = 8;
+    return std::move(data::GenerateMarkov(options, rng)).value().items;
+  }
+  std::vector<Vector> out;
+  for (size_t i = 0; i < rows; ++i) out.push_back(RandomVector(dim, rng));
+  return out;
+}
+
+// Peer-local range retrieval (Peer::RangeSearch: the coarse Haar filter,
+// then the bounded scan over the kept rows). Args: {dim, near, markov, rows}.
+// A near query sits on a stored row with the median row distance as radius,
+// so half the rows match and are summed in full (on white noise the filter
+// can only cost time there); a far query is the same ball shifted by 1 in
+// every coordinate, so no row matches.
 void BM_PeerRangeScan(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const bool near = state.range(1) != 0;
-  constexpr int kRows = 256;
-  Rng rng(12);
+  const int rows = static_cast<int>(state.range(3));
+  const std::vector<Vector> data = PeerRows(static_cast<size_t>(rows), dim,
+                                            state.range(2) != 0, 12);
   core::Peer peer(0);
-  std::vector<Vector> rows;
-  for (int i = 0; i < kRows; ++i) {
-    rows.push_back(RandomVector(dim, rng));
-    peer.AddItem(i, rows.back());
-  }
+  for (int i = 0; i < rows; ++i) peer.AddItem(i, data[static_cast<size_t>(i)]);
   std::vector<double> dist;
-  for (const Vector& row : rows) dist.push_back(vec::Distance(row, rows.front()));
-  std::nth_element(dist.begin(), dist.begin() + kRows / 2, dist.end());
-  const double epsilon = dist[kRows / 2];
-  Vector query = rows.front();
+  for (const Vector& row : data) dist.push_back(vec::Distance(row, data.front()));
+  std::nth_element(dist.begin(), dist.begin() + rows / 2, dist.end());
+  const double epsilon = dist[static_cast<size_t>(rows / 2)];
+  Vector query = data.front();
   if (!near) {
     for (double& x : query) x += 1.0;
   }
@@ -214,9 +231,44 @@ void BM_PeerRangeScan(benchmark::State& state) {
     std::vector<core::ItemId> hits = peer.RangeSearch(query, epsilon);
     benchmark::DoNotOptimize(hits.data());
   }
-  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_PeerRangeScan)->Args({64, 1})->Args({64, 0})->Args({512, 1})->Args({512, 0});
+BENCHMARK(BM_PeerRangeScan)
+    ->Args({64, 1, 0, 256})
+    ->Args({64, 0, 0, 256})
+    ->Args({512, 1, 0, 256})
+    ->Args({512, 0, 0, 256})
+    ->Args({512, 1, 1, 50})
+    ->Args({512, 0, 1, 50})
+    ->Args({64, 1, 1, 20})
+    ->Args({64, 0, 1, 20});
+
+// Peer-local k-NN retrieval (Peer::NearestItemsScored: rows refined in
+// ascending coarse-bound order until the bound clears the count-th best).
+// Args: {dim, markov, rows, count}; the query is a fresh row of the same
+// kind. {512, 1, 50, 5} and {64, 1, 20, 3} are query_paper's and
+// publish_1k's store sizes at a typical per-peer request.
+void BM_PeerKnnScan(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const int rows = static_cast<int>(state.range(2));
+  const int count = static_cast<int>(state.range(3));
+  const std::vector<Vector> data = PeerRows(static_cast<size_t>(rows) + 1, dim,
+                                            state.range(1) != 0, 15);
+  core::Peer peer(0);
+  for (int i = 0; i < rows; ++i) peer.AddItem(i, data[static_cast<size_t>(i)]);
+  const Vector& query = data.back();
+  for (auto _ : state) {
+    std::vector<core::ScoredItem> nearest = peer.NearestItemsScored(query, count);
+    benchmark::DoNotOptimize(nearest.data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_PeerKnnScan)
+    ->Args({512, 1, 50, 5})
+    ->Args({512, 0, 50, 5})
+    ->Args({64, 1, 20, 3})
+    ->Args({64, 0, 20, 3})
+    ->Args({64, 0, 256, 10});
 
 // One CAN zone flood: a range query entered at the owner of its center (so
 // no routing walk), over replicated cluster spheres. Args: {dim, nodes}.

@@ -89,7 +89,7 @@ int main() {
     core::KnnOptions knn_options;
     knn_options.c = c;
     std::vector<core::PrecisionRecall> results;
-    int items_requested = 0;
+    int64_t items_requested = 0;
     for (int q = 0; q < kQueries; ++q) {
       const size_t index = (static_cast<size_t>(q) * 337 + 11) % dataset->size();
       core::KnnQueryInfo info;

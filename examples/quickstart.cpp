@@ -97,9 +97,10 @@ int main() {
   }
   const core::PrecisionRecall knn_pr = core::Evaluate(*knn, oracle.Knn(query, 10));
   std::printf("\nk-NN query (k=10, C=%.1f):\n", knn_options.c);
-  std::printf("  fetched=%zu precision=%.2f recall=%.2f peers=%d items_requested=%d\n",
+  std::printf("  fetched=%zu precision=%.2f recall=%.2f peers=%d items_requested=%lld\n",
               knn->size(), knn_pr.precision, knn_pr.recall,
-              knn_info.range.peers_contacted, knn_info.items_requested);
+              knn_info.range.peers_contacted,
+              static_cast<long long>(knn_info.items_requested));
   std::printf("  nearest ids:");
   for (size_t i = 0; i < knn->size() && i < 10; ++i) std::printf(" %d", (*knn)[i]);
   std::printf("\n\ntotal traffic after queries: %s\n", net.stats().Summary().c_str());

@@ -73,37 +73,6 @@ struct LloydState {
   }
 };
 
-// out[m] = squared distance from point idx[m] to `query`: the gathered-row
-// form of vec::SquaredDistanceBatch, four independent rows per block, each
-// row summed in ascending j exactly as there.
-void GatherSquaredDistances(const LloydState& s, const size_t* idx, size_t count,
-                            const double* query, double* out) {
-  size_t m = 0;
-  for (; m + 4 <= count; m += 4) {
-    const double* a0 = s.point(idx[m + 0]);
-    const double* a1 = s.point(idx[m + 1]);
-    const double* a2 = s.point(idx[m + 2]);
-    const double* a3 = s.point(idx[m + 3]);
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (size_t j = 0; j < s.dim; ++j) {
-      const double q = query[j];
-      const double d0 = a0[j] - q;
-      const double d1 = a1[j] - q;
-      const double d2 = a2[j] - q;
-      const double d3 = a3[j] - q;
-      s0 += d0 * d0;
-      s1 += d1 * d1;
-      s2 += d2 * d2;
-      s3 += d3 * d3;
-    }
-    out[m + 0] = s0;
-    out[m + 1] = s1;
-    out[m + 2] = s2;
-    out[m + 3] = s3;
-  }
-  for (; m < count; ++m) out[m] = RowSquaredDistance(s.point(idx[m]), query, s.dim);
-}
-
 // The tests built on centroid-to-centroid distances (the seeding skip and
 // the half gaps) cost O(k²) distances per round, and every extra lower bound
 // per point costs upkeep each round. They pay only when the points outnumber
@@ -174,7 +143,8 @@ void SeedPlusPlus(LloydState& s, int k, Rng& rng, SeedSweep* sweep) {
         num_open += !(4.0 * dist_sq[i] * (1.0 + rel) + kTinyDistance * kTinyDistance <
                       row[sweep->nearest[i]] * (1.0 - rel));
       }
-      GatherSquaredDistances(s, open.data(), num_open, last, last_sq.data());
+      vec::SquaredDistanceGather(s.points.data(), s.dim, open.data(), num_open, last,
+                                 s.dim, last_sq.data());
       for (size_t m = 0; m < num_open; ++m) update(open[m], last_sq[m]);
     } else {
       vec::SquaredDistanceBatch(s.points.data(), s.n, s.dim, last, s.dim,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -684,7 +685,10 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   }
   if (!vec::AllFinite(query)) return InvalidArgumentError("KnnQuery: non-finite query");
   if (k < 1) return InvalidArgumentError("KnnQuery: k < 1");
-  if (options.c <= 0.0) return InvalidArgumentError("KnnQuery: C must be positive");
+  // C·k bounds every per-peer request, which is cast to int below.
+  if (!(options.c > 0.0) || !(options.c * k <= std::numeric_limits<int>::max())) {
+    return InvalidArgumentError("KnnQuery: C must be positive, finite and C*k within int");
+  }
   if (options.max_peers < 1) return InvalidArgumentError("KnnQuery: max_peers < 1");
   if (querying_peer < 0 || querying_peer >= num_peers()) {
     return InvalidArgumentError("KnnQuery: bad querying peer");
@@ -761,8 +765,12 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   // shipping the vectors themselves.
   std::vector<int> requests(num_contacted);
   for (size_t i = 0; i < num_contacted; ++i) {
-    requests[i] = std::max(
-        1, static_cast<int>(std::ceil(options.c * k * merged[i].score / sum)));
+    // At most C*k (checked above) up to rounding; the clamp keeps the cast
+    // defined even one ulp past it.
+    const double want = std::ceil(options.c * k * merged[i].score / sum);
+    requests[i] = want >= 1.0 ? static_cast<int>(std::min<double>(
+                                    want, std::numeric_limits<int>::max()))
+                              : 1;
     info->items_requested += requests[i];
   }
   std::vector<ScoredItem> fetched =

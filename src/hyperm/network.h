@@ -145,7 +145,7 @@ struct SoftStateCounters {
 struct KnnQueryInfo {
   RangeQueryInfo range;                ///< per-level probing + final queries
   std::vector<double> level_radii;     ///< estimated eps per layer (key space)
-  int items_requested = 0;             ///< sum of no_items_p over peers
+  int64_t items_requested = 0;         ///< sum of no_items_p over peers
 };
 
 /// Options of the Fig. 5 k-NN heuristic.
@@ -193,8 +193,9 @@ class HyperMNetwork {
   /// The Fig. 5 k-NN heuristic. Returns the fetched ids ordered by true
   /// distance to the query (the caller may truncate to k; the paper
   /// evaluates the full fetched set, trading precision for recall via C).
-  /// A query with a NaN or infinite coordinate is rejected with
-  /// InvalidArgument.
+  /// A query with a NaN or infinite coordinate, and a C that is not
+  /// positive and finite or whose C*k exceeds the int range, are rejected
+  /// with InvalidArgument.
   Result<std::vector<ItemId>> KnnQuery(const Vector& query, int k,
                                        const KnnOptions& options, int querying_peer,
                                        KnnQueryInfo* info = nullptr);

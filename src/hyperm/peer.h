@@ -4,6 +4,13 @@
 // overlay — only cluster summaries). Once the score phase has selected a
 // peer, queries are resolved against this local store exactly, which is why
 // range-query precision is always 100% (Section 6.1).
+//
+// Both local searches filter before they scan: each stored item keeps its
+// 8 coarsest orthonormal Haar coefficients (wavelet/coarse.h), whose
+// distance to the query's is a lower bound on the full distance (Parseval).
+// Rows the bound rules out by more than a rounding margin are never read;
+// the rest go through the exact kernels, so results are bit-identical to a
+// full scan (DESIGN.md §23).
 
 #ifndef HYPERM_HYPERM_PEER_H_
 #define HYPERM_HYPERM_PEER_H_
@@ -34,7 +41,8 @@ class Peer {
   /// The peer id (== its overlay node id in every layer).
   int id() const { return id_; }
 
-  /// Adds one item. The vector is copied; `item_id` must be unique per peer.
+  /// Adds one item. The vector is copied and its coarse Haar coefficients
+  /// computed; `item_id` must be unique per peer.
   void AddItem(ItemId item_id, const Vector& features);
 
   /// Number of locally stored items.
@@ -47,20 +55,30 @@ class Peer {
   /// item_ids().
   const vec::Matrix& item_features() const { return features_; }
 
-  /// Exact local range search: ids of items within `epsilon` of `query`.
+  /// Exact local range search: ids of items within `epsilon` of `query`, in
+  /// insertion order. Counts the rows considered (`peer.scan.rows`) and the
+  /// rows the coarse bound left for the exact scan (`peer.scan.rows_refined`).
   std::vector<ItemId> RangeSearch(const Vector& query, double epsilon) const;
 
   /// Exact local top-`count` search: the `count` ids nearest to `query`,
   /// ordered by increasing distance (fewer if the peer holds fewer items).
   std::vector<ItemId> NearestItems(const Vector& query, int count) const;
 
-  /// NearestItems with the exact distances included.
+  /// NearestItems with the exact distances included; equal distances are
+  /// ordered by id. Counts rows like RangeSearch.
   std::vector<ScoredItem> NearestItemsScored(const Vector& query, int count) const;
 
  private:
+  // Coefficient row r of coarse_.
+  const double* coarse_row(size_t r) const;
+
   int id_;
   std::vector<ItemId> ids_;
   vec::Matrix features_;  // SoA: the local scans are batch distance sweeps
+  // Per stored row, wavelet::kCoarseCoefficients coarse Haar coefficients,
+  // row-major and parallel to features_.
+  std::vector<double> coarse_;
+  double max_abs_sum_ = 0.0;  // largest Σ|x_i| of a stored row (the margin)
 };
 
 }  // namespace hyperm::core

@@ -14,7 +14,7 @@
 // scan with a batch call cannot change any result, only its speed. Blocking
 // happens across rows (independent sums), never within one row.
 //
-// RangeScanBatch keeps the same per-row order and decides `sum <= bound` on
+// RangeScanGather keeps the same per-row order and decides `sum <= bound` on
 // the sum SquaredDistanceBatch would produce. It may stop adding a block's
 // terms early, but only once every row in the block is already past the
 // bound: each term is non-negative and rounding is monotone, so a partial
@@ -82,18 +82,21 @@ void SquaredDistanceBatch(const double* rows, size_t num_rows, size_t stride,
 /// Matrix convenience overload; `out` must hold m.rows() doubles.
 void SquaredDistanceBatch(const Matrix& m, const Vector& query, double* out);
 
-/// Appends to `hits`, in ascending order, the index of every row of
-/// [rows, stride] whose squared distance to `query` is <= `bound_sq`:
-/// exactly the rows r with SquaredDistanceBatch's out[r] <= bound_sq. Rows
-/// are summed in blocks of four as there; every 16 columns a block whose four
-/// partial sums all exceed `bound_sq` is dropped without reading the rest.
-void RangeScanBatch(const double* rows, size_t num_rows, size_t stride,
-                    const double* query, size_t dim, double bound_sq,
-                    std::vector<size_t>* hits);
+/// out[i] = squared distance from row list[i] of [rows, stride] to `query`,
+/// for i < count: SquaredDistanceBatch over a gathered row list, in blocks
+/// of four listed rows, with the same bit-identical per-row sums.
+void SquaredDistanceGather(const double* rows, size_t stride, const size_t* list,
+                           size_t count, const double* query, size_t dim, double* out);
 
-/// Matrix convenience overload.
-void RangeScanBatch(const Matrix& m, const Vector& query, double bound_sq,
-                    std::vector<size_t>* hits);
+/// Appends to `hits`, in list order, every index list[i] (i < count) whose
+/// row of [rows, stride] has squared distance to `query` <= `bound_sq`:
+/// exactly the listed rows whose SquaredDistanceBatch sum is <= bound_sq.
+/// Listed rows are summed in blocks of four as there; every 16 columns a
+/// block whose four partial sums all exceed `bound_sq` is dropped without
+/// reading the rest.
+void RangeScanGather(const double* rows, size_t stride, const size_t* list, size_t count,
+                     const double* query, size_t dim, double bound_sq,
+                     std::vector<size_t>* hits);
 
 }  // namespace hyperm::vec
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -272,6 +273,28 @@ TEST(NetworkQueryTest, RejectsBadQueries) {
   EXPECT_FALSE(bed.network->KnnQuery(bed.dataset.items[0], 0, knn, 0).ok());
   knn.c = 0.0;
   EXPECT_FALSE(bed.network->KnnQuery(bed.dataset.items[0], 5, knn, 0).ok());
+}
+
+TEST(NetworkQueryTest, RejectsNonFiniteOrHugeKnnC) {
+  // Each per-peer request is ceil(C·k·share) cast to int: a NaN, an infinite
+  // or a C·k past the int range used to pass validation and make that cast
+  // undefined.
+  TestBed bed = MakeTestBed();
+  KnnOptions knn;
+  for (double c : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(), 1e300,
+                   static_cast<double>(std::numeric_limits<int>::max())}) {
+    knn.c = c;
+    Result<std::vector<ItemId>> r = bed.network->KnnQuery(bed.dataset.items[0], 5, knn, 0);
+    ASSERT_FALSE(r.ok()) << "C = " << c;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << "C = " << c;
+  }
+  // A huge C·k inside the int range still answers.
+  knn.c = 1e8;
+  KnnQueryInfo info;
+  ASSERT_TRUE(bed.network->KnnQuery(bed.dataset.items[0], 5, knn, 0, &info).ok());
+  EXPECT_GT(info.items_requested, 0);
 }
 
 TEST(NetworkBuildTest, RejectsNonFiniteDataset) {

@@ -1,10 +1,13 @@
 #include "wavelet/transform.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "data/markov_generator.h"
 #include "vec/vector.h"
 
 namespace hyperm::wavelet {
@@ -129,6 +132,54 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, TransformContraction,
                          ::testing::Values(WaveletKind::kHaarAveraging,
                                            WaveletKind::kHaarOrthonormal,
                                            WaveletKind::kDaubechies4));
+
+// Property (Parseval): each level's coefficients divided by the family's
+// radius scale are orthonormal-basis coefficients, so their energies sum to
+// the vector's and no run of levels exceeds it. The level filters rely on
+// this: Σ_ℓ ‖q_ℓ − x_ℓ‖² / s_ℓ² <= ‖q − x‖² for every subset of levels.
+class TransformParseval : public ::testing::TestWithParam<WaveletKind> {};
+
+TEST_P(TransformParseval, ScaledLevelEnergiesNeverExceedTheVector) {
+  const WaveletKind kind = GetParam();
+  Rng rng(91);
+  for (int m = 3; m <= 10; ++m) {  // dims 8 ... 1024
+    const size_t dim = size_t{1} << m;
+    data::MarkovOptions markov;
+    markov.count = 2;
+    markov.dim = static_cast<int>(dim);
+    markov.num_families = 1;
+    std::vector<Vector> vectors = data::GenerateMarkov(markov, rng).value().items;
+    vectors.push_back(RandomVector(dim, rng));
+    vectors.push_back(Vector(dim, 3.25));  // constant: all energy in A
+    Vector alternating(dim);
+    for (size_t i = 0; i < dim; ++i) alternating[i] = i % 2 == 0 ? 1.5 : -1.5;
+    vectors.push_back(alternating);  // all energy in the finest detail level
+    for (const Vector& x : vectors) {
+      Result<Pyramid> pyramid = DecomposeWith(kind, x);
+      ASSERT_TRUE(pyramid.ok());
+      const double energy = vec::SquaredNorm(x);
+      const double slack = energy * 1e-12;
+      double partial = 0.0;
+      for (const Level& level : DefaultLevels(m, m + 1)) {
+        const double scale = RadiusScaleFor(kind, m, level);
+        partial += vec::SquaredNorm(Project(*pyramid, level)) / (scale * scale);
+        EXPECT_LE(partial, energy + slack)
+            << WaveletKindName(kind) << " dim " << dim << " through " << level.name();
+      }
+      EXPECT_NEAR(partial, energy, slack) << WaveletKindName(kind) << " dim " << dim;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFamilies, TransformParseval,
+                         ::testing::Values(WaveletKind::kHaarAveraging,
+                                           WaveletKind::kHaarOrthonormal,
+                                           WaveletKind::kDaubechies4),
+                         [](const ::testing::TestParamInfo<WaveletKind>& info) {
+                           std::string name = WaveletKindName(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace hyperm::wavelet

@@ -1,10 +1,13 @@
 // The SoA batch kernel's bit-identity contract: SquaredDistanceBatch must
 // produce, for every row, the exact double vec::SquaredDistance produces —
 // blocking is across rows only, never within a row's accumulation chain.
-// RangeScanBatch must select exactly the rows whose such sum is <= the bound.
+// SquaredDistanceGather must give the same sums over any listed subset of
+// rows, and RangeScanGather must select exactly the listed rows whose such sum
+// is <= the bound, in list order.
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -102,6 +105,20 @@ std::vector<size_t> BruteForceRange(const std::vector<Vector>& data, const Vecto
   return hits;
 }
 
+// Row indices 0..rows-1: the list that scans a whole matrix in row order.
+std::vector<size_t> AllRows(size_t rows) {
+  std::vector<size_t> list(rows);
+  std::iota(list.begin(), list.end(), size_t{0});
+  return list;
+}
+
+void RangeScanAll(const Matrix& m, const Vector& query, double bound_sq,
+                  std::vector<size_t>* hits) {
+  const std::vector<size_t> list = AllRows(m.rows());
+  RangeScanGather(m.data(), m.stride(), list.data(), list.size(), query.data(), query.size(),
+                  bound_sq, hits);
+}
+
 TEST(MatrixRangeScanTest, MatchesBruteForceIdsAndOrder) {
   // Row counts straddle the 4-row blocks; dims straddle the 16-column
   // bound checks (and the paper's 512).
@@ -119,7 +136,7 @@ TEST(MatrixRangeScanTest, MatchesBruteForceIdsAndOrder) {
       }
       for (double bound_sq : bounds) {
         std::vector<size_t> got;
-        RangeScanBatch(m, query, bound_sq, &got);
+        RangeScanAll(m, query, bound_sq, &got);
         EXPECT_EQ(got, BruteForceRange(data, query, bound_sq))
             << "rows=" << rows << " dim=" << dim << " bound=" << bound_sq;
       }
@@ -156,17 +173,17 @@ TEST(MatrixRangeScanTest, EarlyFarRowsNeverHideANearRowInTheirBlock) {
   const Matrix m = Matrix::FromRows(data);
   for (double bound_sq : {0.0, 0.01, 1.0, 8.9, 9.5}) {
     std::vector<size_t> got;
-    RangeScanBatch(m, query, bound_sq, &got);
+    RangeScanAll(m, query, bound_sq, &got);
     EXPECT_EQ(got, BruteForceRange(data, query, bound_sq)) << "bound=" << bound_sq;
   }
   std::vector<size_t> got;
-  RangeScanBatch(m, query, 1.0, &got);
+  RangeScanAll(m, query, 1.0, &got);
   EXPECT_EQ(got, (std::vector<size_t>{7, 12, 14}));
 }
 
 TEST(MatrixRangeScanTest, PaddedStrideAndAppendSemantics) {
-  // The raw overload honours a stride wider than dim, and appends after
-  // whatever `hits` already holds.
+  // The scan honours a stride wider than dim, and appends after whatever
+  // `hits` already holds.
   constexpr size_t kRows = 6, kDim = 17, kStride = 20;
   const std::vector<Vector> data = RandomRows(kRows, kDim, 5);
   const Vector query = RandomRows(1, kDim, 6).front();
@@ -176,10 +193,47 @@ TEST(MatrixRangeScanTest, PaddedStrideAndAppendSemantics) {
   }
   const double bound_sq = SquaredDistance(data[2], query);
   std::vector<size_t> got = {99};
-  RangeScanBatch(padded.data(), kRows, kStride, query.data(), kDim, bound_sq, &got);
+  const std::vector<size_t> list = AllRows(kRows);
+  RangeScanGather(padded.data(), kStride, list.data(), kRows, query.data(), kDim, bound_sq, &got);
   std::vector<size_t> want = {99};
   for (size_t r : BruteForceRange(data, query, bound_sq)) want.push_back(r);
   EXPECT_EQ(got, want);
+}
+
+TEST(MatrixGatherTest, ListedRowsMatchTheContiguousKernels) {
+  // Lists of every length up to 9 (straddling the 4-row blocks), with rows
+  // skipped, repeated and out of order, over dims straddling the 16-column
+  // bound checks.
+  for (size_t dim : {1u, 15u, 16u, 17u, 512u}) {
+    const std::vector<Vector> data = RandomRows(12, dim, 40 + dim);
+    const Vector query = RandomRows(1, dim, 41 + dim).front();
+    const Matrix m = Matrix::FromRows(data);
+    std::vector<double> all(m.rows());
+    SquaredDistanceBatch(m, query, all.data());
+    Rng rng(42 + dim);
+    for (size_t count = 0; count <= 9; ++count) {
+      std::vector<size_t> list(count);
+      for (size_t& r : list) r = rng.NextIndex(data.size());
+      std::vector<double> got(count);
+      SquaredDistanceGather(m.data(), m.stride(), list.data(), count, query.data(), dim,
+                            got.data());
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(got[i], all[list[i]]) << "dim=" << dim << " count=" << count;
+      }
+      for (size_t r : list) {
+        for (double bound_sq : {all[r], std::nextafter(all[r], 0.0)}) {
+          std::vector<size_t> hits = {99};
+          RangeScanGather(m.data(), m.stride(), list.data(), count, query.data(), dim,
+                          bound_sq, &hits);
+          std::vector<size_t> want = {99};
+          for (size_t listed : list) {
+            if (all[listed] <= bound_sq) want.push_back(listed);
+          }
+          EXPECT_EQ(hits, want) << "dim=" << dim << " count=" << count;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
