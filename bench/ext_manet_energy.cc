@@ -92,12 +92,10 @@ int main(int argc, char** argv) {
   const double baseline_bytes_per_hop =
       sim::AverageInsertBytesPerHop((*baseline)->stats());
 
-  const sim::RadioEnergyModel radio;
   auto report = [&](const char* name, uint64_t overlay_hops, double bytes_per_hop) {
     const double physical = static_cast<double>(overlay_hops) * multiplier;
-    const double energy_mj = physical * radio.HopEnergyNanojoules(
-                                            static_cast<uint64_t>(bytes_per_hop)) *
-                             1e-6;
+    const double energy_mj =
+        physical * sim::HopEnergyNanojoules(static_cast<uint64_t>(bytes_per_hop)) * 1e-6;
     // Makespan: physical transmissions split evenly across peers publishing
     // in parallel.
     std::vector<uint64_t> per_peer(

@@ -210,7 +210,9 @@ std::vector<Vector> PeerRows(size_t rows, size_t dim, bool markov, uint64_t seed
 // A near query sits on a stored row with the median row distance as radius,
 // so half the rows match and are summed in full (on white noise the filter
 // can only cost time there); a far query is the same ball shifted by 1 in
-// every coordinate, so no row matches.
+// every coordinate, so no row matches. Both peer scans take the query's
+// CoarseQuery from outside the loop, as a query computes it once for every
+// peer it contacts.
 void BM_PeerRangeScan(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const bool near = state.range(1) != 0;
@@ -227,8 +229,9 @@ void BM_PeerRangeScan(benchmark::State& state) {
   if (!near) {
     for (double& x : query) x += 1.0;
   }
+  const core::CoarseQuery coarse(query);
   for (auto _ : state) {
-    std::vector<core::ItemId> hits = peer.RangeSearch(query, epsilon);
+    std::vector<core::ItemId> hits = peer.RangeSearch(query, coarse, epsilon);
     benchmark::DoNotOptimize(hits.data());
   }
   state.SetItemsProcessed(state.iterations() * rows);
@@ -257,8 +260,9 @@ void BM_PeerKnnScan(benchmark::State& state) {
   core::Peer peer(0);
   for (int i = 0; i < rows; ++i) peer.AddItem(i, data[static_cast<size_t>(i)]);
   const Vector& query = data.back();
+  const core::CoarseQuery coarse(query);
   for (auto _ : state) {
-    std::vector<core::ScoredItem> nearest = peer.NearestItemsScored(query, count);
+    std::vector<core::ScoredItem> nearest = peer.NearestItemsScored(query, coarse, count);
     benchmark::DoNotOptimize(nearest.data());
   }
   state.SetItemsProcessed(state.iterations() * rows);

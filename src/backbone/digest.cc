@@ -29,14 +29,22 @@ uint64_t PairCellKey(int dim_index, int cell_a, int cell_b) {
                  static_cast<uint64_t>(cell_a), static_cast<uint64_t>(cell_b));
 }
 
-// Inclusive pair-grid index range covering [center - radius, center + radius].
-std::pair<int, int> PairCellRange(double center, double radius) {
-  const double width = 1.0 / kPairCellsPerAxis;
-  int lo = static_cast<int>(std::floor((center - radius) / width));
-  int hi = static_cast<int>(std::floor((center + radius) / width));
-  lo = lo < 0 ? 0 : (lo > kPairCellsPerAxis - 1 ? kPairCellsPerAxis - 1 : lo);
-  hi = hi < 0 ? 0 : (hi > kPairCellsPerAxis - 1 ? kPairCellsPerAxis - 1 : hi);
-  return {lo, hi};
+// Inclusive index range of the cells of width 1/cells covering
+// [center - radius, center + radius], clamped to [0, cells). Spheres may
+// bulge past [0,1), but the overlap geometry inside the cube is what
+// matters, and clamping the same way on insert and query keeps the
+// no-false-dismissal argument intact. The clamp runs in double, before the
+// cast: a huge finite radius puts the cell index far outside int, where the
+// cast is undefined (x86 yields INT_MIN, which would clamp to cell 0 and
+// turn a query covering everything into one that matches nothing).
+std::pair<int, int> CellRange(double center, double radius, int cells) {
+  const double width = 1.0 / cells;
+  const double last = cells - 1;
+  const auto cell = [&](double x) {
+    return static_cast<int>(
+        std::fmin(std::fmax(std::floor(x / width), 0.0), last));
+  };
+  return {cell(center - radius), cell(center + radius)};
 }
 
 }  // namespace
@@ -45,21 +53,7 @@ SphereDigest::SphereDigest(int dim, const DigestOptions& options)
     : dim_(dim), options_(options) {
   HM_CHECK_GT(dim, 0);
   HM_CHECK_GE(options.cells_per_axis, 1);
-  if (options_.bits > 0) bloom_ = BloomFilter(options_.bits, options_.hashes);
-}
-
-std::pair<int, int> SphereDigest::CellRange(double center,
-                                            double radius) const {
-  const int cells = options_.cells_per_axis;
-  const double width = 1.0 / cells;
-  int lo = static_cast<int>(std::floor((center - radius) / width));
-  int hi = static_cast<int>(std::floor((center + radius) / width));
-  // Clamp both ends into the cube: spheres may bulge past [0,1) but the
-  // overlap geometry inside the cube is what matters, and clamping the same
-  // way on insert and query keeps the no-false-dismissal argument intact.
-  lo = lo < 0 ? 0 : (lo > cells - 1 ? cells - 1 : lo);
-  hi = hi < 0 ? 0 : (hi > cells - 1 ? cells - 1 : hi);
-  return {lo, hi};
+  if (options_.bits > 0) bloom_ = BloomFilter(options_.bits, kDigestHashes);
 }
 
 void SphereDigest::InsertSphere(const geom::Sphere& sphere) {
@@ -68,7 +62,8 @@ void SphereDigest::InsertSphere(const geom::Sphere& sphere) {
   ++spheres_;
   if (options_.bits <= 0) return;  // digest-less mode: count only
   for (int d = 0; d < dim_; ++d) {
-    const auto [lo, hi] = CellRange(sphere.center[d], sphere.radius);
+    const auto [lo, hi] =
+        CellRange(sphere.center[d], sphere.radius, options_.cells_per_axis);
     for (int cell = lo; cell <= hi; ++cell) bloom_.Insert(CellKey(d, cell));
   }
   // Joint cells over adjacent dimension pairs (d, d+1 mod dim): the covered
@@ -78,8 +73,10 @@ void SphereDigest::InsertSphere(const geom::Sphere& sphere) {
   if (dim_ >= 2) {
     for (int d = 0; d < dim_; ++d) {
       const int d2 = (d + 1) % dim_;
-      const auto [alo, ahi] = PairCellRange(sphere.center[d], sphere.radius);
-      const auto [blo, bhi] = PairCellRange(sphere.center[d2], sphere.radius);
+      const auto [alo, ahi] =
+          CellRange(sphere.center[d], sphere.radius, kPairCellsPerAxis);
+      const auto [blo, bhi] =
+          CellRange(sphere.center[d2], sphere.radius, kPairCellsPerAxis);
       for (int a = alo; a <= ahi; ++a) {
         for (int b = blo; b <= bhi; ++b) {
           bloom_.Insert(PairCellKey(d, a, b));
@@ -92,7 +89,6 @@ void SphereDigest::InsertSphere(const geom::Sphere& sphere) {
 
 Status SphereDigest::Merge(const SphereDigest& other) {
   if (dim_ != other.dim_ || options_.bits != other.options_.bits ||
-      options_.hashes != other.options_.hashes ||
       options_.cells_per_axis != other.options_.cells_per_axis) {
     return InvalidArgumentError("SphereDigest::Merge geometry mismatch");
   }
@@ -106,7 +102,8 @@ bool SphereDigest::MayIntersect(const geom::Sphere& query) const {
   if (options_.bits <= 0) return true;  // digest-less: always descend
   HM_CHECK_EQ(static_cast<int>(query.dim()), dim_);
   for (int d = 0; d < dim_; ++d) {
-    const auto [lo, hi] = CellRange(query.center[d], query.radius);
+    const auto [lo, hi] =
+        CellRange(query.center[d], query.radius, options_.cells_per_axis);
     bool hit = false;
     for (int cell = lo; cell <= hi && !hit; ++cell) {
       hit = bloom_.MayContain(CellKey(d, cell));
@@ -116,8 +113,10 @@ bool SphereDigest::MayIntersect(const geom::Sphere& query) const {
   if (dim_ >= 2) {
     for (int d = 0; d < dim_; ++d) {
       const int d2 = (d + 1) % dim_;
-      const auto [alo, ahi] = PairCellRange(query.center[d], query.radius);
-      const auto [blo, bhi] = PairCellRange(query.center[d2], query.radius);
+      const auto [alo, ahi] =
+          CellRange(query.center[d], query.radius, kPairCellsPerAxis);
+      const auto [blo, bhi] =
+          CellRange(query.center[d2], query.radius, kPairCellsPerAxis);
       bool hit = false;
       for (int a = alo; a <= ahi && !hit; ++a) {
         for (int b = blo; b <= bhi && !hit; ++b) {

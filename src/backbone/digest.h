@@ -32,9 +32,11 @@
 
 namespace hyperm::backbone {
 
+/// Bloom hash count of every level digest.
+inline constexpr int kDigestHashes = 4;
+
 struct DigestOptions {
   int bits = 2048;         ///< Bloom bits per level digest (0 = digest-less)
-  int hashes = 4;          ///< Bloom hash count
   int cells_per_axis = 8;  ///< interval quantization of each key axis
 };
 
@@ -51,7 +53,7 @@ class SphereDigest {
   /// Union with `other`: ORs the Bloom words and adds the sphere counts, so
   /// merging digests of sphere sets A and B gives exactly the digest of A
   /// followed by B inserted into one filter (insertion only ORs bits, which
-  /// commutes). Fails when dim, bits, hashes or cells_per_axis differ.
+  /// commutes). Fails when dim, bits or cells_per_axis differ.
   Status Merge(const SphereDigest& other);
 
   /// Conservative intersection test: false means *provably* no stored sphere
@@ -68,10 +70,6 @@ class SphereDigest {
   size_t SerializedBytes() const { return bloom_.SerializedBytes(); }
 
  private:
-  /// Inclusive cell index range covering [center - radius, center + radius],
-  /// clamped to [0, cells_per_axis).
-  std::pair<int, int> CellRange(double center, double radius) const;
-
   int dim_ = 0;
   DigestOptions options_;
   BloomFilter bloom_;

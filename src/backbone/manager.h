@@ -66,7 +66,7 @@ struct BackboneOptions {
   /// Bloom geometry per (supernode, wavelet level) digest. digest_bits == 0
   /// is the digest-less comparator mode: the backbone still elects, reports
   /// and walks, but descends into every domain (what bench_backbone measures
-  /// pruning against). Every digest uses DigestOptions' default hash count.
+  /// pruning against). Every digest uses kDigestHashes Bloom hashes.
   int digest_bits = 2048;
   int digest_cells_per_axis = 8;
 

@@ -22,19 +22,6 @@ const char* MacCauseName(MacCause cause) {
   return obs::MacCauseName(static_cast<int32_t>(cause));
 }
 
-Status MacOptions::Validate() const {
-  if (slot_ms < 0.0) return InvalidArgumentError("MacOptions: negative slot_ms");
-  if (cw_min_slots < 1) return InvalidArgumentError("MacOptions: cw_min_slots < 1");
-  if (cw_max_slots < cw_min_slots) {
-    return InvalidArgumentError("MacOptions: cw_max_slots < cw_min_slots");
-  }
-  if (retry_limit < 1) return InvalidArgumentError("MacOptions: retry_limit < 1");
-  if (collision_per_busy_neighbor < 0.0 || collision_per_busy_neighbor >= 1.0) {
-    return InvalidArgumentError("MacOptions: collision prob outside [0, 1)");
-  }
-  return OkStatus();
-}
-
 MacModel::MacModel(const manet::ManetTopology* topology, const AirParams& air)
     : topology_(topology),
       air_(air),
@@ -100,7 +87,7 @@ FrameResult LegacyStretchMac::SendFrame(int node, int receiver,
   }
   const double tx_ms =
       SerialiseMs(message.bytes) *
-      (1.0 + air_.contention_per_busy_neighbor * busy_neighbors);
+      (1.0 + kContentionPerBusyNeighbor * busy_neighbors);
   const sim::TimeMs done = start + tx_ms;
   busy_until_[static_cast<size_t>(node)] = done;
   ++counters_.frames_sent;
@@ -111,11 +98,11 @@ FrameResult LegacyStretchMac::SendFrame(int node, int receiver,
 }
 
 CsmaCaMac::CsmaCaMac(const manet::ManetTopology* topology, const AirParams& air,
-                     const MacOptions& options)
-    : MacModel(topology, air), options_(options) {
+                     uint64_t seed)
+    : MacModel(topology, air) {
   // One backoff/collision stream per node, keyed by node id so the draw
   // sequence depends only on that node's frame history, never on scheduling.
-  const SeedStream streams(options_.seed);
+  const SeedStream streams(seed);
   node_rng_.reserve(busy_until_.size());
   for (size_t node = 0; node < busy_until_.size(); ++node) {
     node_rng_.push_back(streams.At(static_cast<uint64_t>(node)));
@@ -134,7 +121,7 @@ FrameResult CsmaCaMac::SendFrame(int node, int receiver,
   const std::vector<int>& out = topology().neighbors(node);
   const bool acked =
       receiver >= 0 && std::binary_search(out.begin(), out.end(), receiver);
-  int cw = options_.cw_min_slots;
+  int cw = kCsmaCwMinSlots;
   int attempt = 0;
   while (true) {
     ++attempt;
@@ -156,7 +143,7 @@ FrameResult CsmaCaMac::SendFrame(int node, int receiver,
     }
     // Slotted binary exponential backoff: uniform in [0, cw) slots.
     const double backoff_ms =
-        options_.slot_ms *
+        kCsmaSlotMs *
         static_cast<double>(rng.NextIndex(static_cast<uint64_t>(cw)));
     start += backoff_ms;
     const sim::TimeMs end = start + serialise_ms;
@@ -177,7 +164,7 @@ FrameResult CsmaCaMac::SendFrame(int node, int receiver,
       }
       if (rx_busy > 0) {
         const double p =
-            1.0 - std::pow(1.0 - options_.collision_per_busy_neighbor, rx_busy);
+            1.0 - std::pow(1.0 - kCsmaCollisionPerBusyNeighbor, rx_busy);
         collided = rng.Bernoulli(p);
       }
     }
@@ -186,12 +173,12 @@ FrameResult CsmaCaMac::SendFrame(int node, int receiver,
     HM_OBS_EVENT(.sim_ms = start, .kind = obs::EventKind::kMacCollision,
                  .attempt = attempt, .src = node, .dst = receiver,
                  .value = backoff_ms);
-    if (attempt >= options_.retry_limit) {
+    if (attempt >= kCsmaRetryLimit) {
       ++counters_.drops_retry_limit;
       return FrameResult{end, false, attempt};
     }
     ++counters_.retransmits;
-    cw = std::min(cw * 2, options_.cw_max_slots);
+    cw = std::min(cw * 2, kCsmaCwMaxSlots);
     start = end;  // the corrupted frame's airtime is gone before the retry
   }
 }
@@ -199,12 +186,11 @@ FrameResult CsmaCaMac::SendFrame(int node, int receiver,
 Result<std::unique_ptr<MacModel>> CreateMac(const MacOptions& options,
                                             const MacModel::AirParams& air,
                                             const manet::ManetTopology* topology) {
-  HM_RETURN_IF_ERROR(options.Validate());
   switch (options.kind) {
     case MacOptions::Kind::kLegacyStretch:
       return std::unique_ptr<MacModel>(new LegacyStretchMac(topology, air));
     case MacOptions::Kind::kCsmaCa:
-      return std::unique_ptr<MacModel>(new CsmaCaMac(topology, air, options));
+      return std::unique_ptr<MacModel>(new CsmaCaMac(topology, air, options.seed));
   }
   return InvalidArgumentError("MacOptions: unknown kind");
 }

@@ -57,6 +57,19 @@ enum class MacCause : int32_t {
 /// Human-readable cause label (forwards to obs::MacCauseName).
 const char* MacCauseName(MacCause cause);
 
+/// Legacy stretch: each busy radio neighbour lengthens a frame's airtime by
+/// this fraction of its serialisation time.
+inline constexpr double kContentionPerBusyNeighbor = 0.1;
+
+// CSMA/CA constants (DESIGN.md §16).
+inline constexpr double kCsmaSlotMs = 0.5;  ///< backoff slot width
+inline constexpr int kCsmaCwMinSlots = 4;   ///< initial contention window (slots)
+inline constexpr int kCsmaCwMaxSlots = 64;  ///< BEB ceiling
+inline constexpr int kCsmaRetryLimit = 6;   ///< frame attempts before the drop
+/// Per busy neighbour of the receiver: independent corruption probability
+/// of one frame (hidden terminals the sender cannot sense).
+inline constexpr double kCsmaCollisionPerBusyNeighbor = 0.02;
+
 /// MAC configuration (one member of ChannelOptions). The default keeps the
 /// legacy linear-stretch model, so existing configurations are unchanged.
 struct MacOptions {
@@ -65,18 +78,7 @@ struct MacOptions {
     kCsmaCa,             ///< carrier sense + slotted BEB + collisions
   };
   Kind kind = Kind::kLegacyStretch;
-
-  // CSMA/CA knobs (ignored by the legacy model).
-  double slot_ms = 0.5;    ///< backoff slot width
-  int cw_min_slots = 4;    ///< initial contention window (slots)
-  int cw_max_slots = 64;   ///< BEB ceiling
-  int retry_limit = 6;     ///< frame attempts before the drop
-  /// Per busy neighbour of the receiver: independent corruption
-  /// probability of one frame (hidden terminals the sender cannot sense).
-  double collision_per_busy_neighbor = 0.02;
-  uint64_t seed = 0x6d616321ULL;  ///< per-node backoff streams ("mac!")
-
-  Status Validate() const;
+  uint64_t seed = 0x6d616321ULL;  ///< CSMA per-node backoff streams ("mac!")
 };
 
 /// Running MAC totals. frames_sent mirrors the channel's
@@ -108,7 +110,6 @@ class MacModel {
   struct AirParams {
     double bandwidth_bytes_per_ms = 125.0;
     double tx_overhead_ms = 5.0;
-    double contention_per_busy_neighbor = 0.1;  ///< legacy stretch factor
   };
 
   MacModel(const manet::ManetTopology* topology, const AirParams& air);
@@ -160,7 +161,7 @@ class MacModel {
 
 /// The historical contention model, bit-identical to the pre-seam
 /// TransmitOneHop: one frame occupies the radio for
-/// serialise * (1 + contention_per_busy_neighbor * busy_neighbors) ms and
+/// serialise * (1 + kContentionPerBusyNeighbor * busy_neighbors) ms and
 /// always survives.
 class LegacyStretchMac : public MacModel {
  public:
@@ -175,14 +176,14 @@ class LegacyStretchMac : public MacModel {
 /// backoff, hidden-terminal collisions with retransmit-until-retry-limit.
 class CsmaCaMac : public MacModel {
  public:
+  /// `seed` keys the per-node backoff/collision streams (MacOptions::seed).
   CsmaCaMac(const manet::ManetTopology* topology, const AirParams& air,
-            const MacOptions& options);
+            uint64_t seed);
 
   FrameResult SendFrame(int node, int receiver, const net::Message& message,
                         sim::TimeMs ready_ms) override;
 
  private:
-  MacOptions options_;
   std::vector<Rng> node_rng_;  // per-node backoff/collision streams
 };
 

@@ -28,14 +28,9 @@ Status ChannelOptions::Validate() const {
   if (tx_overhead_ms < 0.0) {
     return InvalidArgumentError("ChannelOptions: negative tx_overhead_ms");
   }
-  if (contention_per_busy_neighbor < 0.0) {
-    return InvalidArgumentError("ChannelOptions: negative contention");
-  }
   if (field.field_size_m <= 0.0 || field.radio_range_m <= 0.0) {
     return InvalidArgumentError("ChannelOptions: non-positive field geometry");
   }
-  HM_RETURN_IF_ERROR(mac.Validate());
-  HM_RETURN_IF_ERROR(routing.Validate());
   return OkStatus();
 }
 
@@ -54,7 +49,6 @@ Result<std::unique_ptr<RadioChannel>> RadioChannel::Create(
   MacModel::AirParams air;
   air.bandwidth_bytes_per_ms = options.bandwidth_bytes_per_ms;
   air.tx_overhead_ms = options.tx_overhead_ms;
-  air.contention_per_busy_neighbor = options.contention_per_busy_neighbor;
   HM_ASSIGN_OR_RETURN(channel->mac_,
                       CreateMac(options.mac, air, &channel->topology_));
   HM_ASSIGN_OR_RETURN(

@@ -70,7 +70,6 @@ struct ChannelOptions {
   // inflates that is the MAC's business (mac.kind).
   double bandwidth_bytes_per_ms = 125.0;  ///< ~1 Mbit/s radio
   double tx_overhead_ms = 5.0;            ///< MAC + preamble per transmission
-  double contention_per_busy_neighbor = 0.1;  ///< legacy stretch factor
 
   /// Link-layer model (defaults to the legacy stretch MAC).
   MacOptions mac;
@@ -80,8 +79,8 @@ struct ChannelOptions {
 
   uint64_t seed = 0x6368616eULL;  ///< placement + mobility randomness ("chan")
 
-  /// Structural validation (positive tick/bandwidth, non-negative rest,
-  /// plus the nested mac/routing options).
+  /// Structural validation (positive tick/bandwidth/geometry, non-negative
+  /// speed and overhead).
   Status Validate() const;
 };
 

@@ -133,8 +133,6 @@ std::vector<double> Rng::Dirichlet(int dim, double concentration) {
   return sample;
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 uint64_t MixSeed(uint64_t seed, uint64_t a, uint64_t b) {
   // Three SplitMix64 rounds with the inputs folded in between; each fold
   // perturbs the walking state so (seed, a, b), (seed, b, a) and

@@ -68,10 +68,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator; useful for giving each peer or
-  /// worker its own stream while keeping the experiment one-seed reproducible.
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;

@@ -5,6 +5,16 @@
 #include "common/check.h"
 
 namespace hyperm::data {
+namespace {
+
+// Shape of the generated histograms (DESIGN.md §22).
+constexpr double kConcentration = 0.3;  // Dirichlet concentration of prototype shapes
+constexpr double kMassSigma = 0.5;      // log-normal spread of per-object total mass
+constexpr double kGainSigma = 0.08;     // log-normal illumination gain per view and bin
+constexpr double kNoiseSigma = 0.004;   // additive per-bin noise (x object mass)
+constexpr int kMaxShift = 1;            // max circular bin shift per view
+
+}  // namespace
 
 Result<Dataset> GenerateHistograms(const HistogramOptions& options, Rng& rng) {
   if (options.num_objects < 1) {
@@ -13,10 +23,8 @@ Result<Dataset> GenerateHistograms(const HistogramOptions& options, Rng& rng) {
   if (options.views_per_object < 1) {
     return InvalidArgumentError("GenerateHistograms: views_per_object < 1");
   }
+  // dim >= 2 also keeps the bin shift (at most kMaxShift) below dim.
   if (options.dim < 2) return InvalidArgumentError("GenerateHistograms: dim < 2");
-  if (options.max_shift < 0 || options.max_shift >= options.dim) {
-    return InvalidArgumentError("GenerateHistograms: bad max_shift");
-  }
 
   Dataset dataset;
   const size_t total =
@@ -28,25 +36,25 @@ Result<Dataset> GenerateHistograms(const HistogramOptions& options, Rng& rng) {
   for (int object = 0; object < options.num_objects; ++object) {
     // Shape (where the colour mass sits) times mass (how much of the frame
     // the object covers) — both are object identity.
-    std::vector<double> prototype = rng.Dirichlet(options.dim, options.concentration);
-    const double object_mass = std::exp(rng.Gaussian(0.0, options.mass_sigma));
+    std::vector<double> prototype = rng.Dirichlet(options.dim, kConcentration);
+    const double object_mass = std::exp(rng.Gaussian(0.0, kMassSigma));
     for (double& bin : prototype) bin *= object_mass;
     for (int view = 0; view < options.views_per_object; ++view) {
       Vector histogram(dim, 0.0);
       // Viewing angle: blend a small circular shift of the bin mass into the
       // prototype (a hard shift would orthogonalize sparse histograms).
       const int shift = static_cast<int>(
-          rng.UniformInt(-options.max_shift, options.max_shift));
+          rng.UniformInt(-kMaxShift, kMaxShift));
       const double blend = rng.Uniform(0.0, 0.25);
       // Illumination affects the whole view; bin-level gain adds texture.
-      const double view_gain = std::exp(rng.Gaussian(0.0, options.gain_sigma));
-      const double mass_scale = options.noise_sigma * 0.1;
+      const double view_gain = std::exp(rng.Gaussian(0.0, kGainSigma));
+      const double mass_scale = kNoiseSigma * 0.1;
       for (size_t bin = 0; bin < dim; ++bin) {
         const size_t src =
             static_cast<size_t>((static_cast<int>(bin) - shift % options.dim +
                                  options.dim) %
                                 options.dim);
-        const double bin_gain = std::exp(rng.Gaussian(0.0, options.gain_sigma));
+        const double bin_gain = std::exp(rng.Gaussian(0.0, kGainSigma));
         const double base = (1.0 - blend) * prototype[bin] + blend * prototype[src];
         histogram[bin] = base * view_gain * bin_gain +
                          std::fabs(rng.Gaussian(0.0, mass_scale));

@@ -24,14 +24,9 @@ namespace hyperm::data {
 
 /// Parameters of the histogram dataset generator.
 struct HistogramOptions {
-  int num_objects = 1000;      ///< distinct objects (labels)
-  int views_per_object = 12;   ///< histograms per object
-  int dim = 64;                ///< histogram bins (power of two for the DWT)
-  double concentration = 0.3;  ///< Dirichlet concentration of prototype shapes
-  double mass_sigma = 0.5;     ///< log-normal spread of per-object total mass
-  double gain_sigma = 0.08;    ///< log-normal illumination gain per view
-  double noise_sigma = 0.004;  ///< additive per-bin noise (x object mass)
-  int max_shift = 1;           ///< max circular bin shift per view
+  int num_objects = 1000;     ///< distinct objects (labels)
+  int views_per_object = 12;  ///< histograms per object
+  int dim = 64;               ///< histogram bins (power of two for the DWT)
 };
 
 /// Generates num_objects * views_per_object non-negative raw-count

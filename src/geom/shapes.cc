@@ -39,12 +39,6 @@ bool Box::IntersectsSphere(const Sphere& sphere) const {
   return SquaredDistanceTo(sphere.center) <= sphere.radius * sphere.radius;
 }
 
-Vector Box::Center() const {
-  Vector c(lo.size());
-  for (size_t i = 0; i < lo.size(); ++i) c[i] = 0.5 * (lo[i] + hi[i]);
-  return c;
-}
-
 double Box::Volume() const {
   double v = 1.0;
   for (size_t i = 0; i < lo.size(); ++i) v *= (hi[i] - lo[i]);

@@ -40,9 +40,6 @@ struct Box {
   /// True iff the closed box intersects the sphere.
   bool IntersectsSphere(const Sphere& sphere) const;
 
-  /// Center point of the box.
-  Vector Center() const;
-
   /// Product of side lengths.
   double Volume() const;
 };

@@ -566,13 +566,6 @@ Status HyperMNetwork::PublishPeers(
   return OkStatus();
 }
 
-double HyperMNetwork::LevelRadiusScale(int layer) const {
-  HM_CHECK_GE(layer, 0);
-  HM_CHECK_LT(static_cast<size_t>(layer), levels_.size());
-  return wavelet::RadiusScaleFor(options_.wavelet_kind, num_detail_levels_,
-                                 levels_[static_cast<size_t>(layer)]);
-}
-
 Result<std::vector<PeerScore>> HyperMNetwork::ScorePeers(const Vector& query,
                                                          double epsilon,
                                                          int querying_peer,
@@ -657,10 +650,11 @@ Result<std::vector<ItemId>> HyperMNetwork::RangeQuery(const Vector& query,
   if (max_peers_contacted >= 0) {
     contact = std::min<size_t>(contact, static_cast<size_t>(max_peers_contacted));
   }
+  const CoarseQuery coarse(query);
   std::vector<ItemId> results =
       Retrieve(querying_peer, scores, contact,
                [&](size_t, const Peer& target) {
-                 return target.RangeSearch(query, epsilon);
+                 return target.RangeSearch(query, coarse, epsilon);
                },
                info);
   info->peers_contacted = static_cast<int>(contact);
@@ -773,10 +767,11 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
                               : 1;
     info->items_requested += requests[i];
   }
+  const CoarseQuery coarse(query);
   std::vector<ScoredItem> fetched =
       Retrieve(querying_peer, merged, num_contacted,
                [&](size_t i, const Peer& target) {
-                 return target.NearestItemsScored(query, requests[i]);
+                 return target.NearestItemsScored(query, coarse, requests[i]);
                },
                range_info);
   range_info->peers_contacted = static_cast<int>(num_contacted);

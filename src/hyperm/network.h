@@ -310,10 +310,6 @@ class HyperMNetwork {
   const KeyMapper& mapper(int layer) const;
   const Peer& peer(int id) const;
 
-  /// Theorem 3.1/4.1 radius threshold for layer `layer`: an original-space
-  /// radius `r` becomes `r * LevelRadiusScale(layer)` in the subspace.
-  double LevelRadiusScale(int layer) const;
-
  private:
   HyperMNetwork() = default;
 

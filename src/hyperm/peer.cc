@@ -10,23 +10,8 @@
 #include "wavelet/coarse.h"
 
 namespace hyperm::core {
-namespace {
 
 using wavelet::kCoarseCoefficients;
-
-// The query's side of the coarse filter: its coefficients, and the rounding
-// margin, which scales with the query's Σ|q_i| plus the largest stored
-// row's. `coef` is declared first, so the margin's initializer fills it.
-struct CoarseQuery {
-  CoarseQuery(const Vector& query, double max_abs_sum)
-      : margin(query.size(),
-               wavelet::CoarseHaar(query.data(), query.size(), coef) + max_abs_sum) {}
-
-  double coef[kCoarseCoefficients];
-  wavelet::CoarseMargin margin;
-};
-
-}  // namespace
 
 void Peer::AddItem(ItemId item_id, const Vector& features) {
   HM_CHECK(features_.empty() || features.size() == features_.cols());
@@ -42,13 +27,16 @@ const double* Peer::coarse_row(size_t r) const {
   return coarse_.data() + r * kCoarseCoefficients;
 }
 
-std::vector<ItemId> Peer::RangeSearch(const Vector& query, double epsilon) const {
+std::vector<ItemId> Peer::RangeSearch(const Vector& query, const CoarseQuery& coarse,
+                                      double epsilon) const {
   HM_CHECK_GE(epsilon, 0.0);
   HM_CHECK_EQ(query.size(), features_.empty() ? query.size() : features_.cols());
   const size_t n = features_.rows();
   const double bound_sq = epsilon * epsilon;
-  const CoarseQuery q(query, max_abs_sum_);
-  const double threshold = q.margin.PruneThreshold(bound_sq);
+  // The rounding margin scales with the query's Σ|q_i| plus the largest
+  // stored row's.
+  const wavelet::CoarseMargin margin(query.size(), coarse.abs_sum + max_abs_sum_);
+  const double threshold = margin.PruneThreshold(bound_sq);
   // Filter: one pass over the coefficient rows keeps, in row order, every
   // row the bound cannot rule out (branch-free compaction).
   thread_local std::vector<size_t> kept;  // per-thread scratch: no allocation per lookup
@@ -56,7 +44,7 @@ std::vector<ItemId> Peer::RangeSearch(const Vector& query, double epsilon) const
   size_t num_kept = 0;
   for (size_t r = 0; r < n; ++r) {
     kept[num_kept] = r;
-    num_kept += !(wavelet::CoarseBoundSq(coarse_row(r), q.coef) > threshold);
+    num_kept += !(wavelet::CoarseBoundSq(coarse_row(r), coarse.coef) > threshold);
   }
   // Refine: the exact bounded scan over the kept rows, four at a time.
   thread_local std::vector<size_t> rows;
@@ -71,26 +59,19 @@ std::vector<ItemId> Peer::RangeSearch(const Vector& query, double epsilon) const
   return hits;
 }
 
-std::vector<ItemId> Peer::NearestItems(const Vector& query, int count) const {
-  std::vector<ItemId> out;
-  for (const ScoredItem& item : NearestItemsScored(query, count)) {
-    out.push_back(item.id);
-  }
-  return out;
-}
-
-std::vector<ScoredItem> Peer::NearestItemsScored(const Vector& query, int count) const {
+std::vector<ScoredItem> Peer::NearestItemsScored(const Vector& query,
+                                                 const CoarseQuery& coarse, int count) const {
   HM_CHECK_GE(count, 0);
   HM_CHECK_EQ(query.size(), features_.empty() ? query.size() : features_.cols());
   const size_t n = features_.rows();
   const size_t take = std::min<size_t>(static_cast<size_t>(count), n);
-  const CoarseQuery q(query, max_abs_sum_);
+  const wavelet::CoarseMargin margin(query.size(), coarse.abs_sum + max_abs_sum_);
   // (bound, row) per stored row, the `take` smallest bounds first (row
   // index on ties). A NaN bound becomes 0, which prunes nothing.
   thread_local std::vector<std::pair<double, size_t>> order;  // per-thread scratch
   order.resize(n);
   for (size_t r = 0; r < n; ++r) {
-    const double bound = wavelet::CoarseBoundSq(coarse_row(r), q.coef);
+    const double bound = wavelet::CoarseBoundSq(coarse_row(r), coarse.coef);
     order[r] = {bound >= 0.0 ? bound : 0.0, r};
   }
   if (take > 0 && take < n) {
@@ -128,7 +109,7 @@ std::vector<ScoredItem> Peer::NearestItemsScored(const Vector& query, int count)
     pending = 0;
     if (best.size() == take && best.front().first != worst) {
       worst = best.front().first;
-      threshold = q.margin.PruneThreshold(worst);
+      threshold = margin.PruneThreshold(worst);
     }
   };
   for (size_t pos = 0; pos < n && take > 0; ++pos) {

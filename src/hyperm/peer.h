@@ -19,6 +19,7 @@
 
 #include "vec/matrix.h"
 #include "vec/vector.h"
+#include "wavelet/coarse.h"
 
 namespace hyperm::core {
 
@@ -32,7 +33,19 @@ struct ScoredItem {
   double distance = 0.0;
 };
 
-/// A peer's local item store with exact search.
+/// The query's side of the coarse filter: its kCoarseCoefficients coarse
+/// Haar coefficients and Σ|q_i|. A query computes it once, in O(d), and
+/// passes it to every peer it searches.
+struct CoarseQuery {
+  explicit CoarseQuery(const Vector& query)
+      : abs_sum(wavelet::CoarseHaar(query.data(), query.size(), coef)) {}
+
+  double coef[wavelet::kCoarseCoefficients];
+  double abs_sum;
+};
+
+/// A peer's local item store with exact search. Both searches take the
+/// query's CoarseQuery, which must be CoarseQuery(query).
 class Peer {
  public:
   /// Creates peer `id` with no items.
@@ -58,15 +71,15 @@ class Peer {
   /// Exact local range search: ids of items within `epsilon` of `query`, in
   /// insertion order. Counts the rows considered (`peer.scan.rows`) and the
   /// rows the coarse bound left for the exact scan (`peer.scan.rows_refined`).
-  std::vector<ItemId> RangeSearch(const Vector& query, double epsilon) const;
+  std::vector<ItemId> RangeSearch(const Vector& query, const CoarseQuery& coarse,
+                                  double epsilon) const;
 
-  /// Exact local top-`count` search: the `count` ids nearest to `query`,
-  /// ordered by increasing distance (fewer if the peer holds fewer items).
-  std::vector<ItemId> NearestItems(const Vector& query, int count) const;
-
-  /// NearestItems with the exact distances included; equal distances are
-  /// ordered by id. Counts rows like RangeSearch.
-  std::vector<ScoredItem> NearestItemsScored(const Vector& query, int count) const;
+  /// Exact local top-`count` search: the `count` items nearest to `query`
+  /// with their exact distances, ordered by increasing distance, equal
+  /// distances by id (fewer if the peer holds fewer items). Counts rows like
+  /// RangeSearch.
+  std::vector<ScoredItem> NearestItemsScored(const Vector& query, const CoarseQuery& coarse,
+                                             int count) const;
 
  private:
   // Coefficient row r of coarse_.

@@ -277,19 +277,6 @@ bool ManetTopology::connected() const {
   return num_islands() == 1;
 }
 
-double ManetTopology::MeanLinkDistanceM() const {
-  double total = 0.0;
-  int links = 0;
-  for (size_t i = 0; i < positions_.size(); ++i) {
-    for (int j : neighbors_[i]) {
-      if (static_cast<size_t>(j) <= i) continue;  // count each pair once
-      total += vec::Distance(positions_[i], positions_[static_cast<size_t>(j)]);
-      ++links;
-    }
-  }
-  return links == 0 ? 0.0 : total / links;
-}
-
 void ManetTopology::RandomWaypointStep(double max_step_m, Rng& rng) {
   HM_CHECK_GE(max_step_m, 0.0);
   for (size_t i = 0; i < positions_.size(); ++i) {

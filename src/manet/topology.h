@@ -110,9 +110,6 @@ class ManetTopology {
   /// True iff the connectivity graph is currently connected.
   bool connected() const;
 
-  /// Mean Euclidean distance (m) of one radio transmission (adjacent pairs).
-  double MeanLinkDistanceM() const;
-
   /// One random-waypoint mobility step: every node moves up to
   /// `max_step_m` toward its private waypoint (re-drawn when reached), then
   /// connectivity is recomputed (bumping the epoch). Low speeds model the

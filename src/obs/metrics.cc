@@ -99,37 +99,6 @@ double HistogramSnapshot::Quantile(double q) const {
   return max;  // target lands in the overflow bucket
 }
 
-bool MetricsSnapshot::Merge(const MetricsSnapshot& other) {
-  bool ok = true;
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, value] : other.gauges) gauges[name] = value;
-  for (const auto& [name, theirs] : other.histograms) {
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-      histograms.emplace(name, theirs);
-      continue;
-    }
-    HistogramSnapshot& mine = it->second;
-    if (mine.edges != theirs.edges) {
-      ok = false;  // incompatible layouts: keep ours, flag the conflict
-      // Callers historically ignored the return value, silently dropping the
-      // other run's data; the counter makes the conflict visible in every
-      // exported report. Registered lazily so conflict-free runs don't grow
-      // a new metric.
-      MetricsRegistry::Global().GetCounter("obs.merge_mismatch").Add(1);
-      continue;
-    }
-    for (size_t i = 0; i < mine.counts.size(); ++i) mine.counts[i] += theirs.counts[i];
-    mine.underflow += theirs.underflow;
-    mine.overflow += theirs.overflow;
-    mine.count += theirs.count;
-    mine.sum += theirs.sum;
-    mine.min = std::min(mine.min, theirs.min);
-    mine.max = std::max(mine.max, theirs.max);
-  }
-  return ok;
-}
-
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();

@@ -117,19 +117,11 @@ class Histogram {
   HistogramSnapshot snap_;  // doubles as live state
 };
 
-/// Point-in-time copy of a whole registry; the unit of export and merging.
+/// Point-in-time copy of a whole registry; the unit of export.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-
-  /// Element-wise accumulation (counters add, gauges take the other's value,
-  /// histograms add per-bucket). Histograms present in both snapshots must
-  /// share bucket edges; mismatching entries keep this snapshot's value,
-  /// bump the global `obs.merge_mismatch` counter (registered lazily, only
-  /// on the first conflict) and make Merge return false — callers that
-  /// ignore the return value still leave an audit trail in exported reports.
-  bool Merge(const MetricsSnapshot& other);
 
   bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();

@@ -9,8 +9,8 @@
 namespace hyperm::route {
 
 AodvRouting::AodvRouting(const manet::ManetTopology* topology,
-                         channel::MacModel* mac, const RoutingOptions& options)
-    : topology_(topology), mac_(mac), options_(options) {
+                         channel::MacModel* mac)
+    : topology_(topology), mac_(mac) {
   HM_CHECK(topology != nullptr);
   HM_CHECK(mac != nullptr);
   const size_t n = static_cast<size_t>(topology->num_nodes());
@@ -80,7 +80,7 @@ bool AodvRouting::Discover(const net::Message& message, sim::TimeMs now,
   control.type = net::MessageType::kControl;
   control.src = src;
   control.dst = dst;
-  control.bytes = options_.control_bytes;
+  control.bytes = kAodvControlBytes;
   control.cls = message.cls;  // attributed to the traffic that caused it
   // RREQ flood: breadth-first over ascending neighbour lists (the oracle's
   // BFS tie-break, so hop counts match it on static graphs). Every reached
@@ -111,7 +111,7 @@ bool AodvRouting::Discover(const net::Message& message, sim::TimeMs now,
   // Every flooded node heard the RREQ from its BFS parent — that parent is
   // its next hop back toward the origin (the free reverse routes standard
   // AODV installs).
-  const sim::TimeMs expires = now + options_.route_ttl_ms;
+  const sim::TimeMs expires = now + kAodvRouteTtlMs;
   for (int v = 0; v < n; ++v) {
     if (v == src || parent_[static_cast<size_t>(v)] < 0) continue;
     Entry& back = table_[static_cast<size_t>(v)][src];
@@ -212,7 +212,7 @@ void AodvRouting::OnLinkBreak(int node, int neighbor, sim::TimeMs now) {
     rerr.type = net::MessageType::kControl;
     rerr.src = node;
     rerr.dst = neighbor;
-    rerr.bytes = options_.control_bytes;
+    rerr.bytes = kAodvControlBytes;
     mac_->SendFrame(node, /*receiver=*/-1, rerr, now);
     ++counters_.control_frames;
     counters_.control_bytes += rerr.bytes;

@@ -39,12 +39,15 @@
 
 namespace hyperm::route {
 
+// AODV constants (DESIGN.md §16).
+inline constexpr double kAodvRouteTtlMs = 5000.0;  ///< soft-state expiry of cached routes
+inline constexpr uint64_t kAodvControlBytes = 32;  ///< RREQ/RREP/RERR frame payload size
+
 class AodvRouting : public RoutingProtocol {
  public:
   /// `topology` and `mac` are not owned and must outlive the protocol; the
   /// MAC is how control frames turn into airtime and queue pressure.
-  AodvRouting(const manet::ManetTopology* topology, channel::MacModel* mac,
-              const RoutingOptions& options);
+  AodvRouting(const manet::ManetTopology* topology, channel::MacModel* mac);
 
   RouteResolution Resolve(const net::Message& message, sim::TimeMs now,
                           std::vector<int>& path) override;
@@ -76,7 +79,6 @@ class AodvRouting : public RoutingProtocol {
 
   const manet::ManetTopology* topology_;  // not owned
   channel::MacModel* mac_;                // not owned
-  RoutingOptions options_;
   std::vector<std::map<int, Entry>> table_;  // per node: dst -> route
   std::vector<uint64_t> seq_;                // per-node sequence numbers
   RoutingCounters counters_;

@@ -4,16 +4,6 @@
 
 namespace hyperm::route {
 
-Status RoutingOptions::Validate() const {
-  if (route_ttl_ms <= 0.0) {
-    return InvalidArgumentError("RoutingOptions: route_ttl_ms <= 0");
-  }
-  if (control_bytes == 0) {
-    return InvalidArgumentError("RoutingOptions: control_bytes == 0");
-  }
-  return OkStatus();
-}
-
 OracleRouting::OracleRouting(const manet::ManetTopology* topology)
     : topology_(topology) {
   HM_CHECK(topology != nullptr);

@@ -58,12 +58,6 @@ struct RoutingOptions {
     kAodv,        ///< distributed discovery with soft-state route caches
   };
   Kind kind = Kind::kOracle;
-
-  // AODV knobs (ignored by the oracle).
-  double route_ttl_ms = 5000.0;   ///< soft-state expiry of cached routes
-  uint64_t control_bytes = 32;    ///< RREQ/RREP/RERR frame payload size
-
-  Status Validate() const;
 };
 
 /// Running totals a protocol exposes for benches and tests. The oracle only

@@ -7,7 +7,6 @@ namespace hyperm::route {
 Result<std::unique_ptr<RoutingProtocol>> CreateRouting(
     const RoutingOptions& options, const manet::ManetTopology* topology,
     channel::MacModel* mac) {
-  HM_RETURN_IF_ERROR(options.Validate());
   switch (options.kind) {
     case RoutingOptions::Kind::kOracle:
       return std::unique_ptr<RoutingProtocol>(new OracleRouting(topology));
@@ -16,7 +15,7 @@ Result<std::unique_ptr<RoutingProtocol>> CreateRouting(
         return InvalidArgumentError("CreateRouting: AODV needs a MacModel");
       }
       return std::unique_ptr<RoutingProtocol>(
-          new AodvRouting(topology, mac, options));
+          new AodvRouting(topology, mac));
   }
   return InvalidArgumentError("RoutingOptions: unknown kind");
 }

@@ -22,7 +22,7 @@ void Simulator::ScheduleKeyedAfter(uint64_t key, TimeMs delay,
   HM_CHECK_GE(delay, 0.0);
   const uint64_t gen = ++keyed_gen_[key];
   // The heap entry captures its generation; by fire time a newer
-  // ScheduleKeyedAfter (or CancelKeyed) may have bumped the map entry, in
+  // ScheduleKeyedAfter may have bumped the map entry, in
   // which case this firing is a superseded no-op.
   queue_.push(Event{now_ + delay, next_seq_++,
                     [this, key, gen, fn = std::move(fn)]() {
@@ -34,11 +34,6 @@ void Simulator::ScheduleKeyedAfter(uint64_t key, TimeMs delay,
                       }
                       fn();
                     }});
-}
-
-void Simulator::CancelKeyed(uint64_t key) {
-  auto it = keyed_gen_.find(key);
-  if (it != keyed_gen_.end()) ++it->second;
 }
 
 void Simulator::ExtractBatch(std::vector<Event>* batch, bool bounded,

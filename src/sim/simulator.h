@@ -59,9 +59,6 @@ class Simulator {
   /// duplicate.
   void ScheduleKeyedAfter(uint64_t key, TimeMs delay, std::function<void()> fn);
 
-  /// Drops the pending keyed callback for `key` (if any) without running it.
-  void CancelKeyed(uint64_t key);
-
   /// Drains the queue completely; returns the number of events executed.
   /// `max_events` guards against runaway feedback loops (0 = unlimited).
   uint64_t Run(uint64_t max_events = 0);

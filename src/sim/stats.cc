@@ -43,7 +43,7 @@ void NetworkStats::RecordHops(TrafficClass cls, uint64_t bytes, uint64_t count) 
   const size_t i = Index(cls);
   hops_[i] += count;
   bytes_[i] += bytes * count;
-  energy_nj_[i] += model_.HopEnergyNanojoules(bytes) * static_cast<double>(count);
+  energy_nj_[i] += HopEnergyNanojoules(bytes) * static_cast<double>(count);
   HM_OBS_COUNTER_ADD("net.hops", count);
   HM_OBS_HISTOGRAM_N("net.bytes_per_message",
                      obs::Buckets::Exponential(16, 2.0, 16), bytes, count);
@@ -80,15 +80,6 @@ void NetworkStats::Reset() {
   bytes_.fill(0);
   energy_nj_.fill(0.0);
   queries_served_ = 0;
-}
-
-void NetworkStats::Merge(const NetworkStats& other) {
-  for (size_t i = 0; i < kNumClasses; ++i) {
-    hops_[i] += other.hops_[i];
-    bytes_[i] += other.bytes_[i];
-    energy_nj_[i] += other.energy_nj_[i];
-  }
-  queries_served_ += other.queries_served_;
 }
 
 std::string NetworkStats::Summary() const {

@@ -27,31 +27,26 @@ enum class TrafficClass {
 /// Human-readable class name ("join", "insert", ...).
 std::string TrafficClassName(TrafficClass cls);
 
-/// First-order radio model (values in the range of classic sensor-network
-/// models: ~50 nJ/byte electronics on both ends plus amplifier cost on tx).
-struct RadioEnergyModel {
-  double tx_nanojoule_per_byte = 80.0;
-  double rx_nanojoule_per_byte = 50.0;
-  double per_message_nanojoule = 2000.0;  ///< fixed header/packet overhead
+// First-order radio energy model (values in the range of classic
+// sensor-network models: ~50 nJ/byte electronics on both ends plus amplifier
+// cost on tx).
+inline constexpr double kTxNanojoulePerByte = 80.0;
+inline constexpr double kRxNanojoulePerByte = 50.0;
+inline constexpr double kPerMessageNanojoule = 2000.0;  ///< fixed header/packet overhead
 
-  /// Energy (nJ) consumed network-wide by one hop carrying `bytes` of payload
-  /// (sender tx + receiver rx + fixed overhead on both radios).
-  double HopEnergyNanojoules(uint64_t bytes) const {
-    return (tx_nanojoule_per_byte + rx_nanojoule_per_byte) * static_cast<double>(bytes) +
-           2.0 * per_message_nanojoule;
-  }
-};
+/// Energy (nJ) consumed network-wide by one hop carrying `bytes` of payload
+/// (sender tx + receiver rx + fixed overhead on both radios).
+inline double HopEnergyNanojoules(uint64_t bytes) {
+  return (kTxNanojoulePerByte + kRxNanojoulePerByte) * static_cast<double>(bytes) +
+         2.0 * kPerMessageNanojoule;
+}
 
 /// Accumulates hop/byte/energy counters per traffic class.
 ///
 /// Not thread-safe: every sender is the orchestrating thread (pool tasks
-/// send nothing; DESIGN.md §8). Copyable; the multi-run benches pass
-/// NetworkStats by value when aggregating results.
+/// send nothing; DESIGN.md §8).
 class NetworkStats {
  public:
-  NetworkStats() = default;
-  explicit NetworkStats(RadioEnergyModel model) : model_(model) {}
-
   /// Records one hop (one physical transmission) of `bytes` payload.
   void RecordHop(TrafficClass cls, uint64_t bytes);
 
@@ -59,9 +54,8 @@ class NetworkStats {
   /// update — the radio channel batches a multi-hop route's bookkeeping per
   /// message instead of per hop. Totals are bit-identical to `count`
   /// RecordHop calls while the per-hop energy is integer-valued nanojoules,
-  /// as under the default RadioEnergyModel (the energy addend
-  /// `count * delta` equals `count` exact integer additions while the running
-  /// sum stays below 2^53).
+  /// as under the model above (the energy addend `count * delta` equals
+  /// `count` exact integer additions while the running sum stays below 2^53).
   void RecordHops(TrafficClass cls, uint64_t bytes, uint64_t count);
 
   /// Bumps the served-query counter (range/k-NN/point queries answered).
@@ -83,18 +77,12 @@ class NetworkStats {
   /// Zeroes every counter (per-class traffic and queries_served alike).
   void Reset();
 
-  /// Accumulates another run's counters into this one (per-class hops,
-  /// bytes, energy, queries_served). The multi-run benches aggregate their
-  /// per-deployment stats through this.
-  void Merge(const NetworkStats& other);
-
   /// One-line summary for experiment logs: totals, served queries, then
   /// per-class `name=hops/bytesB` for every class with traffic.
   std::string Summary() const;
 
  private:
   static constexpr size_t kNumClasses = static_cast<size_t>(TrafficClass::kCount_);
-  RadioEnergyModel model_;
   std::array<uint64_t, kNumClasses> hops_{};
   std::array<uint64_t, kNumClasses> bytes_{};
   std::array<double, kNumClasses> energy_nj_{};

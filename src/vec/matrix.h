@@ -60,11 +60,6 @@ class Matrix {
   /// Pre-allocates storage for `rows` rows of `cols` columns.
   void Reserve(size_t rows, size_t cols) { data_.reserve(rows * cols); }
 
-  /// Copies row `r` back out as a Vector.
-  Vector RowVector(size_t r) const {
-    return Vector(row(r), row(r) + cols_);
-  }
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;

@@ -124,17 +124,6 @@ void Bounds::Extend(const Vector& p) {
   }
 }
 
-void Bounds::Inflate(double margin) {
-  HM_CHECK_GE(margin, 0.0);
-  constexpr double kMinWidth = 1e-9;
-  for (size_t i = 0; i < lo.size(); ++i) {
-    double pad = margin * (hi[i] - lo[i]);
-    if (pad < kMinWidth) pad = kMinWidth;
-    lo[i] -= pad;
-    hi[i] += pad;
-  }
-}
-
 bool Bounds::Contains(const Vector& p) const {
   HM_CHECK_EQ(p.size(), lo.size());
   for (size_t i = 0; i < p.size(); ++i) {

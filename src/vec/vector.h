@@ -82,10 +82,6 @@ struct Bounds {
   /// Grows this to also cover `p`.
   void Extend(const Vector& p);
 
-  /// Expands every side by `margin * (hi-lo)` (and by an absolute epsilon on
-  /// degenerate zero-width dimensions) so boundary points map strictly inside.
-  void Inflate(double margin);
-
   /// True iff p lies inside (component-wise, inclusive).
   bool Contains(const Vector& p) const;
 };

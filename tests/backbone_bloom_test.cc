@@ -1,5 +1,6 @@
 #include "backbone/bloom.h"
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -309,6 +310,19 @@ TEST(SphereDigestTest, DigestlessMergeSumsSphereCounts) {
   EXPECT_FALSE(empty.MayIntersect(geom::Sphere{{0.5, 0.5, 0.5}, 0.01}));
 }
 
+TEST(SphereDigestTest, HugeQueryRadiusCoversEveryCell) {
+  // Cell indices of a huge finite radius lie far outside int; they must
+  // clamp to the grid's ends, so the query still meets the stored sphere.
+  DigestOptions options;
+  options.cells_per_axis = 8;
+  SphereDigest digest(3, options);
+  digest.InsertSphere(geom::Sphere{{0.9, 0.8, 0.95}, 0.01});
+  for (double radius : {1e9, 1e300, std::numeric_limits<double>::max()}) {
+    EXPECT_TRUE(digest.MayIntersect(geom::Sphere{{0.1, 0.2, 0.3}, radius}))
+        << "radius=" << radius;
+  }
+}
+
 TEST(SphereDigestTest, MergeRejectsGeometryMismatch) {
   DigestOptions options;
   options.bits = 1024;
@@ -321,14 +335,11 @@ TEST(SphereDigestTest, MergeRejectsGeometryMismatch) {
   other_bits.bits = 2048;
   DigestOptions other_cells = options;
   other_cells.cells_per_axis = 16;
-  DigestOptions other_hashes = options;
-  other_hashes.hashes = 3;
   DigestOptions digestless = options;
   digestless.bits = 0;
   EXPECT_FALSE(target.Merge(SphereDigest(8, options)).ok());
   EXPECT_FALSE(target.Merge(SphereDigest(4, other_bits)).ok());
   EXPECT_FALSE(target.Merge(SphereDigest(4, other_cells)).ok());
-  EXPECT_FALSE(target.Merge(SphereDigest(4, other_hashes)).ok());
   EXPECT_FALSE(target.Merge(SphereDigest(4, digestless)).ok());
   EXPECT_FALSE(target.Merge(SphereDigest()).ok());
   // A rejected merge leaves the target untouched.

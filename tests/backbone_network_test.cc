@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -152,6 +153,30 @@ TEST(BackboneNetworkTest, FaultFreeResultsMatchCanExactly) {
   EXPECT_GT(counters.domains_considered, 0u);
   EXPECT_GT(counters.domains_pruned, 0u);
   EXPECT_GT(manager->num_supernodes(), 0);
+}
+
+TEST(BackboneNetworkTest, HugeEpsilonReturnsEveryStoredItem) {
+  // A finite ε far past the unit key cube covers every digest cell, so the
+  // backbone must descend everywhere and return every stored item, exactly
+  // as the CAN path does (Thm 4.1). The digest clamps a cell index before
+  // casting it to int; a cast first lands out of range and prunes every
+  // domain.
+  Bed plain = MakeBed(RadioOptions(0.0, /*backbone_on=*/false));
+  Bed backboned = MakeBed(RadioOptions(0.0, /*backbone_on=*/true));
+  plain.network->AdvanceTo(plain.network->radio_channel()->DrainedAtMs() + 1.0);
+  backboned.network->AdvanceTo(
+      backboned.network->radio_channel()->DrainedAtMs() + 1.0);
+  for (double epsilon : {1e9, 1e300, std::numeric_limits<double>::max()}) {
+    const auto expected = RunQueries(plain, /*num_queries=*/2, epsilon);
+    const auto actual = RunQueries(backboned, /*num_queries=*/2, epsilon);
+    EXPECT_EQ(expected, actual) << "epsilon=" << epsilon;
+    for (const std::vector<ItemId>& ids : actual) {
+      EXPECT_EQ(ids.size(), static_cast<size_t>(kNumItems)) << "epsilon=" << epsilon;
+    }
+  }
+  const backbone::BackboneCounters& counters = backboned.network->backbone()->counters();
+  EXPECT_GT(counters.probes_served, 0u);
+  EXPECT_EQ(counters.probes_fallback, 0u);
 }
 
 TEST(BackboneNetworkTest, DigestlessModeDescendsEverywhere) {

@@ -18,9 +18,6 @@ TEST(HistogramGeneratorTest, RejectsBadOptions) {
   bad = HistogramOptions{};
   bad.dim = 1;
   EXPECT_FALSE(GenerateHistograms(bad, rng).ok());
-  bad = HistogramOptions{};
-  bad.max_shift = 64;
-  EXPECT_FALSE(GenerateHistograms(bad, rng).ok());
 }
 
 TEST(HistogramGeneratorTest, ShapeAndLabels) {

@@ -1,7 +1,7 @@
-// Unit tests of the MAC seam: cause naming pinned to obs, option
-// validation, legacy-stretch equivalence, CSMA/CA carrier-sense deferral,
-// hidden-terminal collisions with retransmit-until-retry-limit, and
-// determinism of the per-node backoff streams.
+// Unit tests of the MAC seam: cause naming pinned to obs, legacy-stretch
+// equivalence, CSMA/CA carrier-sense deferral, hidden-terminal collisions
+// with retransmit-until-retry-limit, and determinism of the per-node backoff
+// streams.
 
 #include <memory>
 #include <vector>
@@ -33,15 +33,15 @@ manet::ManetTopology DenseField(int nodes = 12, uint64_t seed = 7) {
   return std::move(topology).value();
 }
 
-/// Chain A(0) - B(1) - C(2): A and C are classic hidden terminals (both hear
-/// B, neither hears the other).
-manet::ManetTopology HiddenTerminalChain() {
+/// Chain A(0) - B(1) - C(2) on a 60 m radio range, then `extra_c` more
+/// nodes stacked on C: A and every C are classic hidden terminals (all hear
+/// B, none hears A).
+manet::ManetTopology HiddenTerminalChain(int extra_c = 0) {
   manet::TopologyOptions options;
-  options.num_nodes = 3;
   options.field_size_m = 200.0;
   options.radio_range_m = 60.0;
-  std::vector<Vector> positions = {Vector{10.0, 100.0}, Vector{60.0, 100.0},
-                                   Vector{110.0, 100.0}};
+  std::vector<Vector> positions = {Vector{10.0, 100.0}, Vector{60.0, 100.0}};
+  for (int i = 0; i <= extra_c; ++i) positions.push_back(Vector{110.0, 100.0});
   Result<manet::ManetTopology> topology =
       manet::ManetTopology::FromPositions(options, std::move(positions));
   EXPECT_TRUE(topology.ok()) << topology.status().ToString();
@@ -57,25 +57,6 @@ TEST(MacCauseTest, NamesMirrorObsNumbering) {
     EXPECT_STREQ(obs::MacCauseName(c),
                  MacCauseName(static_cast<MacCause>(c)));
   }
-}
-
-TEST(MacOptionsTest, ValidatesKnobs) {
-  EXPECT_TRUE(MacOptions{}.Validate().ok());
-  MacOptions bad;
-  bad.slot_ms = -0.1;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = MacOptions{};
-  bad.cw_min_slots = 0;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = MacOptions{};
-  bad.cw_max_slots = bad.cw_min_slots - 1;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = MacOptions{};
-  bad.retry_limit = 0;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = MacOptions{};
-  bad.collision_per_busy_neighbor = 1.0;
-  EXPECT_FALSE(bad.Validate().ok());
 }
 
 TEST(LegacyStretchMacTest, IdleFrameCostsSerialisationOnly) {
@@ -98,57 +79,54 @@ TEST(LegacyStretchMacTest, IdleFrameCostsSerialisationOnly) {
 }
 
 TEST(LegacyStretchMacTest, BusyNeighborsStretchAirtime) {
-  manet::ManetTopology topology = DenseField();
+  // Chain A(0) - B(1) - C(2): C's frame keeps B's only other neighbour busy.
+  manet::ManetTopology topology = HiddenTerminalChain();
   MacModel::AirParams air;
-  air.contention_per_busy_neighbor = 0.5;
   LegacyStretchMac mac(&topology, air);
-  const int nbr = topology.neighbors(0).front();
-  const int nbr_dst = topology.neighbors(nbr).front();
-  // Occupy the neighbour's radio, then measure node 0's stretched frame.
-  (void)mac.SendFrame(nbr, nbr_dst, QueryMsg(nbr, nbr_dst, 4000), 0.0);
-  const int dst = topology.neighbors(0).front();
-  const FrameResult fr = mac.SendFrame(0, dst, QueryMsg(0, dst, 250), 0.0);
+  (void)mac.SendFrame(2, 1, QueryMsg(2, 1, 4000), 0.0);
+  const FrameResult fr = mac.SendFrame(1, 0, QueryMsg(1, 0, 250), 0.0);
   const double serialise = air.tx_overhead_ms + 250.0 / air.bandwidth_bytes_per_ms;
-  EXPECT_GT(fr.done_ms, serialise);  // at least one busy neighbour stretched it
+  EXPECT_DOUBLE_EQ(fr.done_ms, serialise * (1.0 + kContentionPerBusyNeighbor));
 }
 
 TEST(CsmaCaMacTest, DefersUntilBusyNeighborhoodClears) {
-  manet::ManetTopology topology = DenseField();
+  // Chain A(0) - B(1) - C(2): A is busy, B sends to C. B hears A, so it
+  // defers; C's only neighbour is B, so no busy node is hidden from B at C
+  // and the frame cannot collide, whatever the collision rate.
+  manet::ManetTopology topology = HiddenTerminalChain();
   MacModel::AirParams air;
-  MacOptions options;
-  options.kind = MacOptions::Kind::kCsmaCa;
-  options.collision_per_busy_neighbor = 0.0;  // isolate carrier sensing
-  CsmaCaMac mac(&topology, air, options);
-  const int nbr = topology.neighbors(0).front();
-  const int nbr_dst = topology.neighbors(nbr).front();
-  const FrameResult busy =
-      mac.SendFrame(nbr, nbr_dst, QueryMsg(nbr, nbr_dst, 4000), 0.0);
-  // Node 0 senses the busy neighbour and defers past its tail.
-  const int dst = topology.neighbors(0).front();
-  const FrameResult fr = mac.SendFrame(0, dst, QueryMsg(0, dst, 100), 0.0);
+  CsmaCaMac mac(&topology, air, MacOptions{}.seed);
+  const FrameResult busy = mac.SendFrame(0, 1, QueryMsg(0, 1, 4000), 0.0);
+  const FrameResult fr = mac.SendFrame(1, 2, QueryMsg(1, 2, 100), 0.0);
   EXPECT_TRUE(fr.delivered);
+  EXPECT_EQ(fr.attempts, 1);
   EXPECT_GE(fr.done_ms, busy.done_ms);
   EXPECT_GE(mac.counters().deferrals, 1u);
   EXPECT_EQ(mac.counters().collisions, 0u);
 }
 
 TEST(CsmaCaMacTest, HiddenTerminalCollisionsRetryThenDrop) {
-  manet::ManetTopology topology = HiddenTerminalChain();
+  // 400 hidden terminals stacked at C. They hear each other and queue
+  // their frames back to back, and the MAC counts every neighbour of B whose
+  // queued airtime outlasts the frame's start as busy. So each attempt of
+  // A's frame to B collides with probability 1 - 0.98^400 > 0.9996, and the
+  // frame drops after kCsmaRetryLimit attempts with probability above 0.998.
+  constexpr int kHidden = 400;
+  manet::ManetTopology topology = HiddenTerminalChain(kHidden - 1);
   ASSERT_EQ(topology.PathHops(0, 2), 2);  // A..C only via B
   MacModel::AirParams air;
-  MacOptions options;
-  options.kind = MacOptions::Kind::kCsmaCa;
-  options.collision_per_busy_neighbor = 0.999;  // collide essentially always
-  options.retry_limit = 3;
-  CsmaCaMac mac(&topology, air, options);
-  // C floods B's neighbourhood with a long frame A cannot carrier-sense...
-  (void)mac.SendFrame(2, /*receiver=*/-1, QueryMsg(2, 1, 100000), 0.0);
+  CsmaCaMac mac(&topology, air, MacOptions{}.seed);
+  // Every C broadcasts a long frame into B's neighbourhood that A cannot
+  // carrier-sense...
+  for (int c = 2; c < 2 + kHidden; ++c) {
+    (void)mac.SendFrame(c, /*receiver=*/-1, QueryMsg(c, 1, 100000), 0.0);
+  }
   // ...so A's unicast to B collides at B, retries, and finally drops.
   const FrameResult fr = mac.SendFrame(0, 1, QueryMsg(0, 1, 100), 0.0);
   EXPECT_FALSE(fr.delivered);
-  EXPECT_EQ(fr.attempts, options.retry_limit);
-  EXPECT_EQ(mac.counters().collisions, 3u);
-  EXPECT_EQ(mac.counters().retransmits, 2u);
+  EXPECT_EQ(fr.attempts, kCsmaRetryLimit);
+  EXPECT_EQ(mac.counters().collisions, static_cast<uint64_t>(kCsmaRetryLimit));
+  EXPECT_EQ(mac.counters().retransmits, static_cast<uint64_t>(kCsmaRetryLimit - 1));
   EXPECT_EQ(mac.counters().drops_retry_limit, 1u);
   // Broadcasts are fire-and-forget: no ack, no collision machinery.
   const FrameResult bc = mac.SendFrame(0, -1, QueryMsg(0, 1, 100), fr.done_ms);
@@ -160,11 +138,9 @@ TEST(CsmaCaMacTest, DeterministicGivenSeedAcrossInstances) {
   manet::ManetTopology topology_a = DenseField(12, 7);
   manet::ManetTopology topology_b = DenseField(12, 7);
   MacModel::AirParams air;
-  MacOptions options;
-  options.kind = MacOptions::Kind::kCsmaCa;
-  options.collision_per_busy_neighbor = 0.3;
-  CsmaCaMac a(&topology_a, air, options);
-  CsmaCaMac b(&topology_b, air, options);
+  const uint64_t seed = MacOptions{}.seed;
+  CsmaCaMac a(&topology_a, air, seed);
+  CsmaCaMac b(&topology_b, air, seed);
   // A bursty interleaved workload: identical frame-by-frame outcomes.
   for (int i = 0; i < 64; ++i) {
     const int src = i % 12;
@@ -183,10 +159,8 @@ TEST(CsmaCaMacTest, DeterministicGivenSeedAcrossInstances) {
   EXPECT_EQ(a.counters().retransmits, b.counters().retransmits);
   EXPECT_EQ(a.counters().drops_retry_limit, b.counters().drops_retry_limit);
   // A different MAC seed reshuffles the backoff draws.
-  MacOptions reseeded = options;
-  reseeded.seed ^= 0x5eed;
   manet::ManetTopology topology_c = DenseField(12, 7);
-  CsmaCaMac c(&topology_c, air, reseeded);
+  CsmaCaMac c(&topology_c, air, seed ^ 0x5eed);
   bool any_differs = false;
   for (int i = 0; i < 64 && !any_differs; ++i) {
     const int src = i % 12;
@@ -197,7 +171,7 @@ TEST(CsmaCaMacTest, DeterministicGivenSeedAcrossInstances) {
     const FrameResult fa = a.SendFrame(src, dst, QueryMsg(src, dst, 400), at);
     (void)fa;  // `a` has extra history; compare c against a fresh twin instead
     manet::ManetTopology topology_d = DenseField(12, 7);
-    CsmaCaMac d(&topology_d, air, options);
+    CsmaCaMac d(&topology_d, air, seed);
     const FrameResult fd = d.SendFrame(src, dst, QueryMsg(src, dst, 400), at);
     any_differs = fc.done_ms != fd.done_ms;
   }
@@ -216,9 +190,9 @@ TEST(CreateMacTest, FactorySelectsKindAndValidates) {
   Result<std::unique_ptr<MacModel>> cs = CreateMac(csma, air, &topology);
   ASSERT_TRUE(cs.ok());
   EXPECT_NE(dynamic_cast<CsmaCaMac*>(cs->get()), nullptr);
-  MacOptions bad = csma;
-  bad.retry_limit = 0;
-  EXPECT_FALSE(CreateMac(bad, air, &topology).ok());
+  MacOptions unknown;
+  unknown.kind = static_cast<MacOptions::Kind>(7);
+  EXPECT_FALSE(CreateMac(unknown, air, &topology).ok());
 }
 
 }  // namespace

@@ -93,15 +93,6 @@ TEST(ManetTopologyTest, MeanPairwiseHopsIsAtLeastOne) {
   EXPECT_LT(t->MeanPairwiseHops(), 8.0);
 }
 
-TEST(ManetTopologyTest, MeanLinkDistanceWithinRange) {
-  Rng rng(7);
-  Result<ManetTopology> t = ManetTopology::Generate(DenseOptions(), rng);
-  ASSERT_TRUE(t.ok());
-  const double mean = t->MeanLinkDistanceM();
-  EXPECT_GT(mean, 0.0);
-  EXPECT_LE(mean, 50.0);
-}
-
 TEST(ManetTopologyTest, SingleNodeDegenerate) {
   Rng rng(8);
   TopologyOptions one = DenseOptions(1);
@@ -109,7 +100,6 @@ TEST(ManetTopologyTest, SingleNodeDegenerate) {
   ASSERT_TRUE(t.ok());
   EXPECT_TRUE(t->connected());
   EXPECT_EQ(t->MeanPairwiseHops(), 0.0);
-  EXPECT_EQ(t->MeanLinkDistanceM(), 0.0);
 }
 
 TEST(ManetTopologyTest, RandomWaypointStepMovesNodesBounded) {

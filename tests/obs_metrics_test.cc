@@ -140,23 +140,6 @@ TEST(RegistryTest, SnapshotCopiesAllKinds) {
   EXPECT_EQ(snap.histograms.at("h").count, 1u);
 }
 
-TEST(SnapshotTest, MergeAccumulates) {
-  MetricsRegistry a, b;
-  a.GetCounter("c").Add(1);
-  b.GetCounter("c").Add(2);
-  b.GetCounter("only_b").Add(5);
-  a.GetGauge("g").Set(1.0);
-  b.GetGauge("g").Set(9.0);
-  a.GetHistogram("h", Buckets::Linear(0.0, 1.0, 1)).Observe(0.5);
-  b.GetHistogram("h", Buckets::Linear(0.0, 1.0, 1)).Observe(0.5);
-  MetricsSnapshot merged = a.Snapshot();
-  EXPECT_TRUE(merged.Merge(b.Snapshot()));
-  EXPECT_EQ(merged.counters.at("c"), 3u);
-  EXPECT_EQ(merged.counters.at("only_b"), 5u);
-  EXPECT_DOUBLE_EQ(merged.gauges.at("g"), 9.0);
-  EXPECT_EQ(merged.histograms.at("h").count, 2u);
-}
-
 TEST(QuantileTest, InterpolatesInsideBuckets) {
   // 100 uniform observations over [0, 100): quantiles land on the exact
   // interpolated rank positions.
@@ -192,42 +175,6 @@ TEST(QuantileTest, EstimateIsClampedToObservedRange) {
   EXPECT_DOUBLE_EQ(h.Snapshot().Quantile(0.5), 0.25);
   // Out-of-range q is clamped rather than extrapolated.
   EXPECT_DOUBLE_EQ(h.Snapshot().Quantile(2.0), 0.25);
-}
-
-TEST(SnapshotTest, MergeRejectsMismatchedEdges) {
-  MetricsRegistry a, b;
-  a.GetHistogram("h", Buckets::Linear(0.0, 1.0, 1)).Observe(0.5);
-  b.GetHistogram("h", Buckets::Linear(0.0, 2.0, 1)).Observe(0.5);
-  MetricsSnapshot merged = a.Snapshot();
-  EXPECT_FALSE(merged.Merge(b.Snapshot()));
-  // Mismatching entry keeps the original value.
-  EXPECT_EQ(merged.histograms.at("h").count, 1u);
-  EXPECT_DOUBLE_EQ(merged.histograms.at("h").edges.back(), 1.0);
-}
-
-TEST(SnapshotTest, MergeMismatchBumpsGlobalAuditCounter) {
-  // Regression for silently-dropped merges: callers that ignore Merge's
-  // return value still leave `obs.merge_mismatch` behind in the global
-  // registry, one bump per conflicting histogram.
-  MetricsRegistry::Global().Reset();
-  const uint64_t before =
-      MetricsRegistry::Global().GetCounter("obs.merge_mismatch").value();
-  MetricsRegistry a, b;
-  a.GetHistogram("h", Buckets::Linear(0.0, 1.0, 1)).Observe(0.5);
-  b.GetHistogram("h", Buckets::Explicit({0.0, 0.5, 1.0})).Observe(0.5);
-  MetricsSnapshot merged = a.Snapshot();
-  EXPECT_FALSE(merged.Merge(b.Snapshot()));
-  EXPECT_EQ(
-      MetricsRegistry::Global().GetCounter("obs.merge_mismatch").value(),
-      before + 1);
-  // A compatible merge leaves the audit counter alone.
-  MetricsRegistry c;
-  c.GetHistogram("h", Buckets::Linear(0.0, 1.0, 1)).Observe(0.5);
-  EXPECT_TRUE(merged.Merge(c.Snapshot()));
-  EXPECT_EQ(
-      MetricsRegistry::Global().GetCounter("obs.merge_mismatch").value(),
-      before + 1);
-  MetricsRegistry::Global().Reset();
 }
 
 }  // namespace

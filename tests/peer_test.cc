@@ -33,34 +33,50 @@ TEST(PeerTest, BasicAccessors) {
   EXPECT_EQ(peer.item_ids(), (std::vector<ItemId>{10, 11, 12, 13}));
 }
 
+// The two searches with the query's CoarseQuery computed on the spot.
+std::vector<ItemId> Range(const Peer& peer, const Vector& query, double epsilon) {
+  return peer.RangeSearch(query, CoarseQuery(query), epsilon);
+}
+
+std::vector<ScoredItem> Nearest(const Peer& peer, const Vector& query, int count) {
+  return peer.NearestItemsScored(query, CoarseQuery(query), count);
+}
+
+std::vector<ItemId> Ids(const std::vector<ScoredItem>& items) {
+  std::vector<ItemId> ids;
+  for (const ScoredItem& item : items) ids.push_back(item.id);
+  return ids;
+}
+
 TEST(PeerTest, RangeSearchInclusiveBoundary) {
   const Peer peer = MakePeer();
-  const std::vector<ItemId> hits = peer.RangeSearch({0.0, 0.0}, 1.0);
+  const std::vector<ItemId> hits = Range(peer, {0.0, 0.0}, 1.0);
   EXPECT_EQ(hits, (std::vector<ItemId>{10, 11}));  // distance 1.0 included
 }
 
 TEST(PeerTest, RangeSearchZeroRadiusIsPointLookup) {
   const Peer peer = MakePeer();
-  EXPECT_EQ(peer.RangeSearch({5.0, 5.0}, 0.0), (std::vector<ItemId>{13}));
-  EXPECT_TRUE(peer.RangeSearch({9.0, 9.0}, 0.0).empty());
+  EXPECT_EQ(Range(peer, {5.0, 5.0}, 0.0), (std::vector<ItemId>{13}));
+  EXPECT_TRUE(Range(peer, {9.0, 9.0}, 0.0).empty());
 }
 
 TEST(PeerTest, NearestItemsOrderedByDistance) {
   const Peer peer = MakePeer();
-  const std::vector<ItemId> nearest = peer.NearestItems({0.0, 0.0}, 3);
-  EXPECT_EQ(nearest, (std::vector<ItemId>{10, 11, 12}));
+  const std::vector<ScoredItem> nearest = Nearest(peer, {0.0, 0.0}, 3);
+  EXPECT_EQ(Ids(nearest), (std::vector<ItemId>{10, 11, 12}));
+  EXPECT_EQ(nearest[2].distance, 2.0);
 }
 
 TEST(PeerTest, NearestItemsClampedToStoreSize) {
   const Peer peer = MakePeer();
-  EXPECT_EQ(peer.NearestItems({0.0, 0.0}, 100).size(), 4u);
-  EXPECT_TRUE(peer.NearestItems({0.0, 0.0}, 0).empty());
+  EXPECT_EQ(Nearest(peer, {0.0, 0.0}, 100).size(), 4u);
+  EXPECT_TRUE(Nearest(peer, {0.0, 0.0}, 0).empty());
 }
 
 TEST(PeerTest, EmptyPeer) {
   const Peer peer(0);
-  EXPECT_TRUE(peer.RangeSearch({1.0}, 5.0).empty());
-  EXPECT_TRUE(peer.NearestItems({1.0}, 3).empty());
+  EXPECT_TRUE(Range(peer, {1.0}, 5.0).empty());
+  EXPECT_TRUE(Nearest(peer, {1.0}, 3).empty());
 }
 
 // --- Exactness of the coarse-filtered scans ---------------------------------
@@ -251,7 +267,7 @@ TEST_P(PeerScanFuzz, RangeSearchMatchesBruteForce) {
         eps.push_back(std::sqrt(d2[d2.size() / 2]));
       }
       for (double e : eps) {
-        ASSERT_EQ(store.peer.RangeSearch(query, e), RangeReference(store, query, e))
+        ASSERT_EQ(Range(store.peer, query, e), RangeReference(store, query, e))
             << "rows=" << store.rows.size() << " eps=" << e;
       }
     }
@@ -264,7 +280,7 @@ TEST_P(PeerScanFuzz, NearestItemsMatchBruteForce) {
     for (const Vector& query : Queries(store)) {
       for (int count : {0, 1, 2, 3, 4, 5, 6, n / 3, n / 2, n - 1, n, n + 3}) {
         if (count < 0) continue;
-        ASSERT_EQ(Flatten(store.peer.NearestItemsScored(query, count)),
+        ASSERT_EQ(Flatten(Nearest(store.peer, query, count)),
                   NearestReference(store, query, count))
             << "rows=" << n << " count=" << count;
       }
@@ -301,9 +317,9 @@ TEST(PeerScanCountersTest, CountRowsAndRefinedRows) {
   registry.Reset();
   Vector far = first;
   for (double& x : far) x += 10.0;
-  EXPECT_TRUE(peer.RangeSearch(far, 0.5).empty());
-  EXPECT_EQ(peer.RangeSearch(first, 0.0), (std::vector<ItemId>{0}));
-  EXPECT_EQ(peer.NearestItems(first, 40).size(), 40u);
+  EXPECT_TRUE(Range(peer, far, 0.5).empty());
+  EXPECT_EQ(Range(peer, first, 0.0), (std::vector<ItemId>{0}));
+  EXPECT_EQ(Nearest(peer, first, 40).size(), 40u);
   const obs::MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("peer.scan.rows"), 120u);
   // The far query refines nothing; returning every row refines every row.

@@ -146,16 +146,5 @@ TEST(RngTest, ShufflePermutes) {
   EXPECT_EQ(v, original);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(53);
-  Rng child = parent.Fork();
-  // Child diverges from parent's continued stream.
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.NextUint64() == child.NextUint64()) ++equal;
-  }
-  EXPECT_LT(equal, 2);
-}
-
 }  // namespace
 }  // namespace hyperm

@@ -76,9 +76,7 @@ TEST(AodvRoutingTest, RoutesAreLoopFreeAndMatchOracleHopCounts) {
     manet::ManetTopology topology = RandomField(24, seed);
     channel::MacModel::AirParams air;
     channel::LegacyStretchMac mac(&topology, air);
-    RoutingOptions options;
-    options.kind = RoutingOptions::Kind::kAodv;
-    AodvRouting aodv(&topology, &mac, options);
+    AodvRouting aodv(&topology, &mac);
     std::vector<int> path;
     for (int src = 0; src < 24; src += 3) {
       for (int dst = 0; dst < 24; dst += 2) {
@@ -107,9 +105,7 @@ TEST(AodvRoutingTest, DiscoveryChargesControlAirtimeAndCachesRoutes) {
   manet::ManetTopology topology = RandomField(20, 11);
   channel::MacModel::AirParams air;
   channel::LegacyStretchMac mac(&topology, air);
-  RoutingOptions options;
-  options.kind = RoutingOptions::Kind::kAodv;
-  AodvRouting aodv(&topology, &mac, options);
+  AodvRouting aodv(&topology, &mac);
   int dst = -1;
   for (int j = 1; j < 20 && dst < 0; ++j) {
     if (topology.PathHops(0, j) >= 2) dst = j;
@@ -123,7 +119,7 @@ TEST(AodvRoutingTest, DiscoveryChargesControlAirtimeAndCachesRoutes) {
   const uint64_t frames_after_first = aodv.counters().control_frames;
   EXPECT_GT(frames_after_first, 0u);
   EXPECT_EQ(aodv.counters().control_bytes,
-            frames_after_first * options.control_bytes);
+            frames_after_first * kAodvControlBytes);
   EXPECT_GT(mac.counters().frames_sent, 0u);  // charged through the MAC
   // Second resolve: pure cache hit, no new control traffic, no latency.
   const RouteResolution second = aodv.Resolve(QueryMsg(0, dst), 1.0, path);
@@ -141,18 +137,15 @@ TEST(AodvRoutingTest, SoftStateExpiresAndTriggersRediscovery) {
   manet::ManetTopology topology = RandomField(20, 11);
   channel::MacModel::AirParams air;
   channel::LegacyStretchMac mac(&topology, air);
-  RoutingOptions options;
-  options.kind = RoutingOptions::Kind::kAodv;
-  options.route_ttl_ms = 100.0;
-  AodvRouting aodv(&topology, &mac, options);
+  AodvRouting aodv(&topology, &mac);
   std::vector<int> path;
   ASSERT_TRUE(aodv.Resolve(QueryMsg(0, 5), 0.0, path).found);
   EXPECT_EQ(aodv.counters().discoveries, 1u);
   // Within the TTL: cached.
-  ASSERT_TRUE(aodv.Resolve(QueryMsg(0, 5), 99.0, path).found);
+  ASSERT_TRUE(aodv.Resolve(QueryMsg(0, 5), kAodvRouteTtlMs - 1.0, path).found);
   EXPECT_EQ(aodv.counters().discoveries, 1u);
   // Past the TTL: the stale entry is evicted and a new flood runs.
-  ASSERT_TRUE(aodv.Resolve(QueryMsg(0, 5), 250.0, path).found);
+  ASSERT_TRUE(aodv.Resolve(QueryMsg(0, 5), kAodvRouteTtlMs + 150.0, path).found);
   EXPECT_EQ(aodv.counters().discoveries, 2u);
   EXPECT_GT(aodv.counters().cache_expiries, 0u);
 }
@@ -161,9 +154,7 @@ TEST(AodvRoutingTest, LinkBreakInvalidatesRoutesAndBroadcastsRerr) {
   manet::ManetTopology topology = RandomField(20, 11);
   channel::MacModel::AirParams air;
   channel::LegacyStretchMac mac(&topology, air);
-  RoutingOptions options;
-  options.kind = RoutingOptions::Kind::kAodv;
-  AodvRouting aodv(&topology, &mac, options);
+  AodvRouting aodv(&topology, &mac);
   int dst = -1;
   for (int j = 1; j < 20 && dst < 0; ++j) {
     if (topology.PathHops(0, j) >= 2) dst = j;
@@ -204,9 +195,7 @@ TEST(AodvRoutingTest, UnreachableDestinationFailsAfterTheFloodDies) {
   ASSERT_FALSE(topology->connected());
   channel::MacModel::AirParams air;
   channel::LegacyStretchMac mac(&*topology, air);
-  RoutingOptions ropts;
-  ropts.kind = RoutingOptions::Kind::kAodv;
-  AodvRouting aodv(&*topology, &mac, ropts);
+  AodvRouting aodv(&*topology, &mac);
   std::vector<int> path;
   const RouteResolution res = aodv.Resolve(QueryMsg(0, 5), 0.0, path);
   EXPECT_FALSE(res.found);
@@ -235,9 +224,9 @@ TEST(CreateRoutingTest, FactorySelectsKindAndValidates) {
       CreateRouting(aodv_opts, &topology, &mac);
   ASSERT_TRUE(aodv.ok());
   EXPECT_STREQ((*aodv)->name(), "aodv");
-  RoutingOptions bad = aodv_opts;
-  bad.route_ttl_ms = -1.0;
-  EXPECT_FALSE(CreateRouting(bad, &topology, &mac).ok());
+  RoutingOptions unknown;
+  unknown.kind = static_cast<RoutingOptions::Kind>(7);
+  EXPECT_FALSE(CreateRouting(unknown, &topology, &mac).ok());
 }
 
 }  // namespace

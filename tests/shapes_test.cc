@@ -56,9 +56,8 @@ TEST(BoxTest, IntersectsSphere) {
   EXPECT_FALSE(box.IntersectsSphere(Sphere{{2.0, 2.0}, 0.5}));
 }
 
-TEST(BoxTest, CenterAndVolume) {
+TEST(BoxTest, Volume) {
   Box box{{0.0, 1.0}, {2.0, 2.0}};
-  EXPECT_EQ(box.Center(), (Vector{1.0, 1.5}));
   EXPECT_DOUBLE_EQ(box.Volume(), 2.0);
 }
 

@@ -229,20 +229,6 @@ TEST(SimulatorTest, KeyedTimersAreIndependentPerKey) {
   EXPECT_EQ(sim.coalesced(), 0u);
 }
 
-TEST(SimulatorTest, CancelKeyedDropsPendingCallback) {
-  Simulator sim;
-  int fired = 0;
-  sim.ScheduleKeyedAfter(9, 1.0, [&] { ++fired; });
-  sim.CancelKeyed(9);
-  sim.Run();
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(sim.coalesced(), 1u);
-  // The key is reusable after cancellation.
-  sim.ScheduleKeyedAfter(9, 1.0, [&] { ++fired; });
-  sim.Run();
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(SimulatorTest, KeyedCallbackCanRescheduleItself) {
   // The periodic-timer idiom: the callback re-arms its own key.
   Simulator sim;

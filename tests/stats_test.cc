@@ -26,21 +26,18 @@ TEST(StatsTest, RecordsPerClass) {
 }
 
 TEST(StatsTest, EnergyModelIsLinearInBytes) {
-  RadioEnergyModel model;
-  const double e1 = model.HopEnergyNanojoules(100);
-  const double e2 = model.HopEnergyNanojoules(200);
+  const double e1 = HopEnergyNanojoules(100);
+  const double e2 = HopEnergyNanojoules(200);
   // Doubling payload does not double energy (fixed overhead), but the
   // payload-dependent part is linear.
-  EXPECT_NEAR(e2 - e1, (model.tx_nanojoule_per_byte + model.rx_nanojoule_per_byte) * 100,
-              1e-9);
+  EXPECT_NEAR(e2 - e1, (kTxNanojoulePerByte + kRxNanojoulePerByte) * 100, 1e-9);
+  EXPECT_EQ(HopEnergyNanojoules(0), 2.0 * kPerMessageNanojoule);
 }
 
 TEST(StatsTest, EnergyAccumulates) {
-  RadioEnergyModel model;
-  NetworkStats stats(model);
+  NetworkStats stats;
   stats.RecordHop(TrafficClass::kRetrieve, 1000);
-  EXPECT_NEAR(stats.total_energy_millijoules(),
-              model.HopEnergyNanojoules(1000) * 1e-6, 1e-12);
+  EXPECT_NEAR(stats.total_energy_millijoules(), HopEnergyNanojoules(1000) * 1e-6, 1e-12);
   EXPECT_NEAR(stats.energy_millijoules(TrafficClass::kRetrieve),
               stats.total_energy_millijoules(), 1e-15);
 }
@@ -62,24 +59,6 @@ TEST(StatsTest, CountsQueriesServed) {
   stats.RecordQueryServed();
   stats.RecordQueryServed();
   EXPECT_EQ(stats.queries_served(), 2u);
-}
-
-TEST(StatsTest, MergeAccumulatesAllClassesAndQueries) {
-  NetworkStats a, b;
-  a.RecordHop(TrafficClass::kInsert, 100);
-  a.RecordQueryServed();
-  b.RecordHop(TrafficClass::kInsert, 50);
-  b.RecordHop(TrafficClass::kQuery, 10);
-  b.RecordQueryServed();
-  b.RecordQueryServed();
-  a.Merge(b);
-  EXPECT_EQ(a.hops(TrafficClass::kInsert), 2u);
-  EXPECT_EQ(a.bytes(TrafficClass::kInsert), 150u);
-  EXPECT_EQ(a.hops(TrafficClass::kQuery), 1u);
-  EXPECT_EQ(a.queries_served(), 3u);
-  EXPECT_GT(a.total_energy_millijoules(), 0.0);
-  // The merge source is untouched.
-  EXPECT_EQ(b.total_hops(), 2u);
 }
 
 TEST(StatsTest, ClassNames) {

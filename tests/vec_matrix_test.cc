@@ -35,7 +35,7 @@ TEST(MatrixBatchTest, FromRowsRoundTrips) {
   EXPECT_EQ(m.cols(), 5u);
   EXPECT_EQ(m.stride(), 5u);
   for (size_t r = 0; r < rows.size(); ++r) {
-    EXPECT_EQ(m.RowVector(r), rows[r]);
+    EXPECT_EQ(Vector(m.row(r), m.row(r) + m.cols()), rows[r]);
   }
 }
 

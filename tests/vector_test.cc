@@ -89,21 +89,5 @@ TEST(BoundsTest, ExtendGrows) {
   EXPECT_EQ(b.hi, (Vector{0.0, 2.0}));
 }
 
-TEST(BoundsTest, InflateStrictlyContainsBoundary) {
-  std::vector<Vector> points{{0.0, 0.0}, {1.0, 1.0}};
-  Bounds b = Bounds::Of(points);
-  b.Inflate(0.1);
-  EXPECT_LT(b.lo[0], 0.0);
-  EXPECT_GT(b.hi[0], 1.0);
-}
-
-TEST(BoundsTest, InflateHandlesDegenerateDimension) {
-  std::vector<Vector> points{{0.5, 1.0}, {0.5, 2.0}};  // dim 0 has zero width
-  Bounds b = Bounds::Of(points);
-  b.Inflate(0.05);
-  EXPECT_LT(b.lo[0], 0.5);
-  EXPECT_GT(b.hi[0], 0.5);
-}
-
 }  // namespace
 }  // namespace hyperm
