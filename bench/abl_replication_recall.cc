@@ -53,7 +53,7 @@ void OverlayLevelDemo(bool replicate) {
     Result<overlay::RangeQueryResult> result = can->RangeQuery(query, 0);
     if (!result.ok()) std::exit(1);
     std::set<uint64_t> found;
-    for (const overlay::PublishedCluster& c : result->matches) found.insert(c.cluster_id);
+    for (const overlay::ClusterMatch& c : result->matches) found.insert(c.cluster_id);
     bool miss_here = false;
     for (const overlay::PublishedCluster& c : all) {
       if (!c.sphere.Intersects(query)) continue;

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
       Result<overlay::RangeQueryResult> result = can->RangeQuery(query, origin);
       if (!result.ok()) return -1;
       std::set<uint64_t> found;
-      for (const auto& c : result->matches) found.insert(c.cluster_id);
+      for (const overlay::ClusterMatch& c : result->matches) found.insert(c.cluster_id);
       for (const auto& c : all) {
         if (c.sphere.Intersects(query) && !found.count(c.cluster_id)) ++missed;
       }

@@ -2,7 +2,8 @@
 // Hyper-M: the Haar pyramid, k-means, the sphere-intersection geometry of
 // Eqs. 5-8, CAN greedy routing and zone flooding, and peer-local range
 // retrieval. These quantify the "could be done offline / negligible" claims
-// the paper makes about local computation. BM_DomainDigest* time the supernode
+// the paper makes about local computation. BM_ScoreLevels times one query's
+// Eq. 1 scoring pass. BM_DomainDigest* time the supernode
 // backbone's per-tick domain digest maintenance; BM_TransportSendHop times
 // the transport every overlay message goes through.
 //
@@ -25,6 +26,7 @@
 #include "geom/radius_estimator.h"
 #include "geom/sphere_volume.h"
 #include "hyperm/peer.h"
+#include "hyperm/score.h"
 #include "net/fault_plan.h"
 #include "net/transport.h"
 #include "sim/simulator.h"
@@ -484,6 +486,43 @@ void BM_SolveRadiusForCount(benchmark::State& state) {
   state.counters["sweeps"] = stats.sweeps;
 }
 BENCHMARK(BM_SolveRadiusForCount)->Args({190, 4, 10})->Args({1570, 4, 10});
+
+// One query's scoring pass (ScoreLevels) over a match set shaped like
+// query_paper's range queries: four levels of dims 1, 1, 2 and 4, ~300
+// records each from 100 owners. Owners 0-49 have records at every level;
+// each of owners 50-99 misses one level, so about half the owners survive
+// min aggregation. Arg: 0 = kMin (survivors only), 1 = kSum (every record).
+// The `evaluations` counter is Eq. 1 evaluations per pass.
+void BM_ScoreLevels(benchmark::State& state) {
+  const core::ScorePolicy policy =
+      state.range(0) == 0 ? core::ScorePolicy::kMin : core::ScorePolicy::kSum;
+  Rng rng(7);
+  std::vector<core::LevelMatches> levels;
+  uint64_t next_id = 1;
+  for (int dim : {1, 1, 2, 4}) {
+    const int layer = static_cast<int>(levels.size());
+    core::LevelMatches level{dim, 0.1, {}};
+    while (level.matches.size() < 300) {
+      const int owner = static_cast<int>(rng.UniformInt(0, 99));
+      if (owner >= 50 && owner % 4 == layer) continue;
+      const double radius = rng.Uniform(0.02, 0.2);
+      level.matches.push_back(overlay::ClusterMatch{
+          next_id++, owner, static_cast<int>(rng.UniformInt(1, 20)), radius,
+          rng.Uniform(0.0, radius + level.query_radius)});
+    }
+    levels.push_back(std::move(level));
+  }
+  std::vector<const core::LevelMatches*> pointers;
+  for (const core::LevelMatches& level : levels) pointers.push_back(&level);
+  int64_t evaluations = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::ScoreLevels(pointers, policy, &evaluations));
+  }
+  state.counters["evaluations"] =
+      benchmark::Counter(static_cast<double>(evaluations),
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ScoreLevels)->Arg(0)->Arg(1);
 
 void BM_CanRoute(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));

@@ -384,16 +384,13 @@ void BackboneManager::DescendDomain(
     ++wire.descend_messages;
     if (!request.delivered) continue;  // member's matches are lost (fail-soft)
 
-    std::vector<std::vector<const overlay::PublishedCluster*>> matched(
-        num_layers);
+    std::vector<std::vector<overlay::ClusterMatch>> matched(num_layers);
     uint64_t response_bytes = 16;
     for (size_t layer = 0; layer < num_layers; ++layer) {
       if (!descend_layer[layer]) continue;
       for (const overlay::PublishedCluster& cluster :
            member_clusters_(m, static_cast<int>(layer))) {
-        if (cluster.sphere.Intersects(key_spheres[layer])) {
-          matched[layer].push_back(&cluster);
-        }
+        overlay::AppendIfIntersects(cluster, key_spheres[layer], &matched[layer]);
       }
       response_bytes += matched[layer].size() *
                         ClusterWireBytes(layer_dims_[layer]);
@@ -406,9 +403,9 @@ void BackboneManager::DescendDomain(
 
     for (size_t layer = 0; layer < num_layers; ++layer) {
       (*found_per_layer)[layer] += static_cast<int>(matched[layer].size());
-      for (const overlay::PublishedCluster* cluster : matched[layer]) {
-        if (seen_cluster_ids_[layer].insert(cluster->cluster_id).second) {
-          (*out)[layer].matches.push_back(*cluster);
+      for (const overlay::ClusterMatch& match : matched[layer]) {
+        if (seen_cluster_ids_[layer].insert(match.cluster_id).second) {
+          (*out)[layer].matches.push_back(match);
         }
       }
     }

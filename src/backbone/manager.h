@@ -106,7 +106,9 @@ struct BackboneCounters {
 
 /// What a served probe hands back to the query executor.
 struct ProbeServeResult {
-  std::vector<overlay::PublishedCluster> matches;  ///< deduped by cluster_id
+  /// Deduped by cluster_id; distances measured from the level's key-sphere
+  /// center, as a CAN flood's records are.
+  std::vector<overlay::ClusterMatch> matches;
   int walk_messages = 0;     ///< CDS walk hops (folds into routing_hops)
   int descend_messages = 0;  ///< domain request/response count (flood_hops)
   int domains_total = 0;

@@ -616,9 +616,10 @@ void CanOverlay::FloodFrom(const geom::Sphere& query, NodeId entry,
     for (const PublishedCluster& cluster : nodes_[static_cast<size_t>(node)].stored) {
       // Test once per id: every stored copy of a cluster_id has the same
       // sphere (see Insert), so the first copy the flood meets decides for
-      // all of them, and a match is reported once, at its first copy.
+      // all of them, and a match is reported once, at its first copy, as a
+      // compact record carrying the distance the test computed.
       if (!flood_.FirstTest(cluster.cluster_id)) continue;
-      if (cluster.sphere.Intersects(query)) result->matches.push_back(cluster);
+      overlay::AppendIfIntersects(cluster, query, &result->matches);
     }
     for (NodeId n : nodes_[static_cast<size_t>(node)].neighbors) {
       if (flood_.reached(n)) continue;

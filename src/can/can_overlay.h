@@ -92,9 +92,11 @@ class CanOverlay {
   Result<overlay::InsertReceipt> Insert(const overlay::PublishedCluster& cluster,
                                         overlay::NodeId origin);
 
-  /// Returns all stored clusters whose sphere intersects `query`, flooding
-  /// outward from the zone owning the query center. Floods reuse scratch
-  /// owned by the overlay, so one overlay serves one query at a time.
+  /// Returns one match record (overlay::ClusterMatch) per stored cluster id
+  /// whose sphere intersects `query`, flooding outward from the zone owning
+  /// the query center; each record's distance is measured from
+  /// `query.center`. Floods reuse scratch owned by the overlay, so one
+  /// overlay serves one query at a time.
   Result<overlay::RangeQueryResult> RangeQuery(const geom::Sphere& query,
                                                overlay::NodeId origin);
 
@@ -335,7 +337,7 @@ class CanOverlay {
                              sim::TrafficClass cls);
 
   /// Zone-flood stage shared by RangeQuery/RangeQueryVia: BFS outward from
-  /// `entry` over zones intersecting `query`, accumulating matches and
+  /// `entry` over zones intersecting `query`, accumulating match records and
   /// per-branch arrival times into `result` (whose latency_ms on entry is the
   /// time the flood starts).
   void FloodFrom(const geom::Sphere& query, overlay::NodeId entry,

@@ -96,13 +96,13 @@ QueryPlan HyperMNetwork::CompileKnnPlan(const Vector& query, int k) const {
   return MakePlanner().PlanKnn(query, k);
 }
 
-Status HyperMNetwork::DrainLevelOutcomes(
-    std::vector<LevelOutcome>& outcomes, RangeQueryInfo* info,
-    std::vector<std::unordered_map<int, double>>* level_scores) {
-  level_scores->reserve(outcomes.size());
-  for (size_t layer = 0; layer < outcomes.size(); ++layer) {
-    LevelOutcome& out = outcomes[layer];
+Status HyperMNetwork::DrainLevelOutcomes(const QueryOutcome& outcome,
+                                         RangeQueryInfo* info) {
+  int64_t level_matches = 0;
+  for (size_t layer = 0; layer < outcome.levels.size(); ++layer) {
+    const LevelOutcome& out = outcome.levels[layer];
     if (!out.status.ok()) return out.status;
+    level_matches += static_cast<int64_t>(out.matched.matches.size());
     // Final fate of the level after every re-issue round has settled — the
     // flight recorder's per-level verdict (cause mirrors LevelDelivery).
     HM_OBS_EVENT(.sim_ms = sim_->now(),
@@ -127,8 +127,10 @@ Status HyperMNetwork::DrainLevelOutcomes(
       }
       info->level_outcomes.push_back(out.delivery);
     }
-    level_scores->push_back(std::move(out.scores));
   }
+  // Their ratio is the share of matched records the scoring pass evaluated.
+  HM_OBS_COUNTER_ADD("query.level_matches", level_matches);
+  HM_OBS_COUNTER_ADD("query.scored_matches", outcome.scored_matches);
   return OkStatus();
 }
 
@@ -583,16 +585,13 @@ Result<std::vector<PeerScore>> HyperMNetwork::ScorePeers(const Vector& query,
   HM_OBS_SPAN("query/score");
   // Plan, then execute. The planner compiles the Theorem 4.1 probe spheres
   // (pure wavelet math); the executor runs the per-level range searches in
-  // level order and re-issues deferred levels when so configured. Scores and
-  // info accounting are drained in layer order below.
+  // level order, re-issues deferred levels when so configured and scores
+  // the settled levels once. Info accounting is drained in layer order below.
   const QueryPlan plan = MakePlanner().PlanRange(query, epsilon);
-  std::vector<LevelOutcome> outcomes = MakeExecutor().Execute(plan, querying_peer);
-  std::vector<std::unordered_map<int, double>> level_scores;
-  HM_RETURN_IF_ERROR(DrainLevelOutcomes(outcomes, info, &level_scores));
-  std::vector<PeerScore> aggregated =
-      AggregateScores(level_scores, options_.score_policy);
-  if (info != nullptr) info->candidate_peers = static_cast<int>(aggregated.size());
-  return aggregated;
+  QueryOutcome outcome = MakeExecutor().Execute(plan, querying_peer);
+  HM_RETURN_IF_ERROR(DrainLevelOutcomes(outcome, info));
+  if (info != nullptr) info->candidate_peers = static_cast<int>(outcome.scores.size());
+  return std::move(outcome.scores);
 }
 
 template <typename LocalSearch>
@@ -705,10 +704,9 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   // cost (knn.radius_sweeps, knn.radius_unconverged) are observed at the
   // ordered drain.
   const QueryPlan plan = MakePlanner().PlanKnn(query, k);
-  std::vector<LevelOutcome> outcomes = MakeExecutor().Execute(plan, querying_peer);
-  std::vector<std::unordered_map<int, double>> level_scores;
-  HM_RETURN_IF_ERROR(DrainLevelOutcomes(outcomes, range_info, &level_scores));
-  for (const LevelOutcome& out : outcomes) {
+  QueryOutcome outcome = MakeExecutor().Execute(plan, querying_peer);
+  HM_RETURN_IF_ERROR(DrainLevelOutcomes(outcome, range_info));
+  for (const LevelOutcome& out : outcome.levels) {
     info->level_radii.push_back(out.level_radius);
     HM_OBS_HISTOGRAM("knn.level_radius", obs::Buckets::Linear(0.0, 4.0, 32),
                      out.level_radius);
@@ -723,12 +721,15 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
     }
   }
 
-  std::vector<PeerScore> merged = AggregateScores(level_scores, options_.score_policy);
-  if (merged.empty() && options_.score_policy != ScorePolicy::kSum) {
+  std::vector<PeerScore> merged = std::move(outcome.scores);
+  if (merged.empty() && plan.score_policy != ScorePolicy::kSum) {
     // Min/product pruned every peer (an empty level probe zeroes everything).
     // Unlike range queries, a k-NN query must return *something*; fall back
-    // to the optimistic sum aggregation.
-    merged = AggregateScores(level_scores, ScorePolicy::kSum);
+    // to the optimistic sum aggregation, which scores every record.
+    int64_t evaluations = 0;
+    merged = ScoreLevels(MatchedLevels(outcome.levels), ScorePolicy::kSum,
+                         &evaluations);
+    HM_OBS_COUNTER_ADD("query.scored_matches", evaluations);
   }
   range_info->candidate_peers = static_cast<int>(merged.size());
   if (merged.empty()) {

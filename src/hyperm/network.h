@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "backbone/manager.h"
@@ -336,14 +335,12 @@ class HyperMNetwork {
                 size_t contact, const LocalSearch& local_search,
                 RangeQueryInfo* info);
 
-  /// Drains executor outcomes in layer order on the calling thread: emits
-  /// the kLevelFinal flight-recorder events, folds
-  /// traffic + delivery-fate accounting into `info` (ignored when null) and
-  /// moves the per-level score maps out. Returns the first failed level's
-  /// status.
-  Status DrainLevelOutcomes(
-      std::vector<LevelOutcome>& outcomes, RangeQueryInfo* info,
-      std::vector<std::unordered_map<int, double>>* level_scores);
+  /// Drains an executed plan in layer order on the calling thread: emits
+  /// the kLevelFinal flight-recorder events, folds traffic + delivery-fate
+  /// accounting into `info` (ignored when null) and records the
+  /// query.level_matches / query.scored_matches counters. Returns the first
+  /// failed level's status.
+  Status DrainLevelOutcomes(const QueryOutcome& outcome, RangeQueryInfo* info);
 
   /// Wires up the simulator, fault state and transport (and the radio
   /// channel when enabled), and schedules the periodic events: crash/rejoin,

@@ -82,6 +82,14 @@ const char* LevelDeliveryName(LevelDelivery delivery) {
   return "unknown";
 }
 
+std::vector<const LevelMatches*> MatchedLevels(
+    const std::vector<LevelOutcome>& levels) {
+  std::vector<const LevelMatches*> matched;
+  matched.reserve(levels.size());
+  for (const LevelOutcome& level : levels) matched.push_back(&level.matched);
+  return matched;
+}
+
 QueryPlanner::QueryPlanner(const std::vector<wavelet::Level>* levels,
                            const std::vector<KeyMapper>* mappers,
                            wavelet::WaveletKind wavelet_kind,
@@ -171,10 +179,10 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
   net::DeliveryOutcome failure = net::DeliveryOutcome::kDelivered;
   [&] {
     if (!probe.expanding) {
-      // Range probe: one threshold range query, scored against the same
-      // sphere the overlay evaluated. (The backbone-first stage, when it
-      // applies, is served plan-wide in Execute before the probe loop; a
-      // probe reaching here runs the full CAN path.)
+      // Range probe: one threshold range query, whose matches are scored
+      // against the same sphere the overlay evaluated. (The backbone-first
+      // stage, when it applies, is served plan-wide in Execute before the
+      // probe loop; a probe reaching here runs the full CAN path.)
       overlay::NodeId hint =
           shortcuts_ != nullptr
               ? shortcuts_->EntryHint(probe.layer, probe.key_sphere)
@@ -224,8 +232,8 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
                             result.value().entry_node, delivered,
                             /*via_shortcut=*/hint != overlay::kInvalidNode);
       }
-      out->scores =
-          ComputeLevelScores(probe.layer_dim, result.value().matches, probe.key_sphere);
+      out->matched = LevelMatches{probe.layer_dim, probe.key_sphere.radius,
+                                  std::move(result.value().matches)};
       return;
     }
 
@@ -237,7 +245,9 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
     double probe_radius = probe.key_sphere.radius;
     overlay::RangeQueryResult last;
     // The discovered clusters as Eq. 8 sees them, rebuilt once per widening
-    // step; the final step's list feeds the radius solve below.
+    // step from the records (every widening sphere shares the key center, so
+    // each record's distance is already the one Eq. 8 needs); the final
+    // step's list feeds the radius solve below.
     std::vector<geom::ClusterView> views;
     while (true) {
       geom::Sphere probe_sphere{key_center, probe_radius};
@@ -259,9 +269,8 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
       }
       views.clear();
       views.reserve(last.matches.size());
-      for (const overlay::PublishedCluster& c : last.matches) {
-        views.push_back(geom::ClusterView{
-            c.sphere.radius, vec::Distance(c.sphere.center, key_center), c.items});
+      for (const overlay::ClusterMatch& match : last.matches) {
+        views.push_back(geom::ClusterView{match.radius, match.distance, match.items});
       }
       if (probe_radius >= max_radius) break;
       if (!views.empty() &&
@@ -282,11 +291,11 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
     }
     out->level_radius = level_radius;
 
-    // Score this level against the estimated radius. The probe's matches
+    // The level is scored against the estimated radius. The probe's matches
     // are a superset of the refined query's (level_radius <= probe_radius),
-    // so the scores can be computed locally without another flood.
-    const geom::Sphere level_sphere{key_center, level_radius};
-    out->scores = ComputeLevelScores(probe.layer_dim, last.matches, level_sphere);
+    // so no second flood is needed.
+    out->matched =
+        LevelMatches{probe.layer_dim, level_radius, std::move(last.matches)};
   }();
   if (delivered) {
     out->delivery =
@@ -296,7 +305,7 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
   }
 }
 
-void QueryExecutor::MergeReissue(const LevelOutcome& retry, double heal_wait_ms,
+void QueryExecutor::MergeReissue(LevelOutcome&& retry, double heal_wait_ms,
                                  LevelOutcome* out) {
   out->status = retry.status;
   out->routing_hops += retry.routing_hops;
@@ -309,17 +318,18 @@ void QueryExecutor::MergeReissue(const LevelOutcome& retry, double heal_wait_ms,
   out->delivery = retry.delivery;
   if (retry.delivery == LevelDelivery::kDelivered ||
       retry.delivery == LevelDelivery::kDetoured) {
-    // The healed probe's scores supersede the (empty) deferred ones and join
+    // The healed probe's matches supersede the (empty) deferred ones and join
     // the aggregation under the plan's score policy like any other level.
-    out->scores = retry.scores;
+    out->matched = std::move(retry.matched);
     out->level_radius = retry.level_radius;
     out->radius_solve = retry.radius_solve;
   }
 }
 
-std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
-                                                 int querying_peer) {
-  std::vector<LevelOutcome> outcomes(plan.probes.size());
+QueryOutcome QueryExecutor::Execute(const QueryPlan& plan, int querying_peer) {
+  QueryOutcome result;
+  std::vector<LevelOutcome>& outcomes = result.levels;
+  outcomes.resize(plan.probes.size());
   // Flight recorder: plan emission + round-0 probe issues, stamped before
   // any probe runs.
   const double plan_ms = sim_->now();
@@ -368,13 +378,12 @@ std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
     }
     if (backbone_range_plan) {
       for (size_t i = 0; i < plan.probes.size(); ++i) {
-        HM_OBS_SPAN(LayerSpanName(plan.probes[i].layer));
         outcomes[i].routing_hops = served[i].walk_messages;
         outcomes[i].flood_hops = served[i].descend_messages;
         outcomes[i].latency_ms = served[i].latency_ms;
-        outcomes[i].scores = ComputeLevelScores(
-            plan.probes[i].layer_dim, served[i].matches,
-            plan.probes[i].key_sphere);
+        outcomes[i].matched =
+            LevelMatches{plan.probes[i].layer_dim, plan.probes[i].key_sphere.radius,
+                         std::move(served[i].matches)};
         outcomes[i].delivery = LevelDelivery::kDelivered;
       }
     }
@@ -395,10 +404,8 @@ std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
                  .cause = static_cast<int32_t>(outcomes[i].delivery),
                  .value = outcomes[i].latency_ms);
   }
-  if (plan.reissue_budget <= 0 || plan.heal_window_ms <= 0.0) {
-    return outcomes;
-  }
-  for (int round = 0; round < plan.reissue_budget; ++round) {
+  const bool reissue = plan.reissue_budget > 0 && plan.heal_window_ms > 0.0;
+  for (int round = 0; reissue && round < plan.reissue_budget; ++round) {
     std::vector<size_t> deferred;
     for (size_t i = 0; i < outcomes.size(); ++i) {
       if (outcomes[i].status.ok() &&
@@ -429,10 +436,13 @@ std::vector<LevelOutcome> QueryExecutor::Execute(const QueryPlan& plan,
                    .src = querying_peer,
                    .cause = static_cast<int32_t>(retry.delivery),
                    .value = retry.latency_ms);
-      MergeReissue(retry, plan.heal_window_ms, &outcomes[i]);
+      MergeReissue(std::move(retry), plan.heal_window_ms, &outcomes[i]);
     }
   }
-  return outcomes;
+  // Every level has settled: score them all at once (DESIGN.md §24).
+  result.scores = ScoreLevels(MatchedLevels(outcomes), plan.score_policy,
+                              &result.scored_matches);
+  return result;
 }
 
 }  // namespace hyperm::core

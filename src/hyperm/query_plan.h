@@ -13,12 +13,14 @@
 //     kDeferred   — it died crossing a partition / radio island; a heal
 //                   window may fix it (re-issue rounds retry these)
 //     kLost       — it died to loss or a crashed peer; retrying now is
-//                   hopeless and the level's scores are gone
+//                   hopeless and the level's matches are gone
 //
 // and, when a heal window and re-issue budget are configured, advances the
 // per-network simulator past the window and re-probes the deferred levels so
-// their scores merge into the aggregation instead of silently pruning every
-// candidate under the min-score policy.
+// their matches join the aggregation instead of silently pruning every
+// candidate under the min-score policy. Each level keeps its match records
+// and its score sphere; once every level has settled, one ScoreLevels pass
+// turns them into the plan's peer ranking (Eq. 1, then the plan's policy).
 //
 // Determinism: planning is pure math and execution runs every probe in level
 // order on the calling thread, so each transport's message stream is
@@ -30,8 +32,8 @@
 #ifndef HYPERM_HYPERM_QUERY_PLAN_H_
 #define HYPERM_HYPERM_QUERY_PLAN_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "can/can_overlay.h"
@@ -140,15 +142,31 @@ class ShortcutProvider {
 struct LevelOutcome {
   Status status = OkStatus();
   LevelDelivery delivery = LevelDelivery::kDelivered;
-  std::unordered_map<int, double> scores;  ///< Eq. 1 per-peer level scores
-  double level_radius = 0.0;               ///< k-NN only: Eq. 8 estimate
-  geom::RadiusSolveStats radius_solve;     ///< k-NN only: the Eq. 8 solve's cost
+
+  /// The level's match records and score sphere radius: the probe's key
+  /// sphere for range probes, the Eq. 8 radius for expanding ones (every
+  /// record's distance is from the key sphere's center either way).
+  LevelMatches matched;
+  double level_radius = 0.0;            ///< k-NN only: Eq. 8 estimate
+  geom::RadiusSolveStats radius_solve;  ///< k-NN only: the Eq. 8 solve's cost
   int routing_hops = 0;
   int flood_hops = 0;
   int detours = 0;   ///< alternate-neighbour forwards the level's routes took
   int reissues = 0;  ///< re-issue rounds this level went through
   double latency_ms = 0.0;  ///< simulated; includes heal-window waits
 };
+
+/// What QueryExecutor::Execute returns: every level's outcome and the one
+/// scoring pass over all of them.
+struct QueryOutcome {
+  std::vector<LevelOutcome> levels;  ///< one per probe, in probe order
+  std::vector<PeerScore> scores;     ///< ScoreLevels under the plan's policy
+  int64_t scored_matches = 0;        ///< Eq. 1 evaluations behind `scores`
+};
+
+/// The levels' match sets, in level order, as ScoreLevels takes them.
+std::vector<const LevelMatches*> MatchedLevels(
+    const std::vector<LevelOutcome>& levels);
 
 /// Compiles queries into QueryPlans. Cheap to construct per query; borrows
 /// the level/mapper tables (must outlive the planner).
@@ -196,20 +214,21 @@ class QueryExecutor {
 
   /// Executes every probe of `plan` from `querying_peer` in level order on
   /// the calling thread, then re-issues deferred levels for up to
-  /// plan.reissue_budget rounds of plan.heal_window_ms each. Outcomes are
+  /// plan.reissue_budget rounds of plan.heal_window_ms each, then scores
+  /// every level's matches once under plan.score_policy. Level outcomes are
   /// indexed by probe order; a level recovered by a re-issue ends
   /// kDelivered/kDetoured with its reissues count recording the rounds it
-  /// took. Every probe run, re-issues included, is one query/layerN span;
-  /// a backbone-served plan is one query/layers span for the walk plus one
-  /// query/layerN span per level's scoring.
-  std::vector<LevelOutcome> Execute(const QueryPlan& plan, int querying_peer);
+  /// took. Every probe run, re-issues included, is one query/layerN span; a
+  /// backbone-served plan is one query/layers span for the walk. The scoring
+  /// pass runs in the caller's span, outside every level span.
+  QueryOutcome Execute(const QueryPlan& plan, int querying_peer);
 
  private:
   /// Runs one probe into `out` (fresh slot).
   void RunProbe(const LevelProbe& probe, int querying_peer, LevelOutcome* out);
 
   /// Folds a re-issue round's outcome into the level's cumulative one.
-  static void MergeReissue(const LevelOutcome& retry, double heal_wait_ms,
+  static void MergeReissue(LevelOutcome&& retry, double heal_wait_ms,
                            LevelOutcome* out);
 
   std::vector<std::unique_ptr<can::CanOverlay>>* overlays_;  // not owned

@@ -5,37 +5,52 @@
 
 #include "common/check.h"
 #include "geom/sphere_volume.h"
-#include "vec/vector.h"
 
 namespace hyperm::core {
 
-double ClusterCoverageFraction(int dim, const overlay::PublishedCluster& cluster,
-                               const geom::Sphere& query) {
-  HM_CHECK_GE(dim, 1);
-  const double b = vec::Distance(cluster.sphere.center, query.center);
-  if (cluster.sphere.radius <= 0.0) {
-    // Point cluster: covered entirely or not at all.
-    return b <= query.radius ? 1.0 : 0.0;
+namespace {
+
+// Eq. 1 over one level's records, in match order, skipping every record whose
+// owner `survivors` lacks (nullptr keeps all). Counts evaluations.
+std::unordered_map<int, double> ScoreLevel(
+    const LevelMatches& level, const std::unordered_map<int, size_t>* survivors,
+    size_t num_levels, int64_t* evaluations) {
+  std::unordered_map<int, double> scores;
+  for (const overlay::ClusterMatch& match : level.matches) {
+    if (survivors != nullptr) {
+      const auto it = survivors->find(match.owner_peer);
+      if (it == survivors->end() || it->second != num_levels) continue;
+    }
+    ++*evaluations;
+    const double fraction = ClusterCoverageFraction(
+        level.dim, match.radius, level.query_radius, match.distance);
+    if (fraction <= 0.0) continue;
+    scores[match.owner_peer] += fraction * match.items;
   }
-  if (query.radius <= 0.0) {
+  return scores;
+}
+
+}  // namespace
+
+double ClusterCoverageFraction(int dim, double radius, double query_radius,
+                               double distance) {
+  HM_CHECK_GE(dim, 1);
+  if (radius <= 0.0) {
+    // Point cluster: covered entirely or not at all.
+    return distance <= query_radius ? 1.0 : 0.0;
+  }
+  if (query_radius <= 0.0) {
     // Point query: the intersection volume is zero, but a cluster containing
     // the point is still a full candidate — degrade to the containment
     // indicator so score ranking keeps working.
-    return b <= cluster.sphere.radius ? 1.0 : 0.0;
+    return distance <= radius ? 1.0 : 0.0;
   }
-  return geom::SphereIntersectionFraction(dim, cluster.sphere.radius, query.radius, b);
+  return geom::SphereIntersectionFraction(dim, radius, query_radius, distance);
 }
 
-std::unordered_map<int, double> ComputeLevelScores(
-    int dim, const std::vector<overlay::PublishedCluster>& matches,
-    const geom::Sphere& query) {
-  std::unordered_map<int, double> scores;
-  for (const overlay::PublishedCluster& cluster : matches) {
-    const double fraction = ClusterCoverageFraction(dim, cluster, query);
-    if (fraction <= 0.0) continue;
-    scores[cluster.owner_peer] += fraction * cluster.items;
-  }
-  return scores;
+std::unordered_map<int, double> ComputeLevelScores(const LevelMatches& level) {
+  int64_t evaluations = 0;
+  return ScoreLevel(level, nullptr, 0, &evaluations);
 }
 
 std::vector<PeerScore> AggregateScores(
@@ -75,6 +90,46 @@ std::vector<PeerScore> AggregateScores(
     return a.peer < b.peer;
   });
   return out;
+}
+
+std::vector<PeerScore> ScoreLevels(const std::vector<const LevelMatches*>& levels,
+                                   ScorePolicy policy, int64_t* evaluations) {
+  int64_t local_evaluations = 0;
+  if (evaluations == nullptr) evaluations = &local_evaluations;
+  const size_t num_levels = levels.size();
+  // Under min/product a peer keeps a nonzero aggregate only if some record
+  // of its has a positive fraction at every level, and every branch of
+  // ClusterCoverageFraction is positive only if distance <= radius + ε.
+  // survivors[p] counts the leading levels at which p has such a record, so
+  // p survives iff it reaches num_levels. That costs a compare and a hash
+  // lookup per record; Eq. 1 costs an incomplete beta function.
+  std::unordered_map<int, size_t> survivors;
+  const bool conjunctive = policy != ScorePolicy::kSum;
+  if (conjunctive) {
+    for (size_t l = 0; l < num_levels; ++l) {
+      const LevelMatches& level = *levels[l];
+      HM_CHECK_GE(level.query_radius, 0.0);
+      for (const overlay::ClusterMatch& match : level.matches) {
+        if (!(match.distance <= match.radius + level.query_radius)) continue;
+        if (l == 0) {
+          survivors.try_emplace(match.owner_peer, 1);
+          continue;
+        }
+        const auto it = survivors.find(match.owner_peer);
+        if (it != survivors.end() && it->second == l) it->second = l + 1;
+      }
+    }
+  }
+  // Each kept peer's records are all scored, in match order, so its level
+  // sums — and therefore its aggregate — carry the same bits as scoring
+  // every record would give.
+  std::vector<std::unordered_map<int, double>> level_scores;
+  level_scores.reserve(num_levels);
+  for (const LevelMatches* level : levels) {
+    level_scores.push_back(ScoreLevel(*level, conjunctive ? &survivors : nullptr,
+                                      num_levels, evaluations));
+  }
+  return AggregateScores(level_scores, policy);
 }
 
 }  // namespace hyperm::core

@@ -2,10 +2,11 @@
 //
 // Hyper-M publishes cluster spheres into, and range-queries against, one CAN
 // (src/can) per wavelet subspace — the paper's evaluation overlay. This
-// header holds only the data that crosses that boundary (cluster records,
-// cost receipts, query results, storage snapshots), so layers that consume
-// them (scoring, storage metrics, the backbone, the serving layer) need not
-// depend on the CAN implementation.
+// header holds only the data that crosses that boundary (published clusters,
+// the compact match records a query returns, cost receipts, query results,
+// storage snapshots), so layers that consume them (scoring, storage metrics,
+// the backbone, the serving layer) need not depend on the CAN
+// implementation.
 //
 // Key-space convention: the overlay indexes the half-open unit cube
 // [0,1)^dim. The caller (hyperm core) maps wavelet coordinates into this
@@ -15,12 +16,14 @@
 #ifndef HYPERM_OVERLAY_OVERLAY_H_
 #define HYPERM_OVERLAY_OVERLAY_H_
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "geom/shapes.h"
 #include "net/transport.h"
+#include "vec/vector.h"
 
 namespace hyperm::overlay {
 
@@ -43,6 +46,34 @@ struct PublishedCluster {
   double expires_at = std::numeric_limits<double>::infinity();
 };
 
+/// One cluster a range query matched, as the query side needs it: enough to
+/// score it (Eq. 1, Eq. 8) and to fetch from its owner, without the centroid.
+/// `distance` is measured from the query sphere's center.
+struct ClusterMatch {
+  uint64_t cluster_id = 0;
+  int owner_peer = -1;
+  int items = 0;
+  double radius = 0.0;    ///< the cluster sphere's radius (>= 0)
+  double distance = 0.0;  ///< centroid to query center, in key space
+};
+
+/// Appends `cluster`'s match record to `out` iff its sphere intersects
+/// `query`, deciding exactly as geom::Sphere::Intersects does. The record's
+/// distance is the square root of the squared distance that test computed,
+/// so it equals vec::Distance(cluster.sphere.center, query.center) bit for
+/// bit. Returns whether it matched.
+inline bool AppendIfIntersects(const PublishedCluster& cluster,
+                               const geom::Sphere& query,
+                               std::vector<ClusterMatch>* out) {
+  const double squared = vec::SquaredDistance(cluster.sphere.center, query.center);
+  const double reach = cluster.sphere.radius + query.radius;
+  if (!(squared <= reach * reach)) return false;
+  out->push_back(ClusterMatch{cluster.cluster_id, cluster.owner_peer,
+                              cluster.items, cluster.sphere.radius,
+                              std::sqrt(squared)});
+  return true;
+}
+
 /// Cost receipt for one publication.
 struct InsertReceipt {
   int routing_hops = 0;  ///< greedy hops from origin to the centroid owner
@@ -56,10 +87,10 @@ struct InsertReceipt {
 
 /// Result of a range query.
 struct RangeQueryResult {
-  std::vector<PublishedCluster> matches;  ///< deduplicated intersecting clusters
-  int routing_hops = 0;                   ///< hops to reach the query center owner
-  int flood_hops = 0;                     ///< zone-flood edges traversed
-  int nodes_visited = 0;                  ///< overlay nodes that evaluated the query
+  std::vector<ClusterMatch> matches;  ///< one per intersecting cluster id
+  int routing_hops = 0;   ///< hops to reach the query center owner
+  int flood_hops = 0;     ///< zone-flood edges traversed
+  int nodes_visited = 0;  ///< overlay nodes that evaluated the query
 
   /// False when the transport lost the initial routing phase; the flood
   /// never started and `matches` is empty.

@@ -168,7 +168,7 @@ TEST(CanLeaveTest, StoredClustersSurviveDeparture) {
     Result<overlay::RangeQueryResult> result = can->RangeQuery(query, origin);
     ASSERT_TRUE(result.ok());
     std::set<uint64_t> found;
-    for (const PublishedCluster& c : result->matches) found.insert(c.cluster_id);
+    for (const overlay::ClusterMatch& c : result->matches) found.insert(c.cluster_id);
     for (const PublishedCluster& c : all) {
       EXPECT_EQ(found.count(c.cluster_id), c.sphere.Intersects(query) ? 1u : 0u)
           << "cluster " << c.cluster_id << " trial " << trial;
@@ -237,7 +237,7 @@ TEST(CanJoinTest, StoredClustersSurviveJoins) {
     Result<overlay::RangeQueryResult> result = can->RangeQuery(query, 0);
     ASSERT_TRUE(result.ok());
     std::set<uint64_t> found;
-    for (const PublishedCluster& c : result->matches) found.insert(c.cluster_id);
+    for (const overlay::ClusterMatch& c : result->matches) found.insert(c.cluster_id);
     for (const PublishedCluster& c : all) {
       EXPECT_EQ(found.count(c.cluster_id), c.sphere.Intersects(query) ? 1u : 0u);
     }

@@ -250,7 +250,7 @@ TEST(CanQueryTest, FindsEveryIntersectingClusterExactlyOnce) {
     Result<overlay::RangeQueryResult> result = can->RangeQuery(query, 0);
     ASSERT_TRUE(result.ok());
     std::set<uint64_t> found;
-    for (const PublishedCluster& c : result->matches) {
+    for (const overlay::ClusterMatch& c : result->matches) {
       EXPECT_TRUE(found.insert(c.cluster_id).second) << "duplicate id " << c.cluster_id;
     }
     for (const PublishedCluster& c : all) {
@@ -314,10 +314,13 @@ ReferenceFlood TestThenDedupeFlood(const CanOverlay& can, const geom::Sphere& qu
   return out;
 }
 
-bool SameCluster(const PublishedCluster& a, const PublishedCluster& b) {
-  return a.cluster_id == b.cluster_id && a.owner_peer == b.owner_peer &&
-         a.items == b.items && a.sphere.center == b.sphere.center &&
-         a.sphere.radius == b.sphere.radius && a.expires_at == b.expires_at;
+// The flood's compact record of `cluster`: same id, owner, items and radius,
+// and a distance equal bit for bit to vec::Distance from the query center.
+bool RecordsCluster(const overlay::ClusterMatch& got, const PublishedCluster& want,
+                    const geom::Sphere& query) {
+  return got.cluster_id == want.cluster_id && got.owner_peer == want.owner_peer &&
+         got.items == want.items && got.radius == want.sphere.radius &&
+         got.distance == vec::Distance(want.sphere.center, query.center);
 }
 
 // Every stored copy of one cluster_id carries the same sphere: the
@@ -345,7 +348,7 @@ void ExpectFloodsMatchReference(CanOverlay& can, Rng& rng, const std::string& st
     EXPECT_EQ(got->flood_hops, want.flood_hops) << stage << " trial " << trial;
     ASSERT_EQ(got->matches.size(), want.matches.size()) << stage << " trial " << trial;
     for (size_t i = 0; i < want.matches.size(); ++i) {
-      EXPECT_TRUE(SameCluster(got->matches[i], want.matches[i]))
+      EXPECT_TRUE(RecordsCluster(got->matches[i], want.matches[i], query))
           << stage << " trial " << trial << " match " << i;
     }
   }

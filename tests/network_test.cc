@@ -170,7 +170,7 @@ TEST(NetworkBuildTest, PublishesAtMostKpClustersPerPeerPerLayer) {
     ASSERT_TRUE(all.ok()) << all.status().ToString();
     std::vector<int> per_peer(16, 0);
     int items_summarized = 0;
-    for (const overlay::PublishedCluster& c : all->matches) {
+    for (const overlay::ClusterMatch& c : all->matches) {
       ASSERT_GE(c.owner_peer, 0);
       ASSERT_LT(c.owner_peer, 16);
       ++per_peer[static_cast<size_t>(c.owner_peer)];

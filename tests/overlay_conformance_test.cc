@@ -55,7 +55,7 @@ TEST(OverlayConformance, IntersectingClustersAlwaysFoundOnce) {
     Result<RangeQueryResult> result = overlay->RangeQuery(query, 0);
     ASSERT_TRUE(result.ok());
     std::set<uint64_t> found;
-    for (const PublishedCluster& c : result->matches) {
+    for (const overlay::ClusterMatch& c : result->matches) {
       EXPECT_TRUE(found.insert(c.cluster_id).second) << "duplicate " << c.cluster_id;
     }
     for (const PublishedCluster& c : all) {
@@ -81,7 +81,7 @@ TEST(OverlayConformance, RemoveByOwnerIsSurgical) {
   Result<RangeQueryResult> result = overlay->RangeQuery(everything, 0);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->matches.size(), 10u);
-  for (const PublishedCluster& c : result->matches) EXPECT_EQ(c.owner_peer, 0);
+  for (const overlay::ClusterMatch& c : result->matches) EXPECT_EQ(c.owner_peer, 0);
 }
 
 TEST(OverlayConformance, ClearStorageKeepsTopologyUsable) {

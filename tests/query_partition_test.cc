@@ -201,5 +201,37 @@ TEST(QueryPartitionTest, KnnHealsToTheFaultFreeAnswer) {
   EXPECT_EQ(healed_items.value(), free_items.value());
 }
 
+TEST(QueryPartitionTest, KnnMinFallbackRanksLikeSumPolicy) {
+  // A k-NN query from the isolated peer that loses a level leaves min
+  // aggregation with no peer; KnnQuery then falls back to sum aggregation
+  // over every record, which must rank exactly as a kSum network does with
+  // the same probes. Fresh beds per query keep the two transports in step.
+  HyperMOptions sum_options = PartitionedOptions();
+  sum_options.score_policy = ScorePolicy::kSum;
+  int fallbacks_answered = 0;
+  for (int q = 0; q < 6; ++q) {
+    SCOPED_TRACE(q);
+    Bed min_bed = MakeBed(PartitionedOptions());
+    Bed sum_bed = MakeBed(sum_options);
+    min_bed.network->AdvanceTo(kSplitStartMs + 200.0);
+    sum_bed.network->AdvanceTo(kSplitStartMs + 200.0);
+    const Vector& center = min_bed.dataset.items[static_cast<size_t>(q * 53 % kNumItems)];
+    KnnQueryInfo min_info;
+    KnnQueryInfo sum_info;
+    Result<std::vector<ItemId>> min_items =
+        min_bed.network->KnnQuery(center, 10, KnnOptions(), 0, &min_info);
+    Result<std::vector<ItemId>> sum_items =
+        sum_bed.network->KnnQuery(center, 10, KnnOptions(), 0, &sum_info);
+    ASSERT_TRUE(min_items.ok()) << min_items.status().ToString();
+    ASSERT_TRUE(sum_items.ok()) << sum_items.status().ToString();
+    if (min_info.range.layers_lost == 0) continue;  // min may keep peers
+    EXPECT_EQ(min_items.value(), sum_items.value());
+    EXPECT_EQ(min_info.range.candidate_peers, sum_info.range.candidate_peers);
+    if (!min_items.value().empty()) ++fallbacks_answered;
+  }
+  EXPECT_GT(fallbacks_answered, 0)
+      << "no query fell back with a level left to rank";
+}
+
 }  // namespace
 }  // namespace hyperm::core
