@@ -442,17 +442,34 @@ void BM_CapVolumeFraction(benchmark::State& state) {
     benchmark::DoNotOptimize(geom::CapVolumeFraction(d, alpha));
   }
 }
-BENCHMARK(BM_CapVolumeFraction)->Arg(2)->Arg(16)->Arg(512);
+BENCHMARK(BM_CapVolumeFraction)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(512);
 
+// Args {d, thin}: thin = 0 sweeps the query center from the data sphere's
+// center out past tangency (nested spheres, then lenses); thin = 1 keeps
+// every lens within 1e-2 of tangency, where the d <= 4 caps take their
+// series.
 void BM_SphereIntersectionFraction(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
+  const bool thin = state.range(1) != 0;
   double b = 0.0;
+  double gap = 1e-2;
   for (auto _ : state) {
-    b = b > 2.4 ? 0.0 : b + 0.001;
+    if (thin) {
+      gap = gap < 1e-8 ? 1e-2 : gap * 0.99;
+      b = 2.5 - gap;
+    } else {
+      b = b > 2.4 ? 0.0 : b + 0.001;
+    }
     benchmark::DoNotOptimize(geom::SphereIntersectionFraction(d, 1.0, 1.5, b));
   }
 }
-BENCHMARK(BM_SphereIntersectionFraction)->Arg(2)->Arg(16);
+BENCHMARK(BM_SphereIntersectionFraction)
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->Args({4, 0})
+    ->Args({16, 0})
+    ->Args({2, 1})
+    ->Args({4, 1});
 
 // One Eq. 8 inversion over the summaries a k-NN level probe discovers:
 // args {views, d, k}. ~190 views is query_paper's shape, ~1,570

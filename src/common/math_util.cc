@@ -50,8 +50,9 @@ double BetaContinuedFraction(double a, double b, double x) {
 }
 
 // log(1 / B(a, b)) = lnΓ(a+b) - lnΓ(a) - lnΓ(b), evaluated left to right.
-// Callers invert Eq. 8 by bisecting over x at a fixed (a, b), so the three
-// lgamma calls would repeat with the same arguments on every call. A small
+// Eq. 1 scoring and the Eq. 8 false-position solve evaluate cap fractions at
+// one level dim for many x, so the (a, b) pairs repeat from call to call.
+// Only levels with d >= 5 get here; lower dims use closed-form caps. A small
 // direct-mapped per-thread table keeps the last value for each slot: lookups
 // need no lock, and a hit returns the very double the expression produced.
 double LogInverseBeta(double a, double b) {

@@ -1,6 +1,7 @@
 #include "geom/sphere_volume.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -11,6 +12,69 @@ namespace hyperm::geom {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+
+// Dims up to this one have a closed-form cap (DESIGN.md §25).
+constexpr int kClosedFormMaxDim = 4;
+
+// Below this half-angle sine², the d = 2 and d = 4 caps use a series: the
+// trigonometric forms subtract two nearly equal terms there.
+constexpr double kSeriesBelow = 1.0 / 16.0;
+constexpr int kSeriesTerms = 16;
+using SeriesCoefficients = std::array<double, kSeriesTerms>;
+
+// (-1)^k C(p, k) / (k + p + 1): integrating u^p (1 - u)^p term by term gives
+// B(p+1, p+1) I_h(p+1, p+1) = h^(p+1) sum_k coefficient_k h^k.
+constexpr SeriesCoefficients CapSeriesCoefficients(double p) {
+  SeriesCoefficients out{};
+  double signed_binomial = 1.0;  // (-1)^k C(p, k)
+  for (int k = 0; k < kSeriesTerms; ++k) {
+    out[k] = signed_binomial / (k + p + 1.0);
+    signed_binomial *= (k - p) / (k + 1.0);
+  }
+  return out;
+}
+
+constexpr SeriesCoefficients kCapSeriesD2 = CapSeriesCoefficients(0.5);
+constexpr SeriesCoefficients kCapSeriesD4 = CapSeriesCoefficients(1.5);
+
+double EvaluateSeries(const SeriesCoefficients& coefficients, double h) {
+  double sum = coefficients[kSeriesTerms - 1];
+  for (int k = kSeriesTerms - 2; k >= 0; --k) sum = sum * h + coefficients[k];
+  return sum;
+}
+
+// Fraction of a d-ball (d <= 4) in a cap whose half angle theta has
+// h = sin^2(theta / 2) = (1 - cos theta) / 2, in [0, 1]:
+// I_h((d+1)/2, (d+1)/2) in closed form. NaN propagates.
+double LowDimCap(int d, double h) {
+  if (d == 1) return h;
+  if (d == 3) return h * h * (3.0 - 2.0 * h);
+  const double root = std::sqrt(h);
+  if (h < kSeriesBelow) {
+    // 1 / B(3/2, 3/2) = 8 / pi and 1 / B(5/2, 5/2) = 128 / (3 pi).
+    if (d == 2) return 8.0 / kPi * h * root * EvaluateSeries(kCapSeriesD2, h);
+    return 128.0 / (3.0 * kPi) * (h * h) * root * EvaluateSeries(kCapSeriesD4, h);
+  }
+  const double theta = 2.0 * std::asin(root);
+  const double c = 1.0 - 2.0 * h;                   // cos theta
+  const double s = 2.0 * std::sqrt(h * (1.0 - h));  // sin theta
+  if (d == 2) return (theta - s * c) / kPi;
+  return (theta - c * s * (1.0 + 2.0 / 3.0 * s * s)) / kPi;  // Eq. 5
+}
+
+// t^d for 1 <= d <= 4.
+double LowDimPower(double t, int d) {
+  switch (d) {
+    case 1:
+      return t;
+    case 2:
+      return t * t;
+    case 3:
+      return t * t * t;
+    default:
+      return (t * t) * (t * t);
+  }
+}
 
 // log CapVolumeFraction(d, alpha) for alpha in (0, pi], finite where the
 // fraction itself underflows (thin caps at high d).
@@ -41,6 +105,10 @@ double CapVolumeFraction(int d, double alpha) {
   alpha = std::clamp(alpha, 0.0, kPi);
   if (alpha == 0.0) return 0.0;
   if (alpha == kPi) return 1.0;
+  if (d <= kClosedFormMaxDim) {
+    const double half_sine = std::sin(0.5 * alpha);
+    return LowDimCap(d, half_sine * half_sine);
+  }
   // For alpha <= pi/2 the cap fraction is (1/2) I_{sin^2 alpha}((d+1)/2, 1/2);
   // obtuse caps follow from symmetry: cap(alpha) = 1 - cap(pi - alpha).
   if (alpha > 0.5 * kPi) return 1.0 - CapVolumeFraction(d, kPi - alpha);
@@ -107,11 +175,24 @@ double SphereIntersectionFraction(int d, double r, double eps, double b) {
   if (b + r <= eps) return 1.0;
   // Query sphere entirely inside the data sphere.
   if (b + eps <= r) {
+    if (d <= kClosedFormMaxDim) return LowDimPower(eps / r, d);
     return std::exp(d * (std::log(eps) - std::log(r)));
   }
   // Proper lens: two caps, one from each sphere, joined at the plane of the
-  // intersection (d-2)-sphere. Law of cosines gives the half-angles.
+  // intersection (d-2)-sphere.
   HM_CHECK_GT(b, 0.0);
+  if (d <= kClosedFormMaxDim) {
+    // Half-angle sines² from the three gaps, each > 0 because the tests
+    // above failed on the same sums: (1 - cos alpha) / 2 and
+    // (1 - cos beta) / 2 without a cosine near 1 (DESIGN.md §25).
+    const double gap = r + eps - b;
+    const double h_alpha = std::min(gap * (eps + b - r) / (4.0 * b * r), 1.0);
+    const double h_beta = std::min(gap * (r + b - eps) / (4.0 * b * eps), 1.0);
+    const double lens_over_vol_r =
+        LowDimCap(d, h_alpha) + LowDimPower(eps / r, d) * LowDimCap(d, h_beta);
+    if (std::isfinite(lens_over_vol_r)) return std::clamp(lens_over_vol_r, 0.0, 1.0);
+  }
+  // Law of cosines gives the half-angles.
   const double cos_alpha = std::clamp((b * b + r * r - eps * eps) / (2.0 * b * r), -1.0, 1.0);
   const double cos_beta = std::clamp((b * b + eps * eps - r * r) / (2.0 * b * eps), -1.0, 1.0);
   const double alpha = std::acos(cos_alpha);

@@ -9,6 +9,10 @@
 //    function (valid for every d >= 1, cross-checked in tests),
 //  * the two-sphere intersection fraction (Eqs. 6-7) with all degenerate
 //    cases (disjoint, tangent, containment) handled exactly.
+//
+// At d <= 4, the dims of every wavelet level at the default four layers,
+// both fractions use closed-form caps of the half-angle sine² instead of
+// incomplete beta functions (DESIGN.md §25); d >= 5 keeps the beta forms.
 
 #ifndef HYPERM_GEOM_SPHERE_VOLUME_H_
 #define HYPERM_GEOM_SPHERE_VOLUME_H_
@@ -24,7 +28,8 @@ double BallVolume(int d, double r);
 /// Fraction of a d-ball's volume lying in the spherical cap with half-angle
 /// `alpha` at the center (alpha in [0, pi]; alpha = pi/2 gives exactly 1/2,
 /// alpha = pi the whole ball). Uses the regularized incomplete beta closed
-/// form; valid for every d >= 1.
+/// form for d >= 5 and the closed-form cap of sin^2(alpha / 2) below;
+/// valid for every d >= 1.
 double CapVolumeFraction(int d, double alpha);
 
 /// The paper's Eq. 5 series for even d (alpha in [0, pi]). Provided for
@@ -49,7 +54,10 @@ double CapVolumeFractionSineRecurrence(int d, double alpha);
 ///
 /// Requires d >= 1, r > 0, eps >= 0, b >= 0. Result is clamped to [0, 1]
 /// and finite at every d: where (eps/r)^d overflows or the query's cap
-/// underflows, the lens term is formed in log space.
+/// underflows, the lens term is formed in log space. At d <= 4 the caps'
+/// half angles come from the gaps r + eps - b, eps + b - r and r + b - eps,
+/// so a proper lens covers a positive fraction unless these products
+/// underflow.
 double SphereIntersectionFraction(int d, double r, double eps, double b);
 
 }  // namespace hyperm::geom

@@ -285,6 +285,26 @@ TEST(ScoreLevelsTest, UnderflowedLensDropsItsPeer) {
   ExpectSameBits(got, ScoreEveryRecord(levels, ScorePolicy::kMin));
 }
 
+TEST(ScoreLevelsTest, OneUlpLensKeepsItsPeer) {
+  // Peer 1's only level-1 record lies one ulp inside radius + ε: it passes
+  // the survivor condition, and at d = 2 its lens covers a positive
+  // fraction, so min aggregation keeps the peer.
+  const double radius = 1.5734933551865778e-05;
+  const double eps = 0.36083605772703226;
+  const double distance = 0.36085179266058409;
+  ASSERT_LT(distance, radius + eps);
+  ASSERT_EQ(std::nextafter(distance, 1.0), radius + eps);
+  const std::vector<LevelMatches> levels{
+      {1, 0.1, {Match(0.0, 0.1, 1, 4), Match(0.0, 0.1, 2, 4)}},
+      {2, eps, {Match(distance, radius, 1, 3), Match(0.0, 0.1, 2, 3)}},
+  };
+  EXPECT_GT(ClusterCoverageFraction(2, radius, eps, distance), 0.0);
+  const std::vector<PeerScore> got = ScoreLevels(Pointers(levels), ScorePolicy::kMin);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE(got[0].peer == 1 || got[1].peer == 1);
+  ExpectSameBits(got, ScoreEveryRecord(levels, ScorePolicy::kMin));
+}
+
 TEST(ScoreLevelsTest, SkipsPeersMissingAnyReach) {
   // Peer 2 has no record within reach at level 1, so min aggregation would
   // drop it: its level-0 record is never evaluated.
