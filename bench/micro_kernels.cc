@@ -276,6 +276,30 @@ BENCHMARK(BM_PeerKnnScan)
     ->Args({64, 0, 20, 3})
     ->Args({64, 0, 256, 10});
 
+// A point of the CAN key space [0,1)^dim.
+Vector RandomKey(size_t dim, Rng& rng) {
+  Vector key(dim);
+  for (double& v : key) v = rng.NextDouble();
+  return key;
+}
+
+// Publishes 4000 cluster spheres (radius up to 0.15) into `can` from node 0,
+// replicated into every zone they overlap; returns them in id order.
+std::vector<overlay::PublishedCluster> PublishRandomClusters(can::CanOverlay* can,
+                                                             int nodes, Rng& rng) {
+  std::vector<overlay::PublishedCluster> clusters;
+  for (uint64_t id = 1; id <= 4000; ++id) {
+    overlay::PublishedCluster c;
+    c.sphere = geom::Sphere{RandomKey(can->dim(), rng), rng.Uniform(0.0, 0.15)};
+    c.owner_peer = static_cast<int>(id % static_cast<uint64_t>(nodes));
+    c.items = 1;
+    c.cluster_id = id;
+    if (!can->Insert(c, 0).ok()) std::abort();
+    clusters.push_back(std::move(c));
+  }
+  return clusters;
+}
+
 // One CAN zone flood: a range query entered at the owner of its center (so
 // no routing walk), over replicated cluster spheres. Args: {dim, nodes}.
 void BM_CanFlood(benchmark::State& state) {
@@ -284,25 +308,13 @@ void BM_CanFlood(benchmark::State& state) {
   sim::NetworkStats stats;
   Rng rng(13);
   auto can = can::CanOverlay::Build(dim, nodes, &stats, rng).value();
-  const auto random_key = [dim](Rng& key_rng) {
-    Vector key(dim);
-    for (double& v : key) v = key_rng.NextDouble();
-    return key;
-  };
-  for (uint64_t id = 1; id <= 4000; ++id) {
-    overlay::PublishedCluster c;
-    c.sphere = geom::Sphere{random_key(rng), rng.Uniform(0.0, 0.15)};
-    c.owner_peer = static_cast<int>(id % static_cast<uint64_t>(nodes));
-    c.items = 1;
-    c.cluster_id = id;
-    if (!can->Insert(c, 0).ok()) std::abort();
-  }
+  PublishRandomClusters(can.get(), nodes, rng);
   Rng query_rng(14);
   size_t matches = 0;
   for (auto _ : state) {
-    const geom::Sphere query{random_key(query_rng), 0.1};
+    const geom::Sphere query{RandomKey(dim, query_rng), 0.1};
     const overlay::NodeId entry = can->OwnerOf(query.center);
-    Result<overlay::RangeQueryResult> r = can->RangeQueryVia(query, entry, entry);
+    Result<overlay::RangeQueryResult> r = can->RangeQuery(query, entry, entry);
     matches += r.value().matches.size();
     benchmark::DoNotOptimize(r);
   }
@@ -310,6 +322,32 @@ void BM_CanFlood(benchmark::State& state) {
       static_cast<double>(matches), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_CanFlood)->Args({2, 256})->Args({4, 256});
+
+// One CanOverlay::Insert on BM_CanFlood's overlay: the express-contact route
+// from node 0 to the centroid owner plus the replication flood. Each
+// iteration re-inserts one already-stored cluster id (the soft-state refresh
+// path, which replaces its copies in place), so storage stays flat.
+// Args: {dim, nodes}.
+void BM_CanInsert(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const int nodes = static_cast<int>(state.range(1));
+  sim::NetworkStats stats;
+  Rng rng(13);
+  auto can = can::CanOverlay::Build(dim, nodes, &stats, rng).value();
+  const std::vector<overlay::PublishedCluster> clusters =
+      PublishRandomClusters(can.get(), nodes, rng);
+  size_t next = 0;
+  int64_t replicas = 0;
+  for (auto _ : state) {
+    Result<overlay::InsertReceipt> r = can->Insert(clusters[next], 0);
+    replicas += r.value().replicas;
+    benchmark::DoNotOptimize(r);
+    next = (next + 1) % clusters.size();
+  }
+  state.counters["replicas_per_insert"] = benchmark::Counter(
+      static_cast<double>(replicas), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CanInsert)->Args({2, 256})->Args({4, 256});
 
 // One UnreliableTransport::SendHop on the free channel (no radio channel
 // installed): the per-message cost every overlay hop and retrieve exchange

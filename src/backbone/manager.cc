@@ -465,6 +465,7 @@ bool BackboneManager::ServeRangePlan(
   std::vector<char> descend_layer(num_layers);
   std::vector<int> found(num_layers);
   std::vector<char> visited(num_peers_, 0);
+  int descended = 0;  // (domain, level) descents, for the kBackboneProbe event
   // DFS over the CDS inside the root's island; children pushed in descending
   // id order so pops come out ascending (deterministic walk order).
   std::vector<std::pair<int, int>> stack;
@@ -505,15 +506,12 @@ bool BackboneManager::ServeRangePlan(
 
     bool any_descend = false;
     for (size_t layer = 0; layer < num_layers; ++layer) {
-      ProbeServeResult& level_out = (*out)[layer];
-      ++level_out.domains_total;
       if (descend_layer[layer]) {
         any_descend = true;
-        ++level_out.domains_descended;
+        ++descended;
         ++counters_.domains_descended;
         if (stale[layer]) ++counters_.stale_descends;
       } else {
-        ++level_out.domains_pruned;
         ++counters_.domains_pruned;
       }
     }
@@ -562,10 +560,6 @@ bool BackboneManager::ServeRangePlan(
                                 : no_levels == static_cast<int>(num_layers);
           if (skip) {
             visited[t] = 1;
-            for (size_t layer = 0; layer < num_layers; ++layer) {
-              ++(*out)[layer].domains_total;
-              ++(*out)[layer].domains_pruned;
-            }
             counters_.domains_considered += static_cast<uint64_t>(num_layers);
             counters_.domains_pruned += static_cast<uint64_t>(num_layers);
             ++counters_.leaf_skips;
@@ -581,10 +575,8 @@ bool BackboneManager::ServeRangePlan(
   }
 
   const double latency_ms = std::max(token_ms, completion_ms);
-  int descended = 0;
   for (size_t layer = 0; layer < num_layers; ++layer) {
     (*out)[layer].latency_ms = latency_ms;
-    descended += (*out)[layer].domains_descended;
   }
   counters_.probes_served += static_cast<uint64_t>(num_layers);
   HM_OBS_COUNTER_ADD("backbone.probes_served", 1);

@@ -111,9 +111,6 @@ struct ProbeServeResult {
   std::vector<overlay::ClusterMatch> matches;
   int walk_messages = 0;     ///< CDS walk hops (folds into routing_hops)
   int descend_messages = 0;  ///< domain request/response count (flood_hops)
-  int domains_total = 0;
-  int domains_descended = 0;
-  int domains_pruned = 0;
   double latency_ms = 0.0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <unordered_set>
 #include <utility>
@@ -277,31 +276,14 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
         }
       }
     }
-    if (best == overlay::kInvalidNode) {
-      // Every neighbour of this zone is dead — a pocket the greedy walk can
-      // only leave the way it came (possible only once detours emptied the
-      // candidate list; a consistent topology always has neighbours).
-      if (detours_left <= 0 || stack.size() < 2) {
-        result.delivered = false;
-        if (result.outcome == net::DeliveryOutcome::kDelivered) {
-          result.outcome = net::DeliveryOutcome::kLostUnreachable;
-        }
-        return result;
-      }
-      dead.insert(current);
-      stack.pop_back();
-      current = stack.back();
-      result.trail.push_back(current);
-      --detours_left;
-      ++result.detours;
-      continue;
-    }
-    if (max_detours > 0 && best_visited) {
-      // Every live candidate has already been traversed: greedy is cycling
-      // inside a pocket (e.g. two island-mates whose other neighbours are all
-      // dead would bounce between each other until the TTL). Back out
-      // DFS-style instead of re-walking old ground; budget 0 keeps the
-      // classic revisit-tolerant walk.
+    if (best == overlay::kInvalidNode || (max_detours > 0 && best_visited)) {
+      // A pocket: either every neighbour of this zone is dead (possible only
+      // once detours emptied the candidate list; a consistent topology always
+      // has neighbours), or every live candidate has already been traversed
+      // and greedy is cycling (e.g. two island-mates whose other neighbours
+      // are all dead would bounce between each other until the TTL). Back
+      // out DFS-style the way the walk came instead of re-walking old
+      // ground; budget 0 keeps the classic revisit-tolerant walk.
       if (detours_left <= 0 || stack.size() < 2) {
         result.delivered = false;
         if (result.outcome == net::DeliveryOutcome::kDelivered) {
@@ -386,6 +368,35 @@ NodeId CanOverlay::ExpressHop(const Node& node, const Vector& target,
   return overlay::kInvalidNode;
 }
 
+template <typename Visit>
+CanOverlay::FloodReach CanOverlay::Flood(const geom::Sphere& sphere, NodeId entry,
+                                         double start_ms, net::MessageType type,
+                                         sim::TrafficClass cls, uint64_t bytes,
+                                         Visit&& visit) {
+  // The zones meeting a sphere form a connected region (the sphere is
+  // connected and zones tile the cube), so the BFS reaches all of them.
+  // Branches run concurrently: a zone's arrival is the end of the chain of
+  // edges reaching it, and the flood completes when its slowest branch does.
+  FloodReach reach{0, start_ms};
+  flood_.Begin(nodes_.size());
+  flood_.Reach(entry, start_ms);
+  for (size_t head = 0; head < flood_.queue().size(); ++head) {
+    const NodeId node = flood_.queue()[head];
+    visit(node);
+    for (NodeId n : nodes_[static_cast<size_t>(node)].neighbors) {
+      if (flood_.reached(n)) continue;
+      if (!nodes_[static_cast<size_t>(n)].zone.IntersectsSphere(sphere)) continue;
+      const net::HopResult hop = SendMessage(type, node, n, bytes, cls);
+      if (!hop.delivered) continue;
+      ++reach.edges;
+      const double at = flood_.arrival(node) + hop.latency_ms;
+      flood_.Reach(n, at);
+      reach.last_arrival_ms = std::max(reach.last_arrival_ms, at);
+    }
+  }
+  return reach;
+}
+
 Result<InsertReceipt> CanOverlay::Insert(const PublishedCluster& cluster, NodeId origin) {
   if (cluster.sphere.center.size() != dim_) {
     return InvalidArgumentError("Insert: dimensionality mismatch");
@@ -427,107 +438,65 @@ Result<InsertReceipt> CanOverlay::Insert(const PublishedCluster& cluster, NodeId
   }
 
   // Replicate into every zone the sphere overlaps, flooding outward from the
-  // centroid owner through the neighbour graph (a connected region, since
-  // the sphere is connected and zones tile the space). A lost replication
-  // message prunes that branch, but the target stays unvisited so another
-  // flood path may still reach it.
-  std::unordered_set<NodeId> visited;
-  std::deque<NodeId> frontier;
-  visited.insert(route.destination);
-  frontier.push_back(route.destination);
-  while (!frontier.empty()) {
-    const NodeId node = frontier.front();
-    frontier.pop_front();
-    store_at(node);
-    for (NodeId n : nodes_[static_cast<size_t>(node)].neighbors) {
-      if (visited.contains(n)) continue;
-      if (!nodes_[static_cast<size_t>(n)].zone.IntersectsSphere(cluster.sphere)) continue;
-      const net::HopResult hop =
-          SendMessage(net::MessageType::kReplicate, node, n, ClusterMessageBytes(),
-                      sim::TrafficClass::kReplicate);
-      if (!hop.delivered) continue;
-      visited.insert(n);
-      frontier.push_back(n);
-      ++receipt.replicas;
-    }
-  }
+  // centroid owner through the neighbour graph.
+  receipt.replicas =
+      Flood(cluster.sphere, route.destination, route.latency_ms,
+            net::MessageType::kReplicate, sim::TrafficClass::kReplicate,
+            ClusterMessageBytes(), store_at)
+          .edges;
   HM_OBS_HISTOGRAM("can.insert_replicas", obs::Buckets::Exponential(1, 2.0, 12),
                    receipt.replicas);
   return receipt;
 }
 
 Result<RangeQueryResult> CanOverlay::RangeQuery(const geom::Sphere& query,
-                                                NodeId origin) {
+                                                NodeId origin, NodeId entry_hint) {
   if (query.center.size() != dim_) {
     return InvalidArgumentError("RangeQuery: dimensionality mismatch");
   }
   if (query.radius < 0.0) {
     return InvalidArgumentError("RangeQuery: negative radius");
   }
-  HM_ASSIGN_OR_RETURN(RouteResult route, Route(query.center, origin,
-                                               sim::TrafficClass::kQuery,
-                                               KeyMessageBytes(),
-                                               net::MessageType::kRoute,
-                                               route_detours_));
-  RangeQueryResult result;
-  result.routing_hops = route.hops;
-  result.latency_ms = route.latency_ms;
-  result.route_detours = route.detours;
-  result.outcome = route.outcome;
-  if (!route.delivered) {
-    // The query died on the way to the flood start; no node evaluated it.
-    result.delivered = false;
-    return result;
-  }
-  result.entry_node = route.destination;
-  FloodFrom(query, route.destination, &result);
-  return result;
-}
-
-Result<RangeQueryResult> CanOverlay::RangeQueryVia(const geom::Sphere& query,
-                                                   NodeId origin,
-                                                   NodeId entry_hint) {
-  if (query.center.size() != dim_) {
-    return InvalidArgumentError("RangeQueryVia: dimensionality mismatch");
-  }
-  if (query.radius < 0.0) {
-    return InvalidArgumentError("RangeQueryVia: negative radius");
-  }
   if (origin < 0 || origin >= num_nodes() ||
       !nodes_[static_cast<size_t>(origin)].active) {
-    return InvalidArgumentError("RangeQueryVia: bad origin node");
+    return InvalidArgumentError("RangeQuery: bad origin node");
   }
   RangeQueryResult result;
-  if (entry_hint < 0 || entry_hint >= num_nodes() ||
-      !nodes_[static_cast<size_t>(entry_hint)].active) {
-    // The mined hint went stale (node left the overlay): report undelivered
-    // without spending airtime so the caller falls back to the plain walk.
-    result.delivered = false;
-    result.outcome = net::DeliveryOutcome::kLostUnreachable;
-    return result;
-  }
-  if (entry_hint != origin) {
-    // One direct overlay message to the mined entry — the transport still
-    // pays the true multi-radio-hop cost, but the greedy zone walk (one
-    // message per zone crossed) is skipped entirely.
-    const net::HopResult hop =
-        SendMessage(net::MessageType::kRoute, origin, entry_hint,
-                    KeyMessageBytes(), sim::TrafficClass::kQuery);
-    result.routing_hops = 1;
-    result.latency_ms = hop.latency_ms;
-    result.outcome = hop.outcome;
-    if (!hop.delivered) {
+  NodeId entry = origin;
+  bool owns_center = false;
+  if (entry_hint != overlay::kInvalidNode) {
+    if (entry_hint < 0 || entry_hint >= num_nodes() ||
+        !nodes_[static_cast<size_t>(entry_hint)].active) {
+      // The mined hint went stale (node left the overlay): report undelivered
+      // without spending airtime so the caller falls back to the plain walk.
       result.delivered = false;
+      result.outcome = net::DeliveryOutcome::kLostUnreachable;
       return result;
     }
+    if (entry_hint != origin) {
+      // One direct overlay message to the mined entry — the transport still
+      // pays the true multi-radio-hop cost, but the greedy zone walk (one
+      // message per zone crossed) is skipped.
+      const net::HopResult hop =
+          SendMessage(net::MessageType::kRoute, origin, entry_hint,
+                      KeyMessageBytes(), sim::TrafficClass::kQuery);
+      result.routing_hops = 1;
+      result.latency_ms = hop.latency_ms;
+      result.outcome = hop.outcome;
+      if (!hop.delivered) {
+        result.delivered = false;
+        return result;
+      }
+    }
+    entry = entry_hint;
+    owns_center = nodes_[static_cast<size_t>(entry_hint)].zone.ContainsHalfOpen(
+        ClampKey(query.center));
   }
-  NodeId entry = entry_hint;
-  if (!nodes_[static_cast<size_t>(entry)].zone.ContainsHalfOpen(
-          ClampKey(query.center))) {
-    // The hint does not own this query's center (the miner's cell straddles a
-    // zone border): resume the greedy walk from the hint. The flood below
-    // still starts at the true zone owner, so recall is unaffected either way.
-    HM_ASSIGN_OR_RETURN(RouteResult route, Route(query.center, entry_hint,
+  if (!owns_center) {
+    // Walk to the center's owner: from the origin, or resumed from a hint
+    // whose zone does not hold the center (the miner's cell straddles a zone
+    // border).
+    HM_ASSIGN_OR_RETURN(RouteResult route, Route(query.center, entry,
                                                  sim::TrafficClass::kQuery,
                                                  KeyMessageBytes(),
                                                  net::MessageType::kRoute,
@@ -537,13 +506,30 @@ Result<RangeQueryResult> CanOverlay::RangeQueryVia(const geom::Sphere& query,
     result.route_detours = route.detours;
     result.outcome = route.outcome;
     if (!route.delivered) {
+      // The query died on the way to the flood start; no node evaluated it.
       result.delivered = false;
       return result;
     }
     entry = route.destination;
   }
   result.entry_node = entry;
-  FloodFrom(query, entry, &result);
+  const FloodReach reach = Flood(
+      query, entry, result.latency_ms, net::MessageType::kQueryFlood,
+      sim::TrafficClass::kQuery, KeyMessageBytes(), [&](NodeId node) {
+        ++result.nodes_visited;
+        for (const PublishedCluster& cluster : nodes_[static_cast<size_t>(node)].stored) {
+          // Test once per id: every stored copy of a cluster_id has the same
+          // sphere (see Insert), so the first copy the flood meets decides
+          // for all of them, and a match is reported once, at its first
+          // copy, as a compact record carrying the distance the test computed.
+          if (!flood_.FirstTest(cluster.cluster_id)) continue;
+          overlay::AppendIfIntersects(cluster, query, &result.matches);
+        }
+      });
+  result.flood_hops = reach.edges;
+  result.latency_ms = reach.last_arrival_ms;
+  HM_OBS_HISTOGRAM("can.flood_nodes_visited", obs::Buckets::Exponential(1, 2.0, 12),
+                   result.nodes_visited);
   return result;
 }
 
@@ -601,41 +587,6 @@ void CanOverlay::FloodScratch::GrowIdTable() {
   for (size_t i = 0; i < keys.size(); ++i) {
     if (stamps[i] == epoch_) FirstTest(keys[i]);
   }
-}
-
-void CanOverlay::FloodFrom(const geom::Sphere& query, NodeId entry,
-                           RangeQueryResult* result) {
-  // Flood branches run concurrently: a node's answer arrives when the chain
-  // of flood edges reaching it completes, and the query completes when the
-  // slowest branch does.
-  flood_.Begin(nodes_.size());
-  flood_.Reach(entry, result->latency_ms);
-  for (size_t head = 0; head < flood_.queue().size(); ++head) {
-    const NodeId node = flood_.queue()[head];
-    ++result->nodes_visited;
-    for (const PublishedCluster& cluster : nodes_[static_cast<size_t>(node)].stored) {
-      // Test once per id: every stored copy of a cluster_id has the same
-      // sphere (see Insert), so the first copy the flood meets decides for
-      // all of them, and a match is reported once, at its first copy, as a
-      // compact record carrying the distance the test computed.
-      if (!flood_.FirstTest(cluster.cluster_id)) continue;
-      overlay::AppendIfIntersects(cluster, query, &result->matches);
-    }
-    for (NodeId n : nodes_[static_cast<size_t>(node)].neighbors) {
-      if (flood_.reached(n)) continue;
-      if (!nodes_[static_cast<size_t>(n)].zone.IntersectsSphere(query)) continue;
-      const net::HopResult hop =
-          SendMessage(net::MessageType::kQueryFlood, node, n, KeyMessageBytes(),
-                      sim::TrafficClass::kQuery);
-      if (!hop.delivered) continue;
-      ++result->flood_hops;
-      const double at = flood_.arrival(node) + hop.latency_ms;
-      flood_.Reach(n, at);
-      result->latency_ms = std::max(result->latency_ms, at);
-    }
-  }
-  HM_OBS_HISTOGRAM("can.flood_nodes_visited", obs::Buckets::Exponential(1, 2.0, 12),
-                   result->nodes_visited);
 }
 
 std::vector<NodeStorage> CanOverlay::StorageDistribution() const {

@@ -97,19 +97,18 @@ class CanOverlay {
   /// the query center; each record's distance is measured from
   /// `query.center`. Floods reuse scratch owned by the overlay, so one
   /// overlay serves one query at a time.
-  Result<overlay::RangeQueryResult> RangeQuery(const geom::Sphere& query,
-                                               overlay::NodeId origin);
-
-  /// RangeQuery via a mined entry hint: `origin` first contacts `entry_hint`
-  /// directly (one overlay message instead of the greedy multi-hop walk) and
-  /// the walk resumes from there — usually zero hops, because the hint *is*
-  /// the query center's zone owner for a repeated query. Fail-soft and
-  /// recall-preserving by construction: the flood still starts at the true
-  /// zone owner, and any failure on the hinted path reports undelivered so
-  /// the caller can fall back to the plain RangeQuery.
-  Result<overlay::RangeQueryResult> RangeQueryVia(const geom::Sphere& query,
-                                                  overlay::NodeId origin,
-                                                  overlay::NodeId entry_hint);
+  ///
+  /// Without `entry_hint` the query walks greedily from `origin` to the
+  /// center's owner. With one (a mined entry), `origin` contacts the hint
+  /// directly (one overlay message, none when the hint is `origin`) and the
+  /// walk resumes from there only if the hint does not own the center. The
+  /// flood still starts at the true owner, so a hint never costs recall; a
+  /// hint that left the overlay or is out of range reports undelivered
+  /// (kLostUnreachable) without sending anything, as does any loss on the
+  /// hinted path, so the caller can fall back to the plain walk.
+  Result<overlay::RangeQueryResult> RangeQuery(
+      const geom::Sphere& query, overlay::NodeId origin,
+      overlay::NodeId entry_hint = overlay::kInvalidNode);
 
   /// Current storage load of every node.
   std::vector<overlay::NodeStorage> StorageDistribution() const;
@@ -255,7 +254,7 @@ class CanOverlay {
       return node_arrival_[static_cast<size_t>(node)];
     }
 
-    /// Reached nodes in BFS order; FloodFrom expands them front to back.
+    /// Reached nodes in BFS order; Flood expands them front to back.
     const std::vector<overlay::NodeId>& queue() const { return queue_; }
 
     /// Records `cluster_id` as tested; false if this flood already did.
@@ -316,11 +315,6 @@ class CanOverlay {
   overlay::NodeId ExpressHop(const Node& node, const Vector& target,
                              size_t* fixed_depth) const;
 
-  /// Assigns `zone` to `node`, re-homing `clusters` into every overlapping
-  /// active zone's store.
-  void AdoptZone(overlay::NodeId node, const geom::Box& zone,
-                 std::vector<overlay::PublishedCluster> clusters);
-
   /// Clamps a key into [0,1)^dim.
   Vector ClampKey(const Vector& key) const;
 
@@ -336,12 +330,22 @@ class CanOverlay {
                              overlay::NodeId dst, uint64_t bytes,
                              sim::TrafficClass cls);
 
-  /// Zone-flood stage shared by RangeQuery/RangeQueryVia: BFS outward from
-  /// `entry` over zones intersecting `query`, accumulating match records and
-  /// per-branch arrival times into `result` (whose latency_ms on entry is the
-  /// time the flood starts).
-  void FloodFrom(const geom::Sphere& query, overlay::NodeId entry,
-                 overlay::RangeQueryResult* result);
+  /// What one zone flood delivered.
+  struct FloodReach {
+    int edges = 0;                 ///< flood messages that arrived
+    double last_arrival_ms = 0.0;  ///< latest zone arrival (start if none)
+  };
+
+  /// Zone flood shared by replication (Insert) and range queries: BFS
+  /// outward from `entry` (reached at `start_ms`) over the zones that meet
+  /// `sphere`, one `type`/`cls` message of `bytes` per edge into a zone not
+  /// reached yet. A lost message prunes only its edge: the zone stays
+  /// unreached, so another branch may still reach it. Calls `visit(node)`
+  /// once per reached zone, in BFS order, before expanding it.
+  template <typename Visit>
+  FloodReach Flood(const geom::Sphere& sphere, overlay::NodeId entry,
+                   double start_ms, net::MessageType type, sim::TrafficClass cls,
+                   uint64_t bytes, Visit&& visit);
 
   size_t dim_;
   sim::NetworkStats* stats_;      // not owned

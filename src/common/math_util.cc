@@ -1,8 +1,6 @@
 #include "common/math_util.h"
 
-#include <array>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -49,38 +47,12 @@ double BetaContinuedFraction(double a, double b, double x) {
   return h;
 }
 
-// log(1 / B(a, b)) = lnΓ(a+b) - lnΓ(a) - lnΓ(b), evaluated left to right.
-// Eq. 1 scoring and the Eq. 8 false-position solve evaluate cap fractions at
-// one level dim for many x, so the (a, b) pairs repeat from call to call.
-// Only levels with d >= 5 get here; lower dims use closed-form caps. A small
-// direct-mapped per-thread table keeps the last value for each slot: lookups
-// need no lock, and a hit returns the very double the expression produced.
-double LogInverseBeta(double a, double b) {
-  struct Entry {
-    double a = 0.0;  // 0 marks an empty slot (callers have a, b > 0)
-    double b = 0.0;
-    double value = 0.0;
-  };
-  constexpr int kSlotBits = 4;
-  thread_local std::array<Entry, size_t{1} << kSlotBits> cache;
-  uint64_t bits_a = 0;
-  uint64_t bits_b = 0;
-  std::memcpy(&bits_a, &a, sizeof(a));
-  std::memcpy(&bits_b, &b, sizeof(b));
-  const uint64_t mixed = (bits_a ^ (bits_b * 0x9E3779B97F4A7C15ull)) * 0xBF58476D1CE4E5B9ull;
-  Entry& entry = cache[static_cast<size_t>(mixed >> (64 - kSlotBits))];
-  if (entry.a != a || entry.b != b) {
-    entry = Entry{a, b, LogGamma(a + b) - LogGamma(a) - LogGamma(b)};
-  }
-  return entry.value;
-}
-
 }  // namespace
 
 double LogGamma(double x) {
 #if defined(__GLIBC__) || defined(__APPLE__)
-  // glibc's lgamma writes the global `signgam`, which races when the thread
-  // pool evaluates sphere volumes concurrently; use the reentrant variant.
+  // glibc's lgamma writes the global `signgam`; the reentrant variant leaves
+  // no shared state behind, so callers on any thread need no lock.
   int sign = 0;
   return ::lgamma_r(x, &sign);
 #else
@@ -114,7 +86,8 @@ double RegularizedIncompleteBeta(double a, double b, double x) {
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
 
-  const double log_front = LogInverseBeta(a, b) + a * std::log(x) + b * std::log1p(-x);
+  const double log_front =
+      LogGamma(a + b) - LogGamma(a) - LogGamma(b) + a * std::log(x) + b * std::log1p(-x);
   // Use the continued fraction directly where it converges fast, otherwise
   // use the symmetry relation I_x(a,b) = 1 - I_{1-x}(b,a).
   if (x < (a + 1.0) / (a + b + 2.0)) {
@@ -132,7 +105,8 @@ double LogRegularizedIncompleteBeta(double a, double b, double x) {
   if (x == 1.0) return 0.0;
   // Same split as RegularizedIncompleteBeta, but the small branch stays in
   // log space; the other branch is at least ~1/2 and cannot underflow.
-  const double log_front = LogInverseBeta(a, b) + a * std::log(x) + b * std::log1p(-x);
+  const double log_front =
+      LogGamma(a + b) - LogGamma(a) - LogGamma(b) + a * std::log(x) + b * std::log1p(-x);
   if (x < (a + 1.0) / (a + b + 2.0)) {
     return log_front + std::log(BetaContinuedFraction(a, b, x) / a);
   }

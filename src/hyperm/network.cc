@@ -37,23 +37,6 @@ uint64_t ResponseBytes(size_t items, size_t dim) {
   return 16 + items * (8 * dim + 8);
 }
 
-// Publishes one finished query's RangeQueryInfo view into the registry —
-// the single place per-query accounting becomes durable metrics, so the
-// info structs stay thin views that cannot drift from the registry.
-void RecordQueryInfoMetrics(const RangeQueryInfo& info) {
-  HM_OBS_HISTOGRAM("query.routing_hops", obs::Buckets::Exponential(1, 2.0, 12),
-                   info.overlay_routing_hops);
-  HM_OBS_HISTOGRAM("query.flood_hops", obs::Buckets::Exponential(1, 2.0, 12),
-                   info.overlay_flood_hops);
-  HM_OBS_HISTOGRAM("query.candidate_peers", obs::Buckets::Exponential(1, 2.0, 12),
-                   info.candidate_peers);
-  HM_OBS_HISTOGRAM("query.peers_contacted", obs::Buckets::Exponential(1, 2.0, 12),
-                   info.peers_contacted);
-  HM_OBS_COUNTER_ADD("query.levels_detoured", info.layers_detoured);
-  HM_OBS_COUNTER_ADD("query.levels_deferred", info.layers_deferred);
-  HM_OBS_COUNTER_ADD("query.reissues", info.reissues);
-}
-
 // Tracks the number of queries between entry and return for the flight
 // recorder's probe.inflight_queries gauge (exception-safe on early returns).
 class ScopedInflight {
@@ -379,75 +362,53 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
   // from the data domain — Haar averages of [lo,hi]-bounded features stay in
   // [lo,hi] and details in ±(hi-lo)/2; the simulation takes the tight
   // empirical equivalent.) Decomposition is fanned out per peer: every task
-  // writes only peer p's store, projection rows and bounds slot, and the
-  // per-peer bounds are merged afterwards — min/max is order-independent, so
-  // the merged mappers are identical at any thread count.
+  // writes only peer p's store and projection rows. The bounds are one
+  // serial pass over the projections in peer order afterwards.
   const size_t num_layers = net->levels_.size();
   std::vector<std::vector<std::vector<Vector>>> level_points(
-      static_cast<size_t>(num_peers),
-      std::vector<std::vector<Vector>>(num_layers));
-  std::vector<std::vector<Bounds>> peer_bounds(
-      static_cast<size_t>(num_peers), std::vector<Bounds>(num_layers));
-  // char, not bool: std::vector<bool> packs bits, and adjacent rows must not
-  // share bytes across tasks.
-  std::vector<std::vector<char>> peer_bounds_init(
-      static_cast<size_t>(num_peers), std::vector<char>(num_layers, 0));
+      static_cast<size_t>(num_peers));
   std::vector<Status> peer_status(static_cast<size_t>(num_peers), OkStatus());
   {
     HM_OBS_SPAN("build/decompose");
     net->PoolRun(static_cast<size_t>(num_peers), [&](size_t p) {
+      Peer& peer = net->peers_[p];
       for (int index : assignment[p]) {
         if (index < 0 || static_cast<size_t>(index) >= dataset.items.size()) {
           peer_status[p] = InvalidArgumentError("Build: assignment index out of range");
           return;
         }
-        const Vector& item = dataset.items[static_cast<size_t>(index)];
-        net->peers_[p].AddItem(index, item);
-        Result<wavelet::Pyramid> pyramid =
-            wavelet::DecomposeWith(options.wavelet_kind, item);
-        if (!pyramid.ok()) {
-          peer_status[p] = pyramid.status();
-          return;
-        }
-        for (size_t layer = 0; layer < num_layers; ++layer) {
-          const Vector& projection =
-              wavelet::Project(pyramid.value(), net->levels_[layer]);
-          if (peer_bounds_init[p][layer] == 0) {
-            peer_bounds[p][layer].lo = projection;
-            peer_bounds[p][layer].hi = projection;
-            peer_bounds_init[p][layer] = 1;
-          } else {
-            peer_bounds[p][layer].Extend(projection);
-          }
-          level_points[p][layer].push_back(projection);
-        }
+        peer.AddItem(index, dataset.items[static_cast<size_t>(index)]);
       }
+      Result<std::vector<std::vector<Vector>>> projections = net->LevelProjections(peer);
+      if (!projections.ok()) {
+        peer_status[p] = projections.status();
+        return;
+      }
+      level_points[p] = std::move(projections).value();
     });
     for (int p = 0; p < num_peers; ++p) {
       HM_RETURN_IF_ERROR(peer_status[static_cast<size_t>(p)]);
     }
   }
   std::vector<Bounds> bounds(num_layers);
-  std::vector<bool> bounds_init(num_layers, false);
-  for (int p = 0; p < num_peers; ++p) {
-    for (size_t layer = 0; layer < num_layers; ++layer) {
-      if (peer_bounds_init[static_cast<size_t>(p)][layer] == 0) continue;
-      const Bounds& pb = peer_bounds[static_cast<size_t>(p)][layer];
-      if (!bounds_init[layer]) {
-        bounds[layer] = pb;
-        bounds_init[layer] = true;
-      } else {
-        bounds[layer].Extend(pb.lo);
-        bounds[layer].Extend(pb.hi);
+  for (size_t layer = 0; layer < num_layers; ++layer) {
+    for (const std::vector<std::vector<Vector>>& peer_points : level_points) {
+      for (const Vector& projection : peer_points[layer]) {
+        if (bounds[layer].lo.empty()) {
+          bounds[layer].lo = projection;
+          bounds[layer].hi = projection;
+        } else {
+          bounds[layer].Extend(projection);
+        }
       }
     }
+    if (bounds[layer].lo.empty()) return InvalidArgumentError("Build: no items assigned");
   }
 
   // One overlay per layer (step i3 substrate).
   {
     HM_OBS_SPAN("build/overlays");
     for (size_t layer = 0; layer < num_layers; ++layer) {
-      if (!bounds_init[layer]) return InvalidArgumentError("Build: no items assigned");
       net->mappers_.push_back(KeyMapper::FromBounds(bounds[layer]));
       const size_t layer_dim = net->levels_[layer].dim();
       HM_ASSIGN_OR_RETURN(auto can, can::CanOverlay::Build(layer_dim, num_peers,
@@ -628,6 +589,27 @@ auto HyperMNetwork::Retrieve(int querying_peer, const std::vector<PeerScore>& ta
   return delivered;
 }
 
+void HyperMNetwork::FinishQuery(const RangeQueryInfo& info, int64_t query_id,
+                                int querying_peer, size_t results) {
+  HM_OBS_HISTOGRAM("query.routing_hops", obs::Buckets::Exponential(1, 2.0, 12),
+                   info.overlay_routing_hops);
+  HM_OBS_HISTOGRAM("query.flood_hops", obs::Buckets::Exponential(1, 2.0, 12),
+                   info.overlay_flood_hops);
+  HM_OBS_HISTOGRAM("query.candidate_peers", obs::Buckets::Exponential(1, 2.0, 12),
+                   info.candidate_peers);
+  HM_OBS_HISTOGRAM("query.peers_contacted", obs::Buckets::Exponential(1, 2.0, 12),
+                   info.peers_contacted);
+  HM_OBS_COUNTER_ADD("query.levels_detoured", info.layers_detoured);
+  HM_OBS_COUNTER_ADD("query.levels_deferred", info.layers_deferred);
+  HM_OBS_COUNTER_ADD("query.reissues", info.reissues);
+  stats_.RecordQueryServed();
+  HM_OBS_EVENT(.sim_ms = sim_->now(),
+               .kind = obs::EventKind::kQueryDone,
+               .query_id = query_id, .src = querying_peer,
+               .value = info.latency_ms,
+               .aux = static_cast<int64_t>(results));
+}
+
 Result<std::vector<ItemId>> HyperMNetwork::RangeQuery(const Vector& query,
                                                       double epsilon, int querying_peer,
                                                       int max_peers_contacted,
@@ -657,15 +639,9 @@ Result<std::vector<ItemId>> HyperMNetwork::RangeQuery(const Vector& query,
                },
                info);
   info->peers_contacted = static_cast<int>(contact);
-  RecordQueryInfoMetrics(*info);
-  stats_.RecordQueryServed();
   std::sort(results.begin(), results.end());
   results.erase(std::unique(results.begin(), results.end()), results.end());
-  HM_OBS_EVENT(.sim_ms = sim_->now(),
-               .kind = obs::EventKind::kQueryDone,
-               .query_id = hm_obs_query_id, .src = querying_peer,
-               .value = info->latency_ms,
-               .aux = static_cast<int64_t>(results.size()));
+  FinishQuery(*info, hm_obs_query_id, querying_peer, results.size());
   return results;
 }
 
@@ -733,12 +709,7 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   }
   range_info->candidate_peers = static_cast<int>(merged.size());
   if (merged.empty()) {
-    RecordQueryInfoMetrics(*range_info);
-    stats_.RecordQueryServed();
-    HM_OBS_EVENT(.sim_ms = sim_->now(),
-                 .kind = obs::EventKind::kQueryDone,
-                 .query_id = hm_obs_query_id, .src = querying_peer,
-                 .value = range_info->latency_ms);
+    FinishQuery(*range_info, hm_obs_query_id, querying_peer, 0);
     return std::vector<ItemId>{};
   }
 
@@ -760,9 +731,11 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   // shipping the vectors themselves.
   std::vector<int> requests(num_contacted);
   for (size_t i = 0; i < num_contacted; ++i) {
-    // At most C*k (checked above) up to rounding; the clamp keeps the cast
-    // defined even one ulp past it.
-    const double want = std::ceil(options.c * k * merged[i].score / sum);
+    // The share comes first: it is at most 1 (exactly 1 for a single peer),
+    // so the request is at most C*k, checked above to fit an int; C*k*s/s
+    // could round one ulp above C*k and ask for one item more. The clamp
+    // keeps the cast defined whatever the scores.
+    const double want = std::ceil(options.c * k * (merged[i].score / sum));
     requests[i] = want >= 1.0 ? static_cast<int>(std::min<double>(
                                     want, std::numeric_limits<int>::max()))
                               : 1;
@@ -778,8 +751,6 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
   range_info->peers_contacted = static_cast<int>(num_contacted);
   HM_OBS_HISTOGRAM("knn.items_requested", obs::Buckets::Exponential(1, 2.0, 14),
                    info->items_requested);
-  RecordQueryInfoMetrics(*range_info);
-  stats_.RecordQueryServed();
 
   // Step 10: global merge sorted by exact distance (ids are globally unique,
   // so deduplication is by id).
@@ -795,11 +766,7 @@ Result<std::vector<ItemId>> HyperMNetwork::KnnQuery(const Vector& query, int k,
     result.push_back(item.id);
     if (options.truncate_to_k && result.size() >= static_cast<size_t>(k)) break;
   }
-  HM_OBS_EVENT(.sim_ms = sim_->now(),
-               .kind = obs::EventKind::kQueryDone,
-               .query_id = hm_obs_query_id, .src = querying_peer,
-               .value = range_info->latency_ms,
-               .aux = static_cast<int64_t>(result.size()));
+  FinishQuery(*range_info, hm_obs_query_id, querying_peer, result.size());
   return result;
 }
 
@@ -854,19 +821,25 @@ Status HyperMNetwork::RepublishPeer(int peer, Rng& rng) {
   }
 
   // Fresh per-layer projections of the peer's current collection.
-  std::vector<std::vector<std::vector<Vector>>> level_points(
-      1, std::vector<std::vector<Vector>>(levels_.size()));
+  std::vector<std::vector<std::vector<Vector>>> level_points(1);
+  HM_ASSIGN_OR_RETURN(level_points[0], LevelProjections(target));
+  return PublishPeers(peer, level_points, rng.NextUint64());
+}
+
+Result<std::vector<std::vector<Vector>>> HyperMNetwork::LevelProjections(
+    const Peer& peer) const {
+  std::vector<std::vector<Vector>> projections(levels_.size());
+  const vec::Matrix& rows = peer.item_features();
   Vector item;  // reused across rows; assign() keeps the capacity
-  for (size_t r = 0; r < target.item_features().rows(); ++r) {
-    const double* row = target.item_features().row(r);
-    item.assign(row, row + target.item_features().cols());
+  for (size_t r = 0; r < rows.rows(); ++r) {
+    item.assign(rows.row(r), rows.row(r) + rows.cols());
     HM_ASSIGN_OR_RETURN(wavelet::Pyramid pyramid,
                         wavelet::DecomposeWith(options_.wavelet_kind, item));
     for (size_t layer = 0; layer < levels_.size(); ++layer) {
-      level_points[0][layer].push_back(wavelet::Project(pyramid, levels_[layer]));
+      projections[layer].push_back(wavelet::Project(pyramid, levels_[layer]));
     }
   }
-  return PublishPeers(peer, level_points, rng.NextUint64());
+  return projections;
 }
 
 uint64_t HyperMNetwork::publication_hops(int id) const {
@@ -891,12 +864,6 @@ const wavelet::Level& HyperMNetwork::level(int layer) const {
   HM_CHECK_GE(layer, 0);
   HM_CHECK_LT(static_cast<size_t>(layer), levels_.size());
   return levels_[static_cast<size_t>(layer)];
-}
-
-const KeyMapper& HyperMNetwork::mapper(int layer) const {
-  HM_CHECK_GE(layer, 0);
-  HM_CHECK_LT(static_cast<size_t>(layer), mappers_.size());
-  return mappers_[static_cast<size_t>(layer)];
 }
 
 const Peer& HyperMNetwork::peer(int id) const {

@@ -303,10 +303,9 @@ class HyperMNetwork {
   /// so the dissemination makespan is governed by the maximum of these.
   uint64_t publication_hops(int id) const;
 
-  /// Overlay / level / mapper / peer of a layer (0 <= layer < num_layers()).
+  /// Overlay / level of a layer (0 <= layer < num_layers()), and a peer.
   const can::CanOverlay& overlay(int layer) const;
   const wavelet::Level& level(int layer) const;
-  const KeyMapper& mapper(int layer) const;
   const Peer& peer(int id) const;
 
  private:
@@ -341,6 +340,19 @@ class HyperMNetwork {
   /// query.level_matches / query.scored_matches counters. Returns the first
   /// failed level's status.
   Status DrainLevelOutcomes(const QueryOutcome& outcome, RangeQueryInfo* info);
+
+  /// Publishes one finished query's accounting: `info` into the query.*
+  /// histograms and counters (the single place per-query accounting becomes
+  /// durable metrics, so the info structs stay thin views that cannot drift
+  /// from the registry), one served query into stats_, and the kQueryDone
+  /// flight-recorder event carrying the answer's `results` count.
+  void FinishQuery(const RangeQueryInfo& info, int64_t query_id, int querying_peer,
+                   size_t results);
+
+  /// Every stored item of `peer` decomposed and projected onto each level:
+  /// entry [layer][row] follows the peer's row order. Reads only this
+  /// network's options and levels, so pool tasks may call it concurrently.
+  Result<std::vector<std::vector<Vector>>> LevelProjections(const Peer& peer) const;
 
   /// Wires up the simulator, fault state and transport (and the radio
   /// channel when enabled), and schedules the periodic events: crash/rejoin,

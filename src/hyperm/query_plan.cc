@@ -188,9 +188,7 @@ void QueryExecutor::RunProbe(const LevelProbe& probe, int querying_peer,
               ? shortcuts_->EntryHint(probe.layer, probe.key_sphere)
               : overlay::kInvalidNode;
       Result<overlay::RangeQueryResult> result =
-          hint != overlay::kInvalidNode
-              ? overlay.RangeQueryVia(probe.key_sphere, querying_peer, hint)
-              : overlay.RangeQuery(probe.key_sphere, querying_peer);
+          overlay.RangeQuery(probe.key_sphere, querying_peer, hint);
       if (!result.ok()) {
         out->status = result.status();
         return;

@@ -1,13 +1,16 @@
 #include "can/can_overlay.h"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "net/transport.h"
 
 namespace hyperm::can {
 namespace {
@@ -404,6 +407,247 @@ TEST(CanQueryTest, TestOnceFloodMatchesTestThenDedupeWalk) {
   ASSERT_TRUE(can->Leave(9).ok());
   ExpectOneSpherePerId(*can);
   ExpectFloodsMatchReference(*can, rng, "churned");
+}
+
+// Logs every overlay message and drops the ones sent over a blocked
+// (type, src, dst) edge; a delivered message takes 1 ms.
+class EdgeDropTransport : public net::Transport {
+ public:
+  struct Sent {
+    net::MessageType type;
+    NodeId src;
+    NodeId dst;
+    bool delivered;
+  };
+
+  net::HopResult SendHop(const net::Message& message) override {
+    const bool dropped = blocked_.contains({message.type, message.src, message.dst});
+    log_.push_back(Sent{message.type, message.src, message.dst, !dropped});
+    if (dropped) return net::HopResult{false, 0.0, net::DeliveryOutcome::kLostLoss};
+    return net::HopResult{true, 1.0, net::DeliveryOutcome::kDelivered};
+  }
+  net::TransportCounters counters() const override { return {}; }
+
+  void Block(net::MessageType type, NodeId src, NodeId dst) {
+    blocked_.insert({type, src, dst});
+  }
+  const std::vector<Sent>& log() const { return log_; }
+  void ClearLog() { log_.clear(); }
+
+  // Messages of `type` in the log, all or only the delivered ones.
+  int Count(net::MessageType type, bool delivered_only = false) const {
+    int n = 0;
+    for (const Sent& sent : log_) {
+      if (sent.type == type && (sent.delivered || !delivered_only)) ++n;
+    }
+    return n;
+  }
+
+ private:
+  std::set<std::tuple<net::MessageType, NodeId, NodeId>> blocked_;
+  std::vector<Sent> log_;
+};
+
+bool SameMatches(const std::vector<overlay::ClusterMatch>& a,
+                 const std::vector<overlay::ClusterMatch>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].cluster_id != b[i].cluster_id || a[i].owner_peer != b[i].owner_peer ||
+        a[i].items != b[i].items || a[i].radius != b[i].radius ||
+        a[i].distance != b[i].distance) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A lost replication message prunes only its edge: the zone it targeted
+// stays unreached, so another branch of the flood may still store there.
+TEST(CanInsertTest, LostReplicationEdgesPruneOnlyThemselves) {
+  sim::NetworkStats stats;
+  auto can = MakeCan(2, 64, &stats);
+  EdgeDropTransport transport;
+  can->set_transport(&transport);
+  PublishedCluster cluster;
+  cluster.sphere = geom::Sphere{{0.45, 0.55}, 0.3};
+  cluster.owner_peer = 2;
+  cluster.items = 4;
+  cluster.cluster_id = 9;
+  const NodeId owner = can->OwnerOf(cluster.sphere.center);
+
+  // A clean publication names the flood's edges. Block every second one,
+  // and every edge into the zone the last one reached, which cuts it off.
+  ASSERT_TRUE(can->Insert(cluster, 0).ok());
+  std::set<std::pair<NodeId, NodeId>> blocked;
+  int edge = 0;
+  NodeId cut = overlay::kInvalidNode;
+  for (const EdgeDropTransport::Sent& sent : transport.log()) {
+    if (sent.type != net::MessageType::kReplicate) continue;
+    cut = sent.dst;
+    if (edge++ % 2 == 1) blocked.insert({sent.src, sent.dst});
+  }
+  ASSERT_NE(cut, overlay::kInvalidNode);
+  for (NodeId n : can->neighbors(cut)) blocked.insert({n, cut});
+  for (const auto& [src, dst] : blocked) {
+    transport.Block(net::MessageType::kReplicate, src, dst);
+  }
+  can->ClearStorage();
+  transport.ClearLog();
+
+  Result<overlay::InsertReceipt> receipt = can->Insert(cluster, 0);
+  ASSERT_TRUE(receipt.ok());
+  ASSERT_TRUE(receipt->delivered);
+
+  // Reference BFS over the zones meeting the sphere, skipping blocked edges.
+  std::set<NodeId> reached{owner};
+  std::deque<NodeId> frontier{owner};
+  int delivered_edges = 0;
+  while (!frontier.empty()) {
+    const NodeId node = frontier.front();
+    frontier.pop_front();
+    for (NodeId n : can->neighbors(node)) {
+      if (reached.contains(n) || !can->zone(n).IntersectsSphere(cluster.sphere)) continue;
+      if (blocked.contains({node, n})) continue;
+      reached.insert(n);
+      frontier.push_back(n);
+      ++delivered_edges;
+    }
+  }
+  std::set<NodeId> stored;
+  int overlapping = 0;
+  for (NodeId n = 0; n < can->num_nodes(); ++n) {
+    if (!can->stored(n).empty()) stored.insert(n);
+    if (can->zone(n).IntersectsSphere(cluster.sphere)) ++overlapping;
+  }
+  EXPECT_EQ(stored, reached);
+  EXPECT_EQ(receipt->replicas, delivered_edges);
+  EXPECT_EQ(receipt->replicas,
+            transport.Count(net::MessageType::kReplicate, /*delivered_only=*/true));
+  // The blocked set bites both ways: some overlapping zones are cut off, and
+  // some zone behind a lost edge is still reached through another branch.
+  EXPECT_LT(static_cast<int>(stored.size()), overlapping);
+  int rescued = 0;
+  for (const auto& [src, dst] : blocked) {
+    if (stored.contains(dst)) ++rescued;
+  }
+  EXPECT_GT(rescued, 0);
+}
+
+// RangeQuery with an entry hint: every delivered case floods from the
+// center's owner and returns the plain query's match records.
+class CanHintedQueryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    can_ = MakeCan(2, 48, &stats_);
+    Rng rng(21);
+    for (uint64_t id = 1; id <= 80; ++id) {
+      PublishedCluster c;
+      c.sphere = geom::Sphere{{rng.NextDouble(), rng.NextDouble()},
+                              rng.Uniform(0.0, 0.12)};
+      c.owner_peer = static_cast<int>(id % 7);
+      c.items = 1;
+      c.cluster_id = id;
+      ASSERT_TRUE(can_->Insert(c, 0).ok());
+    }
+    can_->set_transport(&transport_);
+    owner_ = can_->OwnerOf(query_.center);
+    // An origin that is neither the owner nor one of its neighbours, so the
+    // plain walk takes several hops.
+    const auto& near = can_->neighbors(owner_);
+    for (NodeId n = 0; n < can_->num_nodes(); ++n) {
+      if (n != owner_ && std::find(near.begin(), near.end(), n) == near.end()) {
+        origin_ = n;
+        break;
+      }
+    }
+    ASSERT_NE(origin_, overlay::kInvalidNode);
+    Result<overlay::RangeQueryResult> plain = can_->RangeQuery(query_, origin_);
+    ASSERT_TRUE(plain.ok());
+    plain_ = std::move(plain).value();
+    ASSERT_TRUE(plain_.delivered);
+    ASSERT_GT(plain_.routing_hops, 1);
+    ASSERT_FALSE(plain_.matches.empty());
+    transport_.ClearLog();
+  }
+
+  overlay::RangeQueryResult MustQuery(NodeId origin, NodeId hint) {
+    Result<overlay::RangeQueryResult> result = can_->RangeQuery(query_, origin, hint);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(result).value() : overlay::RangeQueryResult{};
+  }
+
+  void ExpectPlainFlood(const overlay::RangeQueryResult& got) {
+    EXPECT_TRUE(got.delivered);
+    EXPECT_EQ(got.outcome, net::DeliveryOutcome::kDelivered);
+    EXPECT_EQ(got.entry_node, owner_);
+    EXPECT_EQ(got.nodes_visited, plain_.nodes_visited);
+    EXPECT_EQ(got.flood_hops, plain_.flood_hops);
+    EXPECT_TRUE(SameMatches(got.matches, plain_.matches));
+  }
+
+  sim::NetworkStats stats_;
+  EdgeDropTransport transport_;
+  std::unique_ptr<CanOverlay> can_;
+  const geom::Sphere query_{{0.62, 0.37}, 0.2};
+  NodeId owner_ = overlay::kInvalidNode;
+  NodeId origin_ = overlay::kInvalidNode;
+  overlay::RangeQueryResult plain_;
+};
+
+TEST_F(CanHintedQueryTest, HintOwningTheCenterCostsOneMessage) {
+  const overlay::RangeQueryResult got = MustQuery(origin_, owner_);
+  EXPECT_EQ(got.routing_hops, 1);
+  EXPECT_EQ(transport_.Count(net::MessageType::kRoute), 1);
+  ASSERT_FALSE(transport_.log().empty());
+  EXPECT_EQ(transport_.log().front().src, origin_);
+  EXPECT_EQ(transport_.log().front().dst, owner_);
+  ExpectPlainFlood(got);
+}
+
+TEST_F(CanHintedQueryTest, NeighbourHintResumesTheWalk) {
+  const NodeId hint = can_->neighbors(owner_).front();
+  ASSERT_NE(hint, origin_);
+  ASSERT_FALSE(can_->zone(hint).ContainsHalfOpen(query_.center));
+  const overlay::RangeQueryResult got = MustQuery(origin_, hint);
+  // One direct message to the hint, then one greedy hop into the owner.
+  EXPECT_EQ(got.routing_hops, 2);
+  EXPECT_EQ(transport_.Count(net::MessageType::kRoute), 2);
+  ExpectPlainFlood(got);
+}
+
+TEST_F(CanHintedQueryTest, OriginHintOwningTheCenterSendsNothingToRoute) {
+  const overlay::RangeQueryResult got = MustQuery(owner_, owner_);
+  EXPECT_EQ(got.routing_hops, 0);
+  EXPECT_EQ(transport_.Count(net::MessageType::kRoute), 0);
+  ExpectPlainFlood(got);
+}
+
+TEST_F(CanHintedQueryTest, StaleHintSendsNothing) {
+  for (NodeId stale : {can_->num_nodes(), can_->num_nodes() + 5, NodeId{-3}}) {
+    const overlay::RangeQueryResult got = MustQuery(origin_, stale);
+    EXPECT_FALSE(got.delivered) << "hint " << stale;
+    EXPECT_EQ(got.outcome, net::DeliveryOutcome::kLostUnreachable) << "hint " << stale;
+    EXPECT_EQ(got.routing_hops, 0) << "hint " << stale;
+  }
+  EXPECT_TRUE(transport_.log().empty());
+  const NodeId leaver = can_->neighbors(owner_).front();
+  ASSERT_NE(leaver, origin_);
+  ASSERT_TRUE(can_->Leave(leaver).ok());
+  transport_.ClearLog();
+  const overlay::RangeQueryResult got = MustQuery(origin_, leaver);
+  EXPECT_FALSE(got.delivered);
+  EXPECT_EQ(got.outcome, net::DeliveryOutcome::kLostUnreachable);
+  EXPECT_TRUE(transport_.log().empty());
+}
+
+TEST_F(CanHintedQueryTest, LostHintMessageReportsUndelivered) {
+  transport_.Block(net::MessageType::kRoute, origin_, owner_);
+  const overlay::RangeQueryResult got = MustQuery(origin_, owner_);
+  EXPECT_FALSE(got.delivered);
+  EXPECT_EQ(got.outcome, net::DeliveryOutcome::kLostLoss);
+  EXPECT_EQ(got.routing_hops, 1);
+  EXPECT_EQ(got.entry_node, overlay::kInvalidNode);
+  EXPECT_EQ(transport_.log().size(), 1u);
 }
 
 TEST(CanStorageTest, DistributionAndClear) {

@@ -1,8 +1,6 @@
 #include "common/math_util.h"
 
 #include <cmath>
-#include <cstring>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,82 +69,6 @@ TEST(MathUtilTest, IncompleteBetaMonotoneInX) {
 TEST(MathUtilTest, IncompleteBetaHalfIntegerKnownValue) {
   // I_{1/2}(1/2, 1/2) = 1/2 (arcsine distribution median).
   EXPECT_NEAR(RegularizedIncompleteBeta(0.5, 0.5, 0.5), 0.5, 1e-10);
-}
-
-// One I_x(a, b) evaluation on a thread that has never called the function,
-// so the memoized log-gamma term is computed from scratch: the uncached
-// formula.
-double ColdIncompleteBeta(double a, double b, double x) {
-  double value = 0.0;
-  std::thread([&] { value = RegularizedIncompleteBeta(a, b, x); }).join();
-  return value;
-}
-
-bool BitwiseEqual(double a, double b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
-
-struct BetaCase {
-  double a, b, x, expected;
-};
-
-// Eq. 8's arguments ((d+1)/2, 1/2) for several level dims, plus pairs that
-// share a or b: more distinct (a, b) than the per-thread table has slots,
-// so slots collide, and some collide with an entry that matches in one
-// argument only.
-std::vector<BetaCase> ColdBetaCases() {
-  std::vector<BetaCase> cases;
-  std::vector<std::pair<double, double>> pairs;
-  for (int d : {1, 2, 4, 8, 16, 32, 64, 128, 256, 512}) pairs.emplace_back(0.5 * (d + 1), 0.5);
-  for (int i = 1; i <= 20; ++i) {
-    pairs.emplace_back(2.0, 0.5 * i);
-    pairs.emplace_back(0.5 * i, 2.0);
-  }
-  for (const auto& [a, b] : pairs) {
-    for (double x : {0.01, 0.3, 0.77}) {
-      cases.push_back(BetaCase{a, b, x, ColdIncompleteBeta(a, b, x)});
-    }
-  }
-  return cases;
-}
-
-TEST(MathUtilTest, IncompleteBetaMemoBitwiseEqualsColdFormulaInterleaved) {
-  const std::vector<BetaCase> cases = ColdBetaCases();
-  // Every ordered pair of cases back to back: whatever the first call left
-  // in the table, the second must still get the fresh value.
-  int mismatches = 0;
-  for (const BetaCase& first : cases) {
-    for (const BetaCase& c : cases) {
-      RegularizedIncompleteBeta(first.a, first.b, first.x);
-      const double got = RegularizedIncompleteBeta(c.a, c.b, c.x);
-      if (!BitwiseEqual(got, c.expected)) {
-        ++mismatches;
-        ADD_FAILURE() << "a=" << c.a << " b=" << c.b << " x=" << c.x << " after a="
-                      << first.a << " b=" << first.b << ": got " << got << " want "
-                      << c.expected;
-        if (mismatches > 5) return;
-      }
-    }
-  }
-}
-
-TEST(MathUtilTest, IncompleteBetaMemoBitwiseEqualsColdFormulaAcrossThreads) {
-  const std::vector<BetaCase> cases = ColdBetaCases();
-  constexpr int kThreads = 4;
-  std::vector<int> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < 20; ++round) {
-        for (size_t i = 0; i < cases.size(); ++i) {
-          const BetaCase& c = cases[(i * 5 + static_cast<size_t>(t + round)) % cases.size()];
-          if (!BitwiseEqual(RegularizedIncompleteBeta(c.a, c.b, c.x), c.expected)) {
-            ++mismatches[static_cast<size_t>(t)];
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0);
 }
 
 TEST(MathUtilTest, LogIncompleteBetaMatchesLogOfDirectForm) {

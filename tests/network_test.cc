@@ -358,6 +358,29 @@ TEST(NetworkQueryTest, KnnRejectsPeerCapBelowOne) {
   EXPECT_FALSE(one->empty());
 }
 
+// With one contacted peer its share of the score sum is exactly 1, so it is
+// asked for ceil(C*k) items; (C*k*s)/s rounded one ulp high would ask for
+// one more.
+TEST(NetworkQueryTest, KnnSinglePeerRequestsExactlyCk) {
+  TestBed bed = MakeTestBed();
+  KnnOptions options;
+  options.c = 1.5;
+  options.max_peers = 1;
+  constexpr int kK = 10;
+  const int64_t expected = static_cast<int64_t>(std::ceil(options.c * kK));
+  int over = 0;
+  for (size_t q = 0; q < 240; ++q) {
+    KnnQueryInfo info;
+    Result<std::vector<ItemId>> result =
+        bed.network->KnnQuery(bed.dataset.items[q], kK, options, 0, &info);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(info.range.peers_contacted, 1) << "query " << q;
+    EXPECT_EQ(info.items_requested, expected) << "query " << q;
+    if (info.items_requested != expected) ++over;
+  }
+  EXPECT_EQ(over, 0);
+}
+
 TEST(NetworkQueryTest, KnnReturnsSortedResultsCoveringK) {
   TestBed bed = MakeTestBed();
   const FlatIndex oracle(bed.dataset);
