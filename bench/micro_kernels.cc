@@ -579,6 +579,8 @@ void BM_ScoreLevels(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreLevels)->Arg(0)->Arg(1);
 
+// One greedy query walk from node 0 to a random key's owner (no transport):
+// the routing stage of every CAN range query.
 void BM_CanRoute(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const int nodes = static_cast<int>(state.range(1));
@@ -595,7 +597,12 @@ void BM_CanRoute(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CanRoute)->Args({2, 100})->Args({4, 100})->Args({512, 100});
+BENCHMARK(BM_CanRoute)
+    ->Args({2, 100})
+    ->Args({4, 100})
+    ->Args({512, 100})
+    ->Args({2, 256})
+    ->Args({4, 256});
 
 // Self-timed AoS-vs-SoA kernel sample for the exported report: per-row wall
 // gauges (skipped by baseline diffs) plus the speedup ratio, which IS

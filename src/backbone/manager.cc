@@ -1,7 +1,6 @@
 #include "backbone/manager.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -401,13 +400,14 @@ void BackboneManager::DescendDomain(
     ++wire.descend_messages;
     if (!response.delivered) continue;
 
+    // No replica reaches the backbone, so matches need no dedup: each
+    // cluster id sits once in exactly one peer's publish cache, each peer
+    // belongs to exactly one domain (members_of inverts supernode_of), and a
+    // plan descends each domain at most once (ServeRangePlan's `visited`).
     for (size_t layer = 0; layer < num_layers; ++layer) {
       (*found_per_layer)[layer] += static_cast<int>(matched[layer].size());
-      for (const overlay::ClusterMatch& match : matched[layer]) {
-        if (seen_cluster_ids_[layer].insert(match.cluster_id).second) {
-          (*out)[layer].matches.push_back(match);
-        }
-      }
+      std::vector<overlay::ClusterMatch>& served = (*out)[layer].matches;
+      served.insert(served.end(), matched[layer].begin(), matched[layer].end());
     }
     *completion_ms = std::max(
         *completion_ms, arrival_ms + request.latency_ms + response.latency_ms);
@@ -444,7 +444,6 @@ bool BackboneManager::ServeRangePlan(
   if (root < 0 || !fault_state_->up(root)) return fallback();
 
   out->assign(num_layers, ProbeServeResult());
-  seen_cluster_ids_.assign(num_layers, {});
   double token_ms = 0.0;      // walk token position on the sim clock
   double completion_ms = 0.0; // latest domain response arrival
   // The single walk's messages are physical; their counts land on level 0's

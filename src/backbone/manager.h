@@ -43,7 +43,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "backbone/digest.h"
@@ -106,8 +105,9 @@ struct BackboneCounters {
 
 /// What a served probe hands back to the query executor.
 struct ProbeServeResult {
-  /// Deduped by cluster_id; distances measured from the level's key-sphere
-  /// center, as a CAN flood's records are.
+  /// One record per cluster_id (the backbone never sees a replica);
+  /// distances measured from the level's key-sphere center, as a CAN
+  /// flood's records are.
   std::vector<overlay::ClusterMatch> matches;
   int walk_messages = 0;     ///< CDS walk hops (folds into routing_hops)
   int descend_messages = 0;  ///< domain request/response count (flood_hops)
@@ -237,9 +237,6 @@ class BackboneManager {
   std::vector<MemberSnapshot> snapshots_;        ///< by member peer
   std::vector<DomainDigest> digests_;            ///< by supernode peer
   std::vector<std::map<int, NeighborDigest>> neighbor_digests_;  ///< [holder][from]
-  // Per-plan, per-level replica dedup scratch (membership checks only; never
-  // iterated, so the unordered containers cannot leak nondeterminism).
-  std::vector<std::unordered_set<uint64_t>> seen_cluster_ids_;
 
   BackboneCounters counters_;
 };

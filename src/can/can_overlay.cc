@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -229,11 +228,11 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
   // prefer zones this message has not traversed yet.
   //
   // With a detour budget, neighbours whose forward failed (or that the
-  // transport knows are unreachable) go into `dead` and the next-closest one
-  // is tried; a zone whose viable neighbours are exhausted is itself marked
-  // dead and the walk backs out along `stack` — bounded depth-first search
-  // ordered by greedy preference, degenerating to the classic single-path
-  // walk at budget 0.
+  // transport knows are unreachable) are marked dead in `walk_` and the
+  // next-closest one is tried; a zone whose viable neighbours are exhausted
+  // is itself marked dead and the walk backs out along the zones it entered
+  // — bounded depth-first search ordered by greedy preference, degenerating
+  // to the classic single-path walk at budget 0.
   //
   // Publication and join traffic tries an express step before each greedy
   // step. `fixed_depth` counts the splits of the target's path the message
@@ -243,12 +242,8 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
   const bool express =
       cls == sim::TrafficClass::kInsert || cls == sim::TrafficClass::kJoin;
   size_t fixed_depth = 0;
-  std::unordered_set<NodeId> visited;
-  std::unordered_set<NodeId> dead;
-  std::vector<NodeId> stack;
-  visited.insert(current);
-  stack.push_back(current);
-  result.trail.push_back(current);
+  walk_.Begin(nodes_.size());
+  walk_.Reach(current);
   int detours_left = max_detours;
   const int ttl = 4 * num_nodes() + 16;
   while (!nodes_[static_cast<size_t>(current)].zone.ContainsHalfOpen(target)) {
@@ -260,14 +255,14 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
     if (best == overlay::kInvalidNode) {
       double best_sq = std::numeric_limits<double>::max();
       for (NodeId n : nodes_[static_cast<size_t>(current)].neighbors) {
-        if (dead.contains(n)) continue;
+        if (walk_.dead(n)) continue;
         if (nodes_[static_cast<size_t>(n)].zone.ContainsHalfOpen(target)) {
           best = n;
           best_visited = false;
           break;
         }
         const double sq = nodes_[static_cast<size_t>(n)].zone.SquaredDistanceTo(target);
-        const bool seen = visited.contains(n);
+        const bool seen = walk_.reached(n);
         // Unvisited beats visited; within a group, smaller distance wins.
         if ((seen == best_visited && sq < best_sq) || (!seen && best_visited)) {
           best_sq = sq;
@@ -284,17 +279,15 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
       // are all dead would bounce between each other until the TTL). Back
       // out DFS-style the way the walk came instead of re-walking old
       // ground; budget 0 keeps the classic revisit-tolerant walk.
-      if (detours_left <= 0 || stack.size() < 2) {
+      if (detours_left <= 0 || walk_.order().size() < 2) {
         result.delivered = false;
         if (result.outcome == net::DeliveryOutcome::kDelivered) {
           result.outcome = net::DeliveryOutcome::kLostUnreachable;
         }
         return result;
       }
-      dead.insert(current);
-      stack.pop_back();
-      current = stack.back();
-      result.trail.push_back(current);
+      walk_.MarkDead(current);
+      current = walk_.Retreat();
       --detours_left;
       ++result.detours;
       continue;
@@ -303,7 +296,7 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
         !transport_->ReachableHint(current, best)) {
       // The transport already knows this forward cannot arrive (crashed peer,
       // partition window, different radio island): spend budget, not airtime.
-      dead.insert(best);
+      walk_.MarkDead(best);
       result.outcome = net::DeliveryOutcome::kLostUnreachable;
       --detours_left;
       ++result.detours;
@@ -320,15 +313,13 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
         result.delivered = false;
         return result;
       }
-      dead.insert(best);
+      walk_.MarkDead(best);
       --detours_left;
       ++result.detours;
       continue;
     }
     current = best;
-    visited.insert(current);
-    stack.push_back(current);
-    result.trail.push_back(current);
+    walk_.Reach(current);
   }
   result.destination = current;
   result.outcome = net::DeliveryOutcome::kDelivered;
@@ -378,19 +369,19 @@ CanOverlay::FloodReach CanOverlay::Flood(const geom::Sphere& sphere, NodeId entr
   // Branches run concurrently: a zone's arrival is the end of the chain of
   // edges reaching it, and the flood completes when its slowest branch does.
   FloodReach reach{0, start_ms};
-  flood_.Begin(nodes_.size());
-  flood_.Reach(entry, start_ms);
-  for (size_t head = 0; head < flood_.queue().size(); ++head) {
-    const NodeId node = flood_.queue()[head];
+  walk_.Begin(nodes_.size());
+  walk_.Reach(entry, start_ms);
+  for (size_t head = 0; head < walk_.order().size(); ++head) {
+    const NodeId node = walk_.order()[head];
     visit(node);
     for (NodeId n : nodes_[static_cast<size_t>(node)].neighbors) {
-      if (flood_.reached(n)) continue;
+      if (walk_.reached(n)) continue;
       if (!nodes_[static_cast<size_t>(n)].zone.IntersectsSphere(sphere)) continue;
       const net::HopResult hop = SendMessage(type, node, n, bytes, cls);
       if (!hop.delivered) continue;
       ++reach.edges;
-      const double at = flood_.arrival(node) + hop.latency_ms;
-      flood_.Reach(n, at);
+      const double at = walk_.arrival(node) + hop.latency_ms;
+      walk_.Reach(n, at);
       reach.last_arrival_ms = std::max(reach.last_arrival_ms, at);
     }
   }
@@ -522,7 +513,7 @@ Result<RangeQueryResult> CanOverlay::RangeQuery(const geom::Sphere& query,
           // sphere (see Insert), so the first copy the flood meets decides
           // for all of them, and a match is reported once, at its first
           // copy, as a compact record carrying the distance the test computed.
-          if (!flood_.FirstTest(cluster.cluster_id)) continue;
+          if (!walk_.FirstTest(cluster.cluster_id)) continue;
           overlay::AppendIfIntersects(cluster, query, &result.matches);
         }
       });
@@ -533,25 +524,21 @@ Result<RangeQueryResult> CanOverlay::RangeQuery(const geom::Sphere& query,
   return result;
 }
 
-void CanOverlay::FloodScratch::Begin(size_t num_nodes) {
-  if (++epoch_ == 0) {
-    // Wrapped: stale stamps could now read as current, so clear them once.
-    std::fill(node_stamp_.begin(), node_stamp_.end(), 0u);
-    std::fill(id_stamp_.begin(), id_stamp_.end(), 0u);
-    epoch_ = 1;
-  }
+void CanOverlay::WalkScratch::Begin(size_t num_nodes) {
+  ++epoch_;
   if (node_stamp_.size() < num_nodes) {
-    node_stamp_.resize(num_nodes, 0u);
+    node_stamp_.resize(num_nodes, 0);
+    dead_stamp_.resize(num_nodes, 0);
     node_arrival_.resize(num_nodes, 0.0);
   }
-  queue_.clear();
+  order_.clear();
   ids_used_ = 0;
 }
 
-void CanOverlay::FloodScratch::Reach(NodeId node, double arrival_ms) {
+void CanOverlay::WalkScratch::Reach(NodeId node, double arrival_ms) {
   node_stamp_[static_cast<size_t>(node)] = epoch_;
   node_arrival_[static_cast<size_t>(node)] = arrival_ms;
-  queue_.push_back(node);
+  order_.push_back(node);
 }
 
 namespace {
@@ -563,29 +550,26 @@ size_t IdSlot(uint64_t cluster_id, size_t mask) {
 
 }  // namespace
 
-bool CanOverlay::FloodScratch::FirstTest(uint64_t cluster_id) {
-  if (2 * (ids_used_ + 1) > id_keys_.size()) GrowIdTable();
-  const size_t mask = id_keys_.size() - 1;
+bool CanOverlay::WalkScratch::FirstTest(uint64_t cluster_id) {
+  if (2 * (ids_used_ + 1) > ids_.size()) GrowIdTable();
+  const size_t mask = ids_.size() - 1;
   for (size_t i = IdSlot(cluster_id, mask);; i = (i + 1) & mask) {
-    if (id_stamp_[i] != epoch_) {
-      id_stamp_[i] = epoch_;
-      id_keys_[i] = cluster_id;
+    TestedId& slot = ids_[i];
+    if (slot.stamp != epoch_) {
+      slot = TestedId{cluster_id, epoch_};
       ++ids_used_;
       return true;
     }
-    if (id_keys_[i] == cluster_id) return false;
+    if (slot.id == cluster_id) return false;
   }
 }
 
-void CanOverlay::FloodScratch::GrowIdTable() {
-  std::vector<uint64_t> keys = std::move(id_keys_);
-  std::vector<uint32_t> stamps = std::move(id_stamp_);
-  const size_t size = std::max<size_t>(64, 2 * keys.size());
-  id_keys_.assign(size, 0);
-  id_stamp_.assign(size, 0u);
+void CanOverlay::WalkScratch::GrowIdTable() {
+  std::vector<TestedId> old = std::move(ids_);
+  ids_.assign(std::max<size_t>(64, 2 * old.size()), TestedId{});
   ids_used_ = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (stamps[i] == epoch_) FirstTest(keys[i]);
+  for (const TestedId& slot : old) {
+    if (slot.stamp == epoch_) FirstTest(slot.id);
   }
 }
 
@@ -767,20 +751,14 @@ void CanOverlay::RebuildNeighborLists() {
   }
 }
 
-namespace {
-
-// Union of two cluster lists, deduplicated by cluster id.
-std::vector<PublishedCluster> MergeStored(std::vector<PublishedCluster> a,
-                                          const std::vector<PublishedCluster>& b) {
-  std::unordered_set<uint64_t> seen;
-  for (const PublishedCluster& c : a) seen.insert(c.cluster_id);
-  for (const PublishedCluster& c : b) {
-    if (seen.insert(c.cluster_id).second) a.push_back(c);
+void CanOverlay::MergeStored(std::vector<PublishedCluster>* into,
+                             const std::vector<PublishedCluster>& from) {
+  walk_.Begin(nodes_.size());
+  for (const PublishedCluster& c : *into) walk_.FirstTest(c.cluster_id);
+  for (const PublishedCluster& c : from) {
+    if (walk_.FirstTest(c.cluster_id)) into->push_back(c);
   }
-  return a;
 }
-
-}  // namespace
 
 Result<overlay::NodeId> CanOverlay::AddNode(Rng& rng) {
   HM_RETURN_IF_ERROR(Join(rng));
@@ -821,7 +799,7 @@ Status CanOverlay::Leave(NodeId node) {
   if (absorber != overlay::kInvalidNode) {
     Node& a = nodes_[static_cast<size_t>(absorber)];
     a.zone = merged;
-    a.stored = MergeStored(std::move(a.stored), orphaned);
+    MergeStored(&a.stored, orphaned);
     FitSplitsToZone(&a);
   } else {
     // No direct merge: free one node elsewhere. The partition is always the
@@ -846,7 +824,7 @@ Status CanOverlay::Leave(NodeId node) {
     Node& a = nodes_[static_cast<size_t>(first)];
     Node& b = nodes_[static_cast<size_t>(second)];
     a.zone = pair_merged;
-    a.stored = MergeStored(std::move(a.stored), b.stored);
+    MergeStored(&a.stored, b.stored);
     FitSplitsToZone(&a);
     b.zone = departed;
     b.stored = std::move(orphaned);

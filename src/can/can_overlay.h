@@ -45,12 +45,6 @@ struct RouteResult {
   bool delivered = true;
   double latency_ms = 0.0;  ///< accumulated per-hop link latency
 
-  /// Every zone the message occupied, in visit order, starting at the origin.
-  /// A backtracked walk re-records the zone it retreats to, so the trail is
-  /// the message's true path, not just the surviving route. Consecutive
-  /// zones are adjacent except across express-contact forwards.
-  std::vector<overlay::NodeId> trail;
-
   /// Detour budget spent: failed forwards retried via an alternate neighbour,
   /// hint-skipped doomed neighbours, and dead-end pocket backtracks.
   int detours = 0;
@@ -95,8 +89,8 @@ class CanOverlay {
   /// Returns one match record (overlay::ClusterMatch) per stored cluster id
   /// whose sphere intersects `query`, flooding outward from the zone owning
   /// the query center; each record's distance is measured from
-  /// `query.center`. Floods reuse scratch owned by the overlay, so one
-  /// overlay serves one query at a time.
+  /// `query.center`. Routes and floods reuse scratch owned by the overlay,
+  /// so one overlay serves one call at a time.
   ///
   /// Without `entry_hint` the query walks greedily from `origin` to the
   /// center's owner. With one (a mined entry), `origin` contacts the hint
@@ -237,16 +231,18 @@ class CanOverlay {
     bool active = true;
   };
 
-  /// Bookkeeping of one zone flood, kept across floods. An entry belongs to
-  /// the current flood iff its stamp equals the current epoch, so starting a
-  /// flood bumps the epoch instead of clearing or allocating anything.
-  class FloodScratch {
+  /// Bookkeeping of one walk, kept across walks: a zone flood's reached
+  /// zones, arrivals and BFS queue, or a Route's visited and dead zones and
+  /// back-out stack. A mark belongs to the current walk iff its stamp equals
+  /// the current epoch, so starting a walk bumps the epoch instead of
+  /// clearing or allocating anything; 64-bit stamps never wrap.
+  class WalkScratch {
    public:
-    /// Starts a flood over an overlay of `num_nodes` nodes.
+    /// Starts a walk over an overlay of `num_nodes` nodes.
     void Begin(size_t num_nodes);
 
-    /// Marks `node` reached at `arrival_ms` and queues it for expansion.
-    void Reach(overlay::NodeId node, double arrival_ms);
+    /// Marks `node` reached at `arrival_ms` and appends it to `order()`.
+    void Reach(overlay::NodeId node, double arrival_ms = 0.0);
     bool reached(overlay::NodeId node) const {
       return node_stamp_[static_cast<size_t>(node)] == epoch_;
     }
@@ -254,23 +250,42 @@ class CanOverlay {
       return node_arrival_[static_cast<size_t>(node)];
     }
 
-    /// Reached nodes in BFS order; Flood expands them front to back.
-    const std::vector<overlay::NodeId>& queue() const { return queue_; }
+    /// Reached nodes in reach order: Flood expands them front to back, Route
+    /// backs out of the last one (Retreat).
+    const std::vector<overlay::NodeId>& order() const { return order_; }
 
-    /// Records `cluster_id` as tested; false if this flood already did.
+    /// Drops the last reached node from `order()` (it stays reached) and
+    /// returns the new last one.
+    overlay::NodeId Retreat() {
+      order_.pop_back();
+      return order_.back();
+    }
+
+    void MarkDead(overlay::NodeId node) {
+      dead_stamp_[static_cast<size_t>(node)] = epoch_;
+    }
+    bool dead(overlay::NodeId node) const {
+      return dead_stamp_[static_cast<size_t>(node)] == epoch_;
+    }
+
+    /// Records `cluster_id` as tested; false if this walk already did.
     bool FirstTest(uint64_t cluster_id);
 
    private:
     void GrowIdTable();
 
-    uint32_t epoch_ = 0;
-    std::vector<uint32_t> node_stamp_;
+    uint64_t epoch_ = 0;
+    std::vector<uint64_t> node_stamp_;
+    std::vector<uint64_t> dead_stamp_;
     std::vector<double> node_arrival_;
-    std::vector<overlay::NodeId> queue_;
+    std::vector<overlay::NodeId> order_;
     // Open-addressing set of tested cluster ids (linear probing, power-of-two
-    // size, at most half full).
-    std::vector<uint64_t> id_keys_;
-    std::vector<uint32_t> id_stamp_;
+    // size, at most half full); a slot holds an id iff its stamp is current.
+    struct TestedId {
+      uint64_t id = 0;
+      uint64_t stamp = 0;
+    };
+    std::vector<TestedId> ids_;
     size_t ids_used_ = 0;
   };
 
@@ -288,6 +303,10 @@ class CanOverlay {
   /// True iff the union of a and b is a box (they are split siblings);
   /// writes the union into `merged` when so.
   static bool Mergeable(const geom::Box& a, const geom::Box& b, geom::Box* merged);
+
+  /// Appends to `into` every cluster of `from` whose id it does not hold yet.
+  void MergeStored(std::vector<overlay::PublishedCluster>* into,
+                   const std::vector<overlay::PublishedCluster>& from);
 
   /// Recomputes every active node's neighbour list from scratch (O(N^2);
   /// used after the non-local zone handover of Leave).
@@ -353,7 +372,7 @@ class CanOverlay {
   bool replicate_spheres_ = true;
   int route_detours_ = 0;  // query-routing detour budget (set_route_detours)
   std::vector<Node> nodes_;
-  FloodScratch flood_;
+  WalkScratch walk_;  // Route, Flood and MergeStored; one walk at a time
 };
 
 }  // namespace hyperm::can

@@ -337,6 +337,12 @@ Result<std::unique_ptr<HyperMNetwork>> HyperMNetwork::Build(
     return InvalidArgumentError(
         "Build: plan.reissue_budget needs a positive plan.heal_window_ms");
   }
+  // The rules ChannelOptions::Validate applies to the channel's copy.
+  const sim::LinkModel& link = options.net.link;
+  if (!std::isfinite(link.hop_overhead_ms) || !std::isfinite(link.bandwidth_bytes_per_ms) ||
+      link.hop_overhead_ms < 0.0 || link.bandwidth_bytes_per_ms <= 0.0) {
+    return InvalidArgumentError("Build: net.link needs finite overhead >= 0, bandwidth > 0");
+  }
   if (options.backbone.enabled && !options.channel.enabled) {
     return InvalidArgumentError(
         "Build: backbone.enabled requires channel.enabled "
@@ -615,7 +621,6 @@ Result<std::vector<ItemId>> HyperMNetwork::RangeQuery(const Vector& query,
                                                       int max_peers_contacted,
                                                       RangeQueryInfo* info) {
   HM_OBS_SPAN("query/range");
-  HM_OBS_COUNTER_ADD("query.range_count", 1);
   // Root of this query's causal chain: every event below — plan, probes,
   // messages, retrieves — inherits the fresh query id from ambient context.
   HM_OBS_QUERY_SCOPE(hm_obs_query_id);
@@ -627,6 +632,7 @@ Result<std::vector<ItemId>> HyperMNetwork::RangeQuery(const Vector& query,
   if (info == nullptr) info = &local_info;
   HM_ASSIGN_OR_RETURN(std::vector<PeerScore> scores,
                       ScorePeers(query, epsilon, querying_peer, info));
+  HM_OBS_COUNTER_ADD("query.range_count", 1);  // arguments valid (ScorePeers)
   size_t contact = scores.size();
   if (max_peers_contacted >= 0) {
     contact = std::min<size_t>(contact, static_cast<size_t>(max_peers_contacted));

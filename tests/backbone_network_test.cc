@@ -252,6 +252,55 @@ TEST(BackboneNetworkTest, MobilityReElectsAndQueriesStaySound) {
   EXPECT_GT(counters.probes_served, 0u);
 }
 
+TEST(BackboneNetworkTest, ServedPlansCarryDistinctClusterIdsPerLevel) {
+  // The backbone appends domain matches without a dedup set: each cluster id
+  // sits in one peer's publish cache, each peer in one domain, and a plan
+  // descends each domain once. Check that over a mobile run with writes
+  // that republish under fresh ids.
+  Bed bed = MakeBed(RadioOptions(/*speed_m_per_s=*/4.0, /*backbone_on=*/true));
+  // Serving a plan by hand needs the mutable manager the executor drives.
+  auto* manager = const_cast<backbone::BackboneManager*>(bed.network->backbone());
+  ASSERT_NE(manager, nullptr);
+  Rng write_rng(7);
+  ItemId next_item = kNumItems;
+  sim::TimeMs t = bed.network->radio_channel()->DrainedAtMs() + 1.0;
+  int served = 0;
+  size_t matches = 0;
+  for (int step = 0; step < 40; ++step) {
+    t += 500.0;
+    bed.network->AdvanceTo(t);
+    if (step % 5 == 0) {
+      const int peer = step % kNumPeers;
+      Vector features = bed.dataset.items[static_cast<size_t>(step * 13 % kNumItems)];
+      features[0] += 0.25;
+      ASSERT_TRUE(bed.network->AddItemWithoutRepublish(peer, next_item++, features).ok());
+      ASSERT_TRUE(bed.network->RepublishPeer(peer, write_rng).ok());
+    }
+    const Vector& center = bed.dataset.items[static_cast<size_t>(step * 31 % kNumItems)];
+    const QueryPlan plan = bed.network->CompileRangePlan(center, 0.8);
+    std::vector<geom::Sphere> key_spheres;
+    for (const LevelProbe& probe : plan.probes) key_spheres.push_back(probe.key_sphere);
+    std::vector<backbone::ProbeServeResult> out;
+    if (!manager->ServeRangePlan(key_spheres, step % kNumPeers,
+                                 /*conjunctive=*/false, &out)) {
+      continue;
+    }
+    ++served;
+    for (size_t layer = 0; layer < out.size(); ++layer) {
+      std::vector<uint64_t> ids;
+      for (const overlay::ClusterMatch& match : out[layer].matches) {
+        ids.push_back(match.cluster_id);
+      }
+      matches += ids.size();
+      std::sort(ids.begin(), ids.end());
+      EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+          << "step " << step << " level " << layer;
+    }
+  }
+  EXPECT_GT(served, 10);
+  EXPECT_GT(matches, 0u);
+}
+
 // Rebuilds every usable domain digest from scratch (one InsertSphere per
 // cluster in every up member's last delivered report) and expects the
 // manager's merged digest to match it exactly. Returns the domains checked.

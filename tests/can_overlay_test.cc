@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -162,31 +163,6 @@ INSTANTIATE_TEST_SUITE_P(
     DimsAndSizes, CanExpressRouting,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
                        ::testing::Values(17, 64, 1000)));
-
-// Query traffic keeps the neighbour walk: every step of a kQuery trail (and
-// so of RangeQuery's routing stage) crosses into an adjacent zone.
-TEST(CanQueryRoutingTest, RangeQueryTrailsStepBetweenAdjacentZones) {
-  sim::NetworkStats stats;
-  auto can = MakeCan(1, 64, &stats);
-  Rng rng(17);
-  for (int trial = 0; trial < 100; ++trial) {
-    const Vector center{rng.NextDouble()};
-    const NodeId origin = static_cast<NodeId>(rng.NextIndex(64));
-    Result<RouteResult> route =
-        can->Route(center, origin, sim::TrafficClass::kQuery, 24);
-    ASSERT_TRUE(route.ok());
-    for (size_t i = 1; i < route->trail.size(); ++i) {
-      const auto& near = can->neighbors(route->trail[i - 1]);
-      EXPECT_NE(std::find(near.begin(), near.end(), route->trail[i]), near.end())
-          << "trial " << trial << " step " << i;
-    }
-    Result<overlay::RangeQueryResult> query =
-        can->RangeQuery(geom::Sphere{center, 0.01}, origin);
-    ASSERT_TRUE(query.ok());
-    EXPECT_EQ(query->routing_hops, route->hops);
-    EXPECT_EQ(query->entry_node, route->destination);
-  }
-}
 
 TEST(CanInsertTest, PointStoredAtOwner) {
   sim::NetworkStats stats;
@@ -459,6 +435,51 @@ bool SameMatches(const std::vector<overlay::ClusterMatch>& a,
     }
   }
   return true;
+}
+
+// Query traffic keeps the neighbour walk: every message of a kQuery route
+// crosses into an adjacent zone, and RangeQuery's routing stage sends the
+// same messages.
+TEST(CanQueryRoutingTest, RangeQueryTrailsStepBetweenAdjacentZones) {
+  sim::NetworkStats stats;
+  auto can = MakeCan(1, 64, &stats);
+  EdgeDropTransport transport;
+  can->set_transport(&transport);
+  const auto route_steps = [&transport] {
+    std::vector<std::pair<NodeId, NodeId>> steps;
+    for (const EdgeDropTransport::Sent& sent : transport.log()) {
+      if (sent.type == net::MessageType::kRoute) steps.emplace_back(sent.src, sent.dst);
+    }
+    return steps;
+  };
+  Rng rng(17);
+  for (int trial = 0; trial < 100; ++trial) {
+    const Vector center{rng.NextDouble()};
+    const NodeId origin = static_cast<NodeId>(rng.NextIndex(64));
+    transport.ClearLog();
+    Result<RouteResult> route =
+        can->Route(center, origin, sim::TrafficClass::kQuery, 24);
+    ASSERT_TRUE(route.ok());
+    const std::vector<std::pair<NodeId, NodeId>> steps = route_steps();
+    ASSERT_EQ(steps.size(), static_cast<size_t>(route->hops));
+    NodeId at = origin;
+    for (size_t i = 0; i < steps.size(); ++i) {
+      const auto& [src, dst] = steps[i];
+      EXPECT_EQ(src, at) << "trial " << trial << " step " << i;
+      const auto& near = can->neighbors(src);
+      EXPECT_NE(std::find(near.begin(), near.end(), dst), near.end())
+          << "trial " << trial << " step " << i;
+      at = dst;
+    }
+    EXPECT_EQ(at, route->destination);
+    transport.ClearLog();
+    Result<overlay::RangeQueryResult> query =
+        can->RangeQuery(geom::Sphere{center, 0.01}, origin);
+    ASSERT_TRUE(query.ok());
+    EXPECT_EQ(query->routing_hops, route->hops);
+    EXPECT_EQ(query->entry_node, route->destination);
+    EXPECT_EQ(route_steps(), steps) << "trial " << trial;
+  }
 }
 
 // A lost replication message prunes only its edge: the zone it targeted

@@ -140,6 +140,36 @@ TEST(NetworkBuildTest, AcceptsSimulatorSettingsOnDefaultTransport) {
   EXPECT_TRUE(HyperMNetwork::Build(good, assignment, window_only, rng).ok());
 }
 
+// The transport's link model obeys the rules the radio channel applies to
+// its own copy: a negative overhead would give negative hop latencies, and
+// HopMs would clamp a zero bandwidth to a tiny rate.
+TEST(NetworkBuildTest, RejectsBadLinkModel) {
+  data::Dataset good;
+  good.items.push_back(Vector(8, 1.0));
+  good.items.push_back(Vector(8, 0.5));
+  const data::PeerAssignment assignment = {{0}, {1}};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, double>> bad = {
+      {-1.0, 125.0}, {inf, 125.0}, {nan, 125.0},
+      {5.0, 0.0},    {5.0, -5.0},  {5.0, inf},   {5.0, nan}};
+  for (const auto& [overhead, bandwidth] : bad) {
+    HyperMOptions options;
+    options.net.link.hop_overhead_ms = overhead;
+    options.net.link.bandwidth_bytes_per_ms = bandwidth;
+    Rng rng(1);
+    Result<std::unique_ptr<HyperMNetwork>> net =
+        HyperMNetwork::Build(good, assignment, options, rng);
+    ASSERT_FALSE(net.ok()) << overhead << " ms, " << bandwidth << " B/ms";
+    EXPECT_EQ(net.status().code(), StatusCode::kInvalidArgument);
+  }
+  HyperMOptions edge;
+  edge.net.link.hop_overhead_ms = 0.0;
+  edge.net.link.bandwidth_bytes_per_ms = 1e-3;
+  Rng rng(1);
+  EXPECT_TRUE(HyperMNetwork::Build(good, assignment, edge, rng).ok());
+}
+
 TEST(NetworkBuildTest, TopologyMatchesConfiguration) {
   TestBed bed = MakeTestBed();
   EXPECT_EQ(bed.network->num_peers(), 16);
@@ -722,6 +752,25 @@ TEST(NetworkObsTest, QueryAccountingReachesRegistryAndStats) {
   EXPECT_EQ(snap.histograms.at("query.peers_contacted").count, 1u);
   EXPECT_GT(snap.counters.at("build.clusters_published"), 0u);
   obs::Tracer::Global().Reset();
+}
+
+// A range query its arguments reject is not counted; k-NN queries already
+// validate before they count.
+TEST(NetworkObsTest, RejectedRangeQueryIsNotCounted) {
+  TestBed bed = MakeTestBed();
+  const auto range_count = [] {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+    const auto it = snap.counters.find("query.range_count");
+    return it == snap.counters.end() ? uint64_t{0} : it->second;
+  };
+  const uint64_t before = range_count();
+  const Vector& center = bed.dataset.items[3];
+  EXPECT_FALSE(bed.network->RangeQuery(center, -1.0, 0, -1).ok());
+  EXPECT_FALSE(bed.network->RangeQuery(Vector(3, 0.0), 0.5, 0, -1).ok());
+  EXPECT_FALSE(bed.network->PointQuery(center, /*querying_peer=*/-1).ok());
+  EXPECT_EQ(range_count(), before);
+  ASSERT_TRUE(bed.network->RangeQuery(center, 0.5, 0, -1).ok());
+  EXPECT_EQ(range_count(), before + 1);
 }
 
 }  // namespace
