@@ -301,7 +301,9 @@ std::vector<overlay::PublishedCluster> PublishRandomClusters(can::CanOverlay* ca
 }
 
 // One CAN zone flood: a range query entered at the owner of its center (so
-// no routing walk), over replicated cluster spheres. Args: {dim, nodes}.
+// no routing walk), over replicated cluster spheres. Args: {dim, nodes};
+// {1, 512} is a 1-D level like publish_1k's, where each sphere is copied
+// into the most zones.
 void BM_CanFlood(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const int nodes = static_cast<int>(state.range(1));
@@ -321,12 +323,12 @@ void BM_CanFlood(benchmark::State& state) {
   state.counters["matches_per_flood"] = benchmark::Counter(
       static_cast<double>(matches), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_CanFlood)->Args({2, 256})->Args({4, 256});
+BENCHMARK(BM_CanFlood)->Args({1, 512})->Args({2, 256})->Args({4, 256});
 
 // One CanOverlay::Insert on BM_CanFlood's overlay: the express-contact route
 // from node 0 to the centroid owner plus the replication flood. Each
 // iteration re-inserts one already-stored cluster id (the soft-state refresh
-// path, which replaces its copies in place), so storage stays flat.
+// path, which renews its copies' expiry in place), so storage stays flat.
 // Args: {dim, nodes}.
 void BM_CanInsert(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));

@@ -115,15 +115,18 @@ NodeId CanOverlay::SplitZone(NodeId owner, const Vector& point) {
     old_node.contacts.push_back(fresh_id);
   }
 
-  // Re-home stored clusters: each stays with every half its sphere overlaps.
-  std::vector<PublishedCluster> kept;
-  for (PublishedCluster& cluster : old_node.stored) {
-    if (fresh.zone.IntersectsSphere(cluster.sphere)) fresh.stored.push_back(cluster);
-    if (nodes_[static_cast<size_t>(owner)].zone.IntersectsSphere(cluster.sphere)) {
-      kept.push_back(std::move(cluster));
+  // Re-home stored replicas: each stays with every half its sphere overlaps.
+  // The fresh half's copies take their references before the old half lets
+  // go of its own, so no record is freed while a half still holds it.
+  for (const Replica& replica : old_node.stored) {
+    if (fresh.zone.IntersectsSphere(clusters_[replica.slot].sphere)) {
+      fresh.stored.push_back(replica);
+      ++refs_[replica.slot];
     }
   }
-  nodes_[static_cast<size_t>(owner)].stored = std::move(kept);
+  EraseReplicas(&old_node.stored, [&](const Replica& replica) {
+    return !old_node.zone.IntersectsSphere(clusters_[replica.slot].sphere);
+  });
 
   // Rebuild neighbour sets of the two halves from the owner's old set, then
   // fix up the reverse edges.
@@ -168,13 +171,12 @@ bool CanOverlay::Adjacent(const geom::Box& a, const geom::Box& b) {
   return abuts;
 }
 
-Vector CanOverlay::ClampKey(const Vector& key) const {
+void CanOverlay::ClampKey(const Vector& key, Vector* out) const {
   HM_CHECK_EQ(key.size(), dim_);
-  Vector clamped = key;
-  for (double& x : clamped) {
+  out->assign(key.begin(), key.end());
+  for (double& x : *out) {
     x = std::clamp(x, 0.0, std::nextafter(1.0, 0.0));
   }
-  return clamped;
 }
 
 uint64_t CanOverlay::KeyMessageBytes() const {
@@ -187,7 +189,8 @@ uint64_t CanOverlay::ClusterMessageBytes() const {
 }
 
 NodeId CanOverlay::OwnerOf(const Vector& key) const {
-  const Vector clamped = ClampKey(key);
+  Vector clamped;
+  ClampKey(key, &clamped);
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (!nodes_[i].active) continue;
     if (nodes_[i].zone.ContainsHalfOpen(clamped)) return static_cast<NodeId>(i);
@@ -218,7 +221,14 @@ Result<RouteResult> CanOverlay::Route(const Vector& key, NodeId origin,
       !nodes_[static_cast<size_t>(origin)].active) {
     return InvalidArgumentError("Route: bad origin node");
   }
-  const Vector target = ClampKey(key);
+  ClampKey(key, walk_.key());
+  return RouteClamped(*walk_.key(), origin, cls, message_bytes, type, max_detours);
+}
+
+Result<RouteResult> CanOverlay::RouteClamped(const Vector& target, NodeId origin,
+                                             sim::TrafficClass cls,
+                                             uint64_t message_bytes,
+                                             net::MessageType type, int max_detours) {
   RouteResult result;
   NodeId current = origin;
   // Greedy descent over zone-to-target distance. A target lying exactly on a
@@ -369,7 +379,7 @@ CanOverlay::FloodReach CanOverlay::Flood(const geom::Sphere& sphere, NodeId entr
   // Branches run concurrently: a zone's arrival is the end of the chain of
   // edges reaching it, and the flood completes when its slowest branch does.
   FloodReach reach{0, start_ms};
-  walk_.Begin(nodes_.size());
+  walk_.Begin(nodes_.size(), clusters_.size());
   walk_.Reach(entry, start_ms);
   for (size_t head = 0; head < walk_.order().size(); ++head) {
     const NodeId node = walk_.order()[head];
@@ -395,6 +405,16 @@ Result<InsertReceipt> CanOverlay::Insert(const PublishedCluster& cluster, NodeId
   if (cluster.sphere.radius < 0.0) {
     return InvalidArgumentError("Insert: negative radius");
   }
+  const auto known = slot_of_.find(cluster.cluster_id);
+  if (known != slot_of_.end()) {
+    const PublishedCluster& record = clusters_[known->second];
+    if (record.sphere.center != cluster.sphere.center ||
+        record.sphere.radius != cluster.sphere.radius ||
+        record.owner_peer != cluster.owner_peer || record.items != cluster.items) {
+      return InvalidArgumentError(
+          "Insert: refresh of a stored cluster id with another summary");
+    }
+  }
   HM_ASSIGN_OR_RETURN(RouteResult route,
                       Route(cluster.sphere.center, origin, sim::TrafficClass::kInsert,
                             ClusterMessageBytes(), net::MessageType::kInsert));
@@ -408,19 +428,23 @@ Result<InsertReceipt> CanOverlay::Insert(const PublishedCluster& cluster, NodeId
   }
 
   // Re-publication of an already-stored cluster id (soft-state refresh)
-  // supersedes the entry in place instead of duplicating it; ids are unique
-  // per publication otherwise, so first insertion is a plain append.
-  const auto store_at = [this, &cluster](NodeId node) {
+  // renews the expiry of the copy a zone holds instead of duplicating it. A
+  // new record has no copies yet, so each zone just appends one.
+  const bool fresh = known == slot_of_.end();
+  const uint32_t slot = fresh ? NewRecord(cluster) : known->second;
+  const double expires_at = cluster.expires_at;
+  const auto store_at = [this, fresh, slot, expires_at](NodeId node) {
     auto& stored = nodes_[static_cast<size_t>(node)].stored;
-    for (PublishedCluster& existing : stored) {
-      if (existing.cluster_id == cluster.cluster_id) {
-        HM_DCHECK(existing.sphere.center == cluster.sphere.center &&
-                  existing.sphere.radius == cluster.sphere.radius);
-        existing = cluster;
-        return;
+    if (!fresh) {
+      for (Replica& existing : stored) {
+        if (existing.slot == slot) {
+          existing.expires_at = expires_at;
+          return;
+        }
       }
     }
-    stored.push_back(cluster);
+    stored.push_back(Replica{slot, expires_at});
+    ++refs_[slot];
   };
 
   if (!replicate_spheres_) {
@@ -455,6 +479,7 @@ Result<RangeQueryResult> CanOverlay::RangeQuery(const geom::Sphere& query,
   RangeQueryResult result;
   NodeId entry = origin;
   bool owns_center = false;
+  ClampKey(query.center, walk_.key());  // the hint test's and the walk's target
   if (entry_hint != overlay::kInvalidNode) {
     if (entry_hint < 0 || entry_hint >= num_nodes() ||
         !nodes_[static_cast<size_t>(entry_hint)].active) {
@@ -480,18 +505,17 @@ Result<RangeQueryResult> CanOverlay::RangeQuery(const geom::Sphere& query,
       }
     }
     entry = entry_hint;
-    owns_center = nodes_[static_cast<size_t>(entry_hint)].zone.ContainsHalfOpen(
-        ClampKey(query.center));
+    owns_center =
+        nodes_[static_cast<size_t>(entry_hint)].zone.ContainsHalfOpen(*walk_.key());
   }
   if (!owns_center) {
     // Walk to the center's owner: from the origin, or resumed from a hint
     // whose zone does not hold the center (the miner's cell straddles a zone
     // border).
-    HM_ASSIGN_OR_RETURN(RouteResult route, Route(query.center, entry,
-                                                 sim::TrafficClass::kQuery,
-                                                 KeyMessageBytes(),
-                                                 net::MessageType::kRoute,
-                                                 route_detours_));
+    HM_ASSIGN_OR_RETURN(RouteResult route,
+                        RouteClamped(*walk_.key(), entry, sim::TrafficClass::kQuery,
+                                     KeyMessageBytes(), net::MessageType::kRoute,
+                                     route_detours_));
     result.routing_hops += route.hops;
     result.latency_ms += route.latency_ms;
     result.route_detours = route.detours;
@@ -508,13 +532,13 @@ Result<RangeQueryResult> CanOverlay::RangeQuery(const geom::Sphere& query,
       query, entry, result.latency_ms, net::MessageType::kQueryFlood,
       sim::TrafficClass::kQuery, KeyMessageBytes(), [&](NodeId node) {
         ++result.nodes_visited;
-        for (const PublishedCluster& cluster : nodes_[static_cast<size_t>(node)].stored) {
-          // Test once per id: every stored copy of a cluster_id has the same
-          // sphere (see Insert), so the first copy the flood meets decides
-          // for all of them, and a match is reported once, at its first
-          // copy, as a compact record carrying the distance the test computed.
-          if (!walk_.FirstTest(cluster.cluster_id)) continue;
-          overlay::AppendIfIntersects(cluster, query, &result.matches);
+        for (const Replica& replica : nodes_[static_cast<size_t>(node)].stored) {
+          // Test once per record: all copies of a cluster_id share one record
+          // (see Insert), so the first copy the flood meets decides for all
+          // of them, and a match is reported once, at its first copy, as a
+          // compact record carrying the distance the test computed.
+          if (!walk_.FirstTest(replica.slot)) continue;
+          overlay::AppendIfIntersects(clusters_[replica.slot], query, &result.matches);
         }
       });
   result.flood_hops = reach.edges;
@@ -524,15 +548,15 @@ Result<RangeQueryResult> CanOverlay::RangeQuery(const geom::Sphere& query,
   return result;
 }
 
-void CanOverlay::WalkScratch::Begin(size_t num_nodes) {
+void CanOverlay::WalkScratch::Begin(size_t num_nodes, size_t num_slots) {
   ++epoch_;
   if (node_stamp_.size() < num_nodes) {
     node_stamp_.resize(num_nodes, 0);
     dead_stamp_.resize(num_nodes, 0);
     node_arrival_.resize(num_nodes, 0.0);
   }
+  if (slot_stamp_.size() < num_slots) slot_stamp_.resize(num_slots, 0);
   order_.clear();
-  ids_used_ = 0;
 }
 
 void CanOverlay::WalkScratch::Reach(NodeId node, double arrival_ms) {
@@ -541,36 +565,44 @@ void CanOverlay::WalkScratch::Reach(NodeId node, double arrival_ms) {
   order_.push_back(node);
 }
 
-namespace {
-
-size_t IdSlot(uint64_t cluster_id, size_t mask) {
-  const uint64_t h = cluster_id * 0x9E3779B97F4A7C15ull;
-  return static_cast<size_t>(h ^ (h >> 32)) & mask;
+uint32_t CanOverlay::NewRecord(const PublishedCluster& cluster) {
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(clusters_.size());
+    clusters_.push_back(cluster);
+    refs_.push_back(0);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    clusters_[slot] = cluster;
+  }
+  slot_of_.emplace(cluster.cluster_id, slot);
+  return slot;
 }
 
-}  // namespace
+void CanOverlay::DropRef(uint32_t slot) {
+  if (--refs_[slot] > 0) return;
+  slot_of_.erase(clusters_[slot].cluster_id);
+  free_slots_.push_back(slot);
+}
 
-bool CanOverlay::WalkScratch::FirstTest(uint64_t cluster_id) {
-  if (2 * (ids_used_ + 1) > ids_.size()) GrowIdTable();
-  const size_t mask = ids_.size() - 1;
-  for (size_t i = IdSlot(cluster_id, mask);; i = (i + 1) & mask) {
-    TestedId& slot = ids_[i];
-    if (slot.stamp != epoch_) {
-      slot = TestedId{cluster_id, epoch_};
-      ++ids_used_;
-      return true;
+template <typename Drop>
+int CanOverlay::EraseReplicas(std::vector<Replica>* stored, Drop&& drop) {
+  // A hand-rolled remove_if: the dropped replicas are the ones whose
+  // references go, and remove_if would leave moved-from values, not them,
+  // in its tail.
+  size_t kept = 0;
+  for (size_t i = 0; i < stored->size(); ++i) {
+    const Replica replica = (*stored)[i];
+    if (drop(replica)) {
+      DropRef(replica.slot);
+    } else {
+      (*stored)[kept++] = replica;
     }
-    if (slot.id == cluster_id) return false;
   }
-}
-
-void CanOverlay::WalkScratch::GrowIdTable() {
-  std::vector<TestedId> old = std::move(ids_);
-  ids_.assign(std::max<size_t>(64, 2 * old.size()), TestedId{});
-  ids_used_ = 0;
-  for (const TestedId& slot : old) {
-    if (slot.stamp == epoch_) FirstTest(slot.id);
-  }
+  const int removed = static_cast<int>(stored->size() - kept);
+  stored->resize(kept);
+  return removed;
 }
 
 std::vector<NodeStorage> CanOverlay::StorageDistribution() const {
@@ -580,7 +612,7 @@ std::vector<NodeStorage> CanOverlay::StorageDistribution() const {
     NodeStorage s;
     s.node = static_cast<NodeId>(i);
     s.clusters = static_cast<int>(nodes_[i].stored.size());
-    for (const PublishedCluster& c : nodes_[i].stored) s.items += c.items;
+    for (const Replica& r : nodes_[i].stored) s.items += clusters_[r.slot].items;
     out.push_back(s);
   }
   return out;
@@ -588,17 +620,18 @@ std::vector<NodeStorage> CanOverlay::StorageDistribution() const {
 
 void CanOverlay::ClearStorage() {
   for (Node& node : nodes_) node.stored.clear();
+  clusters_.clear();
+  refs_.clear();
+  free_slots_.clear();
+  slot_of_.clear();
 }
 
 int CanOverlay::RemoveByOwner(int owner_peer) {
   int removed = 0;
   for (Node& node : nodes_) {
-    auto& stored = node.stored;
-    const auto end = std::remove_if(
-        stored.begin(), stored.end(),
-        [owner_peer](const PublishedCluster& c) { return c.owner_peer == owner_peer; });
-    removed += static_cast<int>(std::distance(end, stored.end()));
-    stored.erase(end, stored.end());
+    removed += EraseReplicas(&node.stored, [&](const Replica& r) {
+      return clusters_[r.slot].owner_peer == owner_peer;
+    });
   }
   return removed;
 }
@@ -606,12 +639,8 @@ int CanOverlay::RemoveByOwner(int owner_peer) {
 int CanOverlay::ExpireBefore(double now) {
   int removed = 0;
   for (Node& node : nodes_) {
-    auto& stored = node.stored;
-    const auto end = std::remove_if(
-        stored.begin(), stored.end(),
-        [now](const PublishedCluster& c) { return c.expires_at < now; });
-    removed += static_cast<int>(std::distance(end, stored.end()));
-    stored.erase(end, stored.end());
+    removed += EraseReplicas(&node.stored,
+                             [now](const Replica& r) { return r.expires_at < now; });
   }
   return removed;
 }
@@ -619,10 +648,8 @@ int CanOverlay::ExpireBefore(double now) {
 int CanOverlay::ClearNode(NodeId node) {
   HM_CHECK_GE(node, 0);
   HM_CHECK_LT(node, num_nodes());
-  Node& n = nodes_[static_cast<size_t>(node)];
-  const int lost = static_cast<int>(n.stored.size());
-  n.stored.clear();
-  return lost;
+  return EraseReplicas(&nodes_[static_cast<size_t>(node)].stored,
+                       [](const Replica&) { return true; });
 }
 
 const geom::Box& CanOverlay::zone(NodeId node) const {
@@ -637,10 +664,15 @@ const std::vector<NodeId>& CanOverlay::neighbors(NodeId node) const {
   return nodes_[static_cast<size_t>(node)].neighbors;
 }
 
-const std::vector<PublishedCluster>& CanOverlay::stored(NodeId node) const {
+std::vector<PublishedCluster> CanOverlay::stored(NodeId node) const {
   HM_CHECK_GE(node, 0);
   HM_CHECK_LT(node, num_nodes());
-  return nodes_[static_cast<size_t>(node)].stored;
+  std::vector<PublishedCluster> out;
+  for (const Replica& replica : nodes_[static_cast<size_t>(node)].stored) {
+    out.push_back(clusters_[replica.slot]);
+    out.back().expires_at = replica.expires_at;
+  }
+  return out;
 }
 
 bool CanOverlay::active(NodeId node) const {
@@ -751,13 +783,17 @@ void CanOverlay::RebuildNeighborLists() {
   }
 }
 
-void CanOverlay::MergeStored(std::vector<PublishedCluster>* into,
-                             const std::vector<PublishedCluster>& from) {
-  walk_.Begin(nodes_.size());
-  for (const PublishedCluster& c : *into) walk_.FirstTest(c.cluster_id);
-  for (const PublishedCluster& c : from) {
-    if (walk_.FirstTest(c.cluster_id)) into->push_back(c);
+void CanOverlay::MergeStored(std::vector<Replica>* into, std::vector<Replica>* from) {
+  walk_.Begin(nodes_.size(), clusters_.size());
+  for (const Replica& r : *into) walk_.FirstTest(r.slot);
+  for (const Replica& r : *from) {
+    if (walk_.FirstTest(r.slot)) {
+      into->push_back(r);
+    } else {
+      DropRef(r.slot);
+    }
   }
+  from->clear();
 }
 
 Result<overlay::NodeId> CanOverlay::AddNode(Rng& rng) {
@@ -774,7 +810,7 @@ Status CanOverlay::Leave(NodeId node) {
   }
   Node& leaving = nodes_[static_cast<size_t>(node)];
   const geom::Box departed = leaving.zone;
-  std::vector<PublishedCluster> orphaned = std::move(leaving.stored);
+  std::vector<Replica> orphaned = std::move(leaving.stored);
   const std::vector<NodeId> old_neighbors = std::move(leaving.neighbors);
   std::vector<Split> departed_splits = std::move(leaving.splits);
   std::vector<NodeId> departed_contacts = std::move(leaving.contacts);
@@ -799,7 +835,7 @@ Status CanOverlay::Leave(NodeId node) {
   if (absorber != overlay::kInvalidNode) {
     Node& a = nodes_[static_cast<size_t>(absorber)];
     a.zone = merged;
-    MergeStored(&a.stored, orphaned);
+    MergeStored(&a.stored, &orphaned);
     FitSplitsToZone(&a);
   } else {
     // No direct merge: free one node elsewhere. The partition is always the
@@ -824,7 +860,7 @@ Status CanOverlay::Leave(NodeId node) {
     Node& a = nodes_[static_cast<size_t>(first)];
     Node& b = nodes_[static_cast<size_t>(second)];
     a.zone = pair_merged;
-    MergeStored(&a.stored, b.stored);
+    MergeStored(&a.stored, &b.stored);
     FitSplitsToZone(&a);
     b.zone = departed;
     b.stored = std::move(orphaned);

@@ -22,7 +22,9 @@
 #ifndef HYPERM_CAN_CAN_OVERLAY_H_
 #define HYPERM_CAN_CAN_OVERLAY_H_
 
+#include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -79,10 +81,12 @@ class CanOverlay {
   /// would miss it).
   ///
   /// Inserting a cluster_id that is already stored is a refresh: it must
-  /// carry the same sphere, and it replaces the stored copies in place. A
-  /// changed summary takes a fresh id (after RemoveByOwner). So every stored
-  /// copy of one cluster_id has the same sphere, which the range-query flood
-  /// relies on to test each id once.
+  /// carry the same sphere, owner and item count, and it only renews the
+  /// expiry of the copies it reaches; one that differs is rejected with
+  /// InvalidArgument before anything is sent. A changed summary takes a fresh
+  /// id (after RemoveByOwner), or its old id once no copy of it is stored. So
+  /// every stored copy of one cluster_id has the same sphere, which the
+  /// range-query flood relies on to test each id once.
   Result<overlay::InsertReceipt> Insert(const overlay::PublishedCluster& cluster,
                                         overlay::NodeId origin);
 
@@ -176,8 +180,9 @@ class CanOverlay {
                             net::MessageType type = net::MessageType::kRoute,
                             int max_detours = 0);
 
-  /// Clusters currently stored at `node` (including replicas).
-  const std::vector<overlay::PublishedCluster>& stored(overlay::NodeId node) const;
+  /// Clusters currently stored at `node` (including replicas), each with
+  /// that copy's expiry. Built per call from the overlay's cluster table.
+  std::vector<overlay::PublishedCluster> stored(overlay::NodeId node) const;
 
   /// A new node joins the running overlay through the standard CAN
   /// protocol (route to a random point, split the owner's zone). Returns
@@ -222,24 +227,34 @@ class CanOverlay {
     bool upper;
   };
 
+  /// One zone's copy of a cluster: the slot of its record in `clusters_`,
+  /// and the copy's own expiry (a refresh flood that loses an edge leaves
+  /// the copies behind that edge at their old TTL).
+  struct Replica {
+    uint32_t slot;
+    double expires_at;
+  };
+
   struct Node {
     geom::Box zone;
     std::vector<overlay::NodeId> neighbors;
-    std::vector<overlay::PublishedCluster> stored;
+    std::vector<Replica> stored;
     std::vector<Split> splits;               // root-first split history
     std::vector<overlay::NodeId> contacts;   // contacts[i]: node across splits[i]
     bool active = true;
   };
 
   /// Bookkeeping of one walk, kept across walks: a zone flood's reached
-  /// zones, arrivals and BFS queue, or a Route's visited and dead zones and
-  /// back-out stack. A mark belongs to the current walk iff its stamp equals
-  /// the current epoch, so starting a walk bumps the epoch instead of
-  /// clearing or allocating anything; 64-bit stamps never wrap.
+  /// zones, arrivals, BFS queue and tested cluster records, or a Route's
+  /// clamped target, visited and dead zones and back-out stack. A mark
+  /// belongs to the current walk iff its stamp equals the current epoch, so
+  /// starting a walk bumps the epoch instead of clearing or allocating
+  /// anything; 64-bit stamps never wrap.
   class WalkScratch {
    public:
-    /// Starts a walk over an overlay of `num_nodes` nodes.
-    void Begin(size_t num_nodes);
+    /// Starts a walk over an overlay of `num_nodes` nodes whose cluster
+    /// table has `num_slots` slots.
+    void Begin(size_t num_nodes, size_t num_slots = 0);
 
     /// Marks `node` reached at `arrival_ms` and appends it to `order()`.
     void Reach(overlay::NodeId node, double arrival_ms = 0.0);
@@ -268,25 +283,26 @@ class CanOverlay {
       return dead_stamp_[static_cast<size_t>(node)] == epoch_;
     }
 
-    /// Records `cluster_id` as tested; false if this walk already did.
-    bool FirstTest(uint64_t cluster_id);
+    /// Records cluster record `slot` as tested; false if this walk already
+    /// did.
+    bool FirstTest(uint32_t slot) {
+      uint64_t& stamp = slot_stamp_[slot];
+      if (stamp == epoch_) return false;
+      stamp = epoch_;
+      return true;
+    }
+
+    /// Buffer for a walk's clamped target key (see ClampKey).
+    Vector* key() { return &key_; }
 
    private:
-    void GrowIdTable();
-
     uint64_t epoch_ = 0;
     std::vector<uint64_t> node_stamp_;
     std::vector<uint64_t> dead_stamp_;
     std::vector<double> node_arrival_;
     std::vector<overlay::NodeId> order_;
-    // Open-addressing set of tested cluster ids (linear probing, power-of-two
-    // size, at most half full); a slot holds an id iff its stamp is current.
-    struct TestedId {
-      uint64_t id = 0;
-      uint64_t stamp = 0;
-    };
-    std::vector<TestedId> ids_;
-    size_t ids_used_ = 0;
+    std::vector<uint64_t> slot_stamp_;
+    Vector key_;
   };
 
   CanOverlay(size_t dim, sim::NetworkStats* stats) : dim_(dim), stats_(stats) {}
@@ -304,9 +320,21 @@ class CanOverlay {
   /// writes the union into `merged` when so.
   static bool Mergeable(const geom::Box& a, const geom::Box& b, geom::Box* merged);
 
-  /// Appends to `into` every cluster of `from` whose id it does not hold yet.
-  void MergeStored(std::vector<overlay::PublishedCluster>* into,
-                   const std::vector<overlay::PublishedCluster>& from);
+  /// Moves into `into` every replica of `from` whose record it does not hold
+  /// yet and drops the rest; `from` ends empty.
+  void MergeStored(std::vector<Replica>* into, std::vector<Replica>* from);
+
+  /// Takes a record slot for `cluster` (reusing a freed one) with no
+  /// replicas yet.
+  uint32_t NewRecord(const overlay::PublishedCluster& cluster);
+
+  /// Drops one replica's reference to `slot`; the last one frees the record.
+  void DropRef(uint32_t slot);
+
+  /// Erases, in one stable compaction pass, every replica of `stored` for
+  /// which `drop(replica)` holds, dropping its reference; returns how many.
+  template <typename Drop>
+  int EraseReplicas(std::vector<Replica>* stored, Drop&& drop);
 
   /// Recomputes every active node's neighbour list from scratch (O(N^2);
   /// used after the non-local zone handover of Leave).
@@ -334,8 +362,13 @@ class CanOverlay {
   overlay::NodeId ExpressHop(const Node& node, const Vector& target,
                              size_t* fixed_depth) const;
 
-  /// Clamps a key into [0,1)^dim.
-  Vector ClampKey(const Vector& key) const;
+  /// Writes `key` clamped into [0,1)^dim to `out`.
+  void ClampKey(const Vector& key, Vector* out) const;
+
+  /// Route from a valid `origin` toward an already clamped `target`.
+  Result<RouteResult> RouteClamped(const Vector& target, overlay::NodeId origin,
+                                   sim::TrafficClass cls, uint64_t message_bytes,
+                                   net::MessageType type, int max_detours);
 
   /// Bytes of a routing message carrying only a key.
   uint64_t KeyMessageBytes() const;
@@ -372,6 +405,16 @@ class CanOverlay {
   bool replicate_spheres_ = true;
   int route_detours_ = 0;  // query-routing detour budget (set_route_detours)
   std::vector<Node> nodes_;
+
+  // Cluster table (DESIGN.md §26): one record per stored cluster id, indexed
+  // by slot and shared by all of its replicas. A record's expires_at is
+  // unused (expiry is per replica); refs_[slot] counts its replicas, and the
+  // last one to go puts the slot on free_slots_ and its id out of slot_of_.
+  std::vector<overlay::PublishedCluster> clusters_;
+  std::vector<uint32_t> refs_;
+  std::vector<uint32_t> free_slots_;
+  std::unordered_map<uint64_t, uint32_t> slot_of_;  // stored id -> slot
+
   WalkScratch walk_;  // Route, Flood and MergeStored; one walk at a time
 };
 

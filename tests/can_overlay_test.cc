@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <tuple>
@@ -338,7 +340,7 @@ TEST(CanQueryTest, TestOnceFloodMatchesTestThenDedupeWalk) {
   auto can = MakeCan(3, 48, &stats);
   Rng rng(11);
   // Wide spheres so most clusters are replicated into several zones, and
-  // enough ids (300) to grow the flood's tested-id table past its first size.
+  // enough ids (300) that each flood meets many repeated copies.
   std::vector<PublishedCluster> published;
   uint64_t next_id = 1;
   auto random_cluster = [&](int owner) {
@@ -359,7 +361,7 @@ TEST(CanQueryTest, TestOnceFloodMatchesTestThenDedupeWalk) {
   ExpectFloodsMatchReference(*can, rng, "fresh");
 
   // TTL refresh: re-insert a third of the summaries unchanged but for the
-  // expiry; every copy is superseded in place.
+  // expiry; every copy's expiry is renewed in place.
   for (size_t i = 0; i < published.size(); i += 3) {
     published[i].expires_at = 2000.0;
     ASSERT_TRUE(can->Insert(published[i], static_cast<NodeId>(i % 48)).ok());
@@ -711,6 +713,196 @@ TEST(CanStorageTest, RemoveByOwnerErasesAllReplicas) {
     }
   }
 }
+
+// A refresh must carry the summary its id is stored with; one that differs
+// is rejected before anything is sent. Once every copy of the id is gone, its
+// record is released and the id is accepted again with a new sphere.
+TEST(CanInsertTest, RefreshWithAnotherSphereIsRejected) {
+  sim::NetworkStats stats;
+  auto can = MakeCan(2, 16, &stats);
+  PublishedCluster stored;
+  stored.sphere = geom::Sphere{{0.4, 0.6}, 0.2};
+  stored.owner_peer = 3;
+  stored.items = 5;
+  stored.cluster_id = 9;
+  stored.expires_at = 100.0;
+  ASSERT_TRUE(can->Insert(stored, 0).ok());
+
+  std::vector<PublishedCluster> changed(4, stored);
+  changed[0].sphere.center = {0.41, 0.6};
+  changed[1].sphere.radius = 0.25;
+  changed[2].owner_peer = 4;
+  changed[3].items = 6;
+  const uint64_t hops = stats.total_hops();
+  for (const PublishedCluster& c : changed) {
+    Result<overlay::InsertReceipt> receipt = can->Insert(c, 0);
+    EXPECT_EQ(receipt.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(stats.total_hops(), hops);
+  ASSERT_TRUE(can->Insert(stored, 5).ok());  // an unchanged refresh is fine
+
+  // Each way of dropping every copy releases the id for a new summary.
+  const std::vector<std::function<void()>> drop_all = {
+      [&] { EXPECT_GT(can->RemoveByOwner(3), 0); },
+      [&] { EXPECT_GT(can->ExpireBefore(200.0), 0); },
+      [&] {
+        for (NodeId n = 0; n < can->num_nodes(); ++n) can->ClearNode(n);
+      },
+      [&] { can->ClearStorage(); },
+  };
+  for (size_t way = 0; way < drop_all.size(); ++way) {
+    drop_all[way]();
+    PublishedCluster next = stored;
+    next.sphere = geom::Sphere{{0.1 + 0.2 * static_cast<double>(way), 0.3}, 0.15};
+    ASSERT_TRUE(can->Insert(next, 0).ok()) << "way " << way;
+    int holders = 0;
+    for (NodeId n = 0; n < can->num_nodes(); ++n) {
+      for (const PublishedCluster& c : can->stored(n)) {
+        EXPECT_EQ(c.sphere.center, next.sphere.center) << "way " << way;
+        ++holders;
+      }
+    }
+    EXPECT_GT(holders, 0);
+    stored = next;
+  }
+}
+
+// Replica sets under churn, without a transport: a random run of fresh
+// inserts, refreshes, joins, departures, expiry and unpublishing, with ids
+// that were dropped everywhere coming back under a new sphere. After every
+// step each active zone stores exactly the live clusters whose sphere meets
+// it, once each and with their current expiry, and every range query reports
+// each matching live cluster once with its brute-force distance.
+// Params: {dim, seed}.
+class CanReplicaChurn : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(CanReplicaChurn, ZonesHoldExactlyTheLiveClustersMeetingThem) {
+  const auto [dim, seed] = GetParam();
+  const auto d = static_cast<size_t>(dim);
+  sim::NetworkStats stats;
+  auto can = MakeCan(d, 20, &stats, static_cast<uint64_t>(seed));
+  Rng rng(static_cast<uint64_t>(seed) + 1000);
+  std::map<uint64_t, PublishedCluster> live;
+  std::vector<uint64_t> dropped;  // ids with no stored copy left
+  uint64_t next_id = 1;
+  double now = 0.0;
+
+  auto random_point = [&] {
+    Vector v(d);
+    for (double& x : v) x = rng.NextDouble();
+    return v;
+  };
+  auto random_active = [&] {
+    NodeId n = static_cast<NodeId>(rng.NextIndex(static_cast<uint64_t>(can->num_nodes())));
+    while (!can->active(n)) {
+      n = static_cast<NodeId>(rng.NextIndex(static_cast<uint64_t>(can->num_nodes())));
+    }
+    return n;
+  };
+  auto publish = [&](uint64_t id) {
+    PublishedCluster c;
+    c.sphere = geom::Sphere{random_point(), rng.Uniform(0.0, 0.2)};
+    c.owner_peer = static_cast<int>(rng.NextIndex(5));
+    c.items = 1 + static_cast<int>(rng.NextIndex(9));
+    c.cluster_id = id;
+    c.expires_at = now + rng.Uniform(5.0, 30.0);
+    ASSERT_TRUE(can->Insert(c, random_active()).ok()) << "id " << id;
+    live[id] = c;
+  };
+  auto drop_where = [&](const std::function<bool(const PublishedCluster&)>& gone) {
+    for (auto it = live.begin(); it != live.end();) {
+      if (gone(it->second)) {
+        dropped.push_back(it->first);
+        it = live.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
+  auto check = [&](int step) {
+    for (NodeId n = 0; n < can->num_nodes(); ++n) {
+      const std::vector<PublishedCluster> held = can->stored(n);
+      if (!can->active(n)) {
+        EXPECT_TRUE(held.empty()) << "step " << step << " node " << n;
+        continue;
+      }
+      std::set<uint64_t> want;
+      for (const auto& [id, c] : live) {
+        if (can->zone(n).IntersectsSphere(c.sphere)) want.insert(id);
+      }
+      std::set<uint64_t> got;
+      for (const PublishedCluster& c : held) {
+        EXPECT_TRUE(got.insert(c.cluster_id).second)
+            << "step " << step << " node " << n << " holds id " << c.cluster_id
+            << " twice";
+        const auto it = live.find(c.cluster_id);
+        if (it == live.end()) continue;
+        EXPECT_EQ(c.sphere.center, it->second.sphere.center) << "step " << step;
+        EXPECT_EQ(c.sphere.radius, it->second.sphere.radius) << "step " << step;
+        EXPECT_EQ(c.owner_peer, it->second.owner_peer) << "step " << step;
+        EXPECT_EQ(c.items, it->second.items) << "step " << step;
+        EXPECT_EQ(c.expires_at, it->second.expires_at) << "step " << step;
+      }
+      EXPECT_EQ(got, want) << "step " << step << " node " << n;
+    }
+    for (int q = 0; q < 2; ++q) {
+      const geom::Sphere query{random_point(), rng.Uniform(0.0, 0.3)};
+      Result<overlay::RangeQueryResult> result = can->RangeQuery(query, random_active());
+      ASSERT_TRUE(result.ok());
+      std::map<uint64_t, int> seen;
+      for (const overlay::ClusterMatch& m : result->matches) {
+        ++seen[m.cluster_id];
+        const auto it = live.find(m.cluster_id);
+        ASSERT_NE(it, live.end()) << "step " << step << " dead id " << m.cluster_id;
+        EXPECT_TRUE(RecordsCluster(m, it->second, query)) << "step " << step;
+      }
+      for (const auto& [id, c] : live) {
+        EXPECT_EQ(seen[id], c.sphere.Intersects(query) ? 1 : 0)
+            << "step " << step << " id " << id;
+      }
+    }
+  };
+
+  for (int i = 0; i < 40; ++i) publish(next_id++);
+  check(0);
+  for (int step = 1; step <= 120; ++step) {
+    now += 1.0;
+    const uint64_t op = rng.NextIndex(10);
+    if (op < 3) {
+      publish(next_id++);
+    } else if (op == 3 && !dropped.empty()) {
+      // An id dropped everywhere comes back under a new summary.
+      const size_t pick = static_cast<size_t>(rng.NextIndex(dropped.size()));
+      const uint64_t id = dropped[pick];
+      dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(pick));
+      publish(id);
+    } else if (op == 4 && !live.empty()) {
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.NextIndex(live.size())));
+      it->second.expires_at = now + rng.Uniform(5.0, 30.0);
+      ASSERT_TRUE(can->Insert(it->second, random_active()).ok());
+    } else if (op == 5) {
+      ASSERT_TRUE(can->AddNode(rng).ok());
+    } else if (op == 6 && can->num_active_nodes() > 2) {
+      ASSERT_TRUE(can->Leave(random_active()).ok());
+    } else if (op == 7) {
+      can->ExpireBefore(now);
+      drop_where([now](const PublishedCluster& c) { return c.expires_at < now; });
+    } else if (op == 8) {
+      const int owner = static_cast<int>(rng.NextIndex(5));
+      can->RemoveByOwner(owner);
+      drop_where([owner](const PublishedCluster& c) { return c.owner_peer == owner; });
+    } else {
+      continue;  // a quiet step
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsAndSeeds, CanReplicaChurn,
+    ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Values(1, 2, 3)));
 
 TEST(CanHighDimTest, BuildsAndRoutesIn512Dims) {
   sim::NetworkStats stats;
